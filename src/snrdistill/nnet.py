@@ -6,6 +6,23 @@ concatenation at the input: [latent, sinusoidal time features, learned class
 embedding]. The `parameterization` tag records whether the output is read as
 predicted noise or as the predicted clean latent; the forward pass itself is
 identical for both.
+
+The inference forward runs the hidden layers over blocks of
+FORWARD_BLOCK_ROWS rows. A block of 256 rows keeps one layer's input,
+pre-activation and gate (about 0.8 MB at width 128) inside a 2 MB L2 cache,
+where a full 4096-row batch would stream 4 MB temporaries through memory;
+batches of up to 256 rows, such as the teacher forwards of a distill update,
+stay one block. The blocked result is bit-identical to the full-batch one
+because each output element of a hidden-layer matmul sums its products in
+the same order whatever the number of rows, with three exceptions, measured
+with OpenBLAS 0.3.31 on AVX-512:
+- A 1-row product goes through numpy's matrix-vector path, whose rounding
+  differs, so a trailing 1-row remainder joins the block before it.
+- The narrow output layer (width = latent_dim) rounds differently when its
+  rows are split, from 4096 rows on, so it stays one full-batch matmul.
+- A hidden width that is not a multiple of 8, or a hidden layer with more
+  than 384 inputs, sends small blocks through a kernel that rounds
+  differently from the full batch's, so such models run as one block.
 """
 
 from __future__ import annotations
@@ -20,6 +37,13 @@ from . import autodiff as ad
 from .errors import ShapeMismatchError
 
 Array = np.ndarray
+
+# Rows per block of the inference forward; see the module docstring.
+FORWARD_BLOCK_ROWS = 256
+# Hidden-layer shapes whose row blocks round exactly like the full batch:
+# widths a multiple of the 8-double vector, inputs within one 384-deep panel.
+_EXACT_WIDTH_MULTIPLE = 8
+_EXACT_MAX_INPUTS = 384
 
 
 class Parameterization(enum.Enum):
@@ -36,22 +60,6 @@ def time_features(t, num_frequencies: int) -> Array:
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out
-
-
-class _NumpyOps:
-    """Plain-array twin of the autodiff ops, for inference-only forwards."""
-
-    @staticmethod
-    def concat(parts, axis=1):
-        return np.concatenate(parts, axis=axis)
-
-    @staticmethod
-    def take_rows(table, idx):
-        return table[np.asarray(idx, dtype=np.int64)]
-
-    @staticmethod
-    def silu(x):
-        return x * expit(x)
 
 
 @dataclass
@@ -114,6 +122,11 @@ class DenoiserModel:
         )
 
     def _validate(self, z: Array, t, cond) -> tuple[Array, Array, Array]:
+        """Checked float64 `z`, `t` clipped to [0, 1] and int64 `cond`.
+
+        A scalar `t` comes back 0-d, so the time features of a shared time
+        are computed once; `cond` always comes back with one id per row.
+        """
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2:
             raise ShapeMismatchError("z_t", 0, "(batch, latent_dim)", f"{z.ndim}-d array")
@@ -121,14 +134,17 @@ class DenoiserModel:
             raise ShapeMismatchError("z_t", 1, self.latent_dim, z.shape[1])
         batch = z.shape[0]
         t = np.asarray(t, dtype=np.float64)
-        if t.ndim == 0:
-            t = np.full(batch, float(t))
-        elif t.shape != (batch,):
+        if t.ndim != 0 and t.shape != (batch,):
             raise ShapeMismatchError("t", 0, batch, t.shape[0])
-        if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
+        # Written so that NaN, which fails every comparison, fails the test.
+        if not np.all((t >= -1e-12) & (t <= 1.0 + 1e-12)):
             raise ValueError(f"t must lie in [0, 1], got range [{t.min()}, {t.max()}]")
         t = np.clip(t, 0.0, 1.0)
-        cond = np.asarray(cond, dtype=np.int64)
+        cond = np.asarray(cond)
+        # The int64 cast below truncates, which would turn class 2.7 into 2.
+        if cond.dtype.kind == "f" and not np.all(np.isfinite(cond) & (cond == np.trunc(cond))):
+            raise ValueError(f"condition ids must be integers, got {cond}")
+        cond = cond.astype(np.int64, copy=False)
         if cond.ndim == 0:
             cond = np.full(batch, int(cond), dtype=np.int64)
         elif cond.shape != (batch,):
@@ -140,29 +156,86 @@ class DenoiserModel:
             )
         return z, t, cond
 
-    def _forward_impl(self, params, ops, z, t, cond):
-        feats = time_features(t, self.num_frequencies)
-        x = ops.concat([z, feats, ops.take_rows(params["embed"], cond)], axis=1)
-        n_layers = len(self.hidden) + 1
-        h = x
-        for k in range(n_layers - 1):
-            h = ops.silu(h @ params[f"w{k}"] + params[f"b{k}"])
-        k = n_layers - 1
-        return h @ params[f"w{k}"] + params[f"b{k}"]
-
     def forward(self, z, t, cond) -> Array:
         """Network prediction for a batch, shape (batch, latent_dim).
 
         `t` and `cond` may be scalars (broadcast over the batch) or arrays
         of length batch.
+
+        Inference only, bit-identical to `graph_forward`'s values. The hidden
+        layers run over blocks of FORWARD_BLOCK_ROWS rows, sized so a block's
+        working set stays in L2; batches of up to 256 rows are one block, and
+        so is every batch of a model whose hidden shapes would round blocks
+        differently (see the module docstring). A trailing 1-row remainder
+        is folded into the block before it, since a 1-row matmul takes
+        numpy's matrix-vector path and rounds differently. The last hidden
+        layer writes its block into one full-batch array, and the output
+        layer is a single matmul over that array, because splitting the
+        narrow output matmul by rows changes its bits.
         """
         z, t, cond = self._validate(z, t, cond)
-        return self._forward_impl(self.params, _NumpyOps, z, t, cond)
+        params = self.params
+        batch = z.shape[0]
+        n_hidden = len(self.hidden)
+        time_cols = slice(self.latent_dim, self.latent_dim + 2 * self.num_frequencies)
+        embed_cols = slice(time_cols.stop, None)
+        shared_feats = time_features(t, self.num_frequencies) if t.ndim == 0 else None
+
+        in_dim = embed_cols.start + self.embed_dim
+        exact = max((in_dim, *self.hidden[:-1])) <= _EXACT_MAX_INPUTS and all(
+            width % _EXACT_WIDTH_MULTIPLE == 0 for width in self.hidden
+        )
+        block_rows = FORWARD_BLOCK_ROWS if exact else batch
+        rows = min(batch, block_rows + 1)
+        # With no hidden layer the assembled input is the last activation.
+        last = np.empty((batch, self.hidden[-1] if n_hidden else in_dim))
+        x_buf = np.empty((rows, in_dim)) if n_hidden else None
+        act_bufs = [np.empty((rows, width)) for width in self.hidden[:-1]]
+        gate_buf = np.empty(rows * max(self.hidden, default=0))
+
+        for lo, hi in _row_blocks(batch, block_rows):
+            m = hi - lo
+            x = x_buf[:m] if n_hidden else last[lo:hi]
+            x[:, : time_cols.start] = z[lo:hi]
+            x[:, time_cols] = (
+                shared_feats if shared_feats is not None
+                else time_features(t[lo:hi], self.num_frequencies)
+            )
+            np.take(params["embed"], cond[lo:hi], axis=0, out=x[:, embed_cols])
+            h = x
+            for k in range(n_hidden):
+                a = last[lo:hi] if k == n_hidden - 1 else act_bufs[k][:m]
+                np.matmul(h, params[f"w{k}"], out=a)
+                a += params[f"b{k}"]
+                gate = gate_buf[: a.size].reshape(a.shape)
+                expit(a, out=gate)
+                a *= gate
+                h = a
+        k = n_hidden
+        return last @ params[f"w{k}"] + params[f"b{k}"]
 
     def graph_forward(self, param_vars: dict[str, ad.Var], z, t, cond) -> ad.Var:
         """Same forward pass, recorded on the autodiff tape for `param_vars`."""
         z, t, cond = self._validate(z, t, cond)
-        return self._forward_impl(param_vars, ad, ad.lift(z), t, cond)
+        feats = np.broadcast_to(
+            time_features(t, self.num_frequencies), (z.shape[0], 2 * self.num_frequencies)
+        )
+        h = ad.concat([z, feats, ad.take_rows(param_vars["embed"], cond)], axis=1)
+        for k in range(len(self.hidden)):
+            h = ad.silu(h @ param_vars[f"w{k}"] + param_vars[f"b{k}"])
+        k = len(self.hidden)
+        return h @ param_vars[f"w{k}"] + param_vars[f"b{k}"]
+
+
+def _row_blocks(batch: int, block_rows: int):
+    """(lo, hi) bounds of `block_rows`-row blocks; never a 1-row tail."""
+    lo = 0
+    while lo < batch:
+        hi = min(lo + block_rows, batch)
+        if batch - hi == 1:
+            hi = batch
+        yield lo, hi
+        lo = hi
 
 
 def loss_and_gradients(model: DenoiserModel, loss_fn):

@@ -20,7 +20,8 @@ _T_TOL = 1e-12
 
 
 def _check_unit_interval(t: Array, what: str) -> Array:
-    if np.any(t < -_T_TOL) or np.any(t > 1.0 + _T_TOL):
+    # Written so that NaN, which fails every comparison, fails the test.
+    if not np.all((t >= -_T_TOL) & (t <= 1.0 + _T_TOL)):
         raise ScheduleRangeError(
             f"{what} must lie in [0, 1], got range [{t.min()}, {t.max()}]"
         )

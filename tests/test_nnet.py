@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from snrdistill import autodiff as ad
 from snrdistill.errors import ShapeMismatchError
@@ -13,6 +14,8 @@ from snrdistill.nnet import (
     loss_and_gradients,
     time_features,
 )
+from snrdistill.sampler import SamplerConfig, sample
+from snrdistill.schedule import CosineSchedule
 
 
 def tiny_model(seed=0, hidden=(4,), parameterization=Parameterization.EPSILON):
@@ -39,6 +42,51 @@ def finite_difference_grads(model, loss_value_fn, h=1e-5):
             gf[i] = (fp - fm) / (2 * h)
         grads[name] = g
     return grads
+
+
+def reference_forward(model, z, t, cond):
+    """Plain full-batch forward: one concat, then silu(h @ w + b) per layer."""
+    batch = z.shape[0]
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (batch,))
+    cond = np.broadcast_to(np.asarray(cond, dtype=np.int64), (batch,))
+    p = model.params
+    h = np.concatenate(
+        [z, time_features(t, model.num_frequencies), p["embed"][cond]], axis=1
+    )
+    for k in range(len(model.hidden)):
+        a = h @ p[f"w{k}"] + p[f"b{k}"]
+        h = a * expit(a)
+    k = len(model.hidden)
+    return h @ p[f"w{k}"] + p[f"b{k}"]
+
+
+# (100,) is a width whose row blocks would round differently from the full
+# batch, so the forward must leave such a model unblocked.
+@pytest.mark.parametrize("hidden", [(), (4,), (100,), (128, 128)])
+@pytest.mark.parametrize("batch", [0, 1, 2, 255, 256, 257, 258, 513, 4096, 4097])
+def test_blocked_forward_matches_full_batch_reference_bitwise(hidden, batch):
+    model = DenoiserModel.init(hidden=hidden, seed=4)
+    rng = np.random.default_rng(batch)
+    z = rng.normal(size=(batch, model.latent_dim))
+    t_rows = rng.uniform(0.0, 1.0, size=batch)
+    cond_rows = rng.integers(0, model.num_classes, size=batch)
+    for t in (0.37, t_rows):
+        for cond in (5, cond_rows):
+            out = model.forward(z, t, cond)
+            assert out.shape == (batch, model.latent_dim)
+            assert np.array_equal(out, reference_forward(model, z, t, cond))
+
+
+def test_sample_matches_reference_forward_loop_bitwise(monkeypatch):
+    model = DenoiserModel.init(seed=6)
+    reference = model.copy_with()
+    monkeypatch.setattr(
+        reference, "forward", lambda z, t, cond: reference_forward(reference, z, t, cond)
+    )
+    conds = np.random.default_rng(0).integers(0, model.num_classes, size=4097)
+    config = SamplerConfig(steps=4, seed=3)
+    out = sample(model, conds, config, CosineSchedule())
+    np.testing.assert_array_equal(out, sample(reference, conds, config, CosineSchedule()))
 
 
 def test_forward_output_shape_matches_latent():
@@ -108,6 +156,26 @@ def test_forward_shape_errors_name_the_axis():
         model.forward(np.zeros((3, 1)), np.zeros(2), 0)
     with pytest.raises(ValueError):
         model.forward(np.zeros((3, 1)), 0.5, 7)  # condition id out of range
+
+
+@pytest.mark.parametrize("t", [float("nan"), np.array([0.5, float("nan"), 0.5])])
+def test_forward_rejects_non_finite_time(t):
+    model = tiny_model()
+    with pytest.raises(ValueError, match="lie in"):
+        model.forward(np.zeros((3, 1)), t, 0)
+
+
+@pytest.mark.parametrize("cond", [0.5, np.array([0.0, 1.5, 1.0]), float("nan")])
+def test_forward_rejects_fractional_condition(cond):
+    model = tiny_model()
+    with pytest.raises(ValueError, match="integers"):
+        model.forward(np.zeros((3, 1)), 0.5, cond)
+
+
+def test_forward_accepts_integral_float_condition():
+    model = tiny_model(seed=1)
+    z = np.array([[0.3], [-0.2]])
+    np.testing.assert_array_equal(model.forward(z, 0.5, 1.0), model.forward(z, 0.5, 1))
 
 
 def test_forward_finite_for_large_inputs():

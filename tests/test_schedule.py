@@ -49,6 +49,14 @@ def test_out_of_range_rejected():
         SCHEDULE.snr(np.array([0.5, 2.0]))
 
 
+@pytest.mark.parametrize("t", [float("nan"), np.array([float("nan"), 0.5]), np.inf])
+def test_non_finite_time_rejected(t):
+    with pytest.raises(ScheduleRangeError):
+        SCHEDULE.alpha_sigma(t)
+    with pytest.raises(ScheduleRangeError):
+        SCHEDULE.snr(t)
+
+
 def test_snr_values():
     assert SCHEDULE.snr(0.5) == pytest.approx(1.0, abs=1e-12)
     assert SCHEDULE.snr(1.0) == 0.0
