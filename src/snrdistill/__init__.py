@@ -5,7 +5,14 @@ from .config import RunConfig, default_config, load_config, parse_config, serial
 from .data import ToyDataset, draw_batch, mixture_moments, reference_population
 from .distill import DistillConfig, DistillTrace, distill_round, progressive_distill, teacher_target
 from .frechet import MomentFit, fit_moments, frechet_distance
-from .nnet import AdamState, DenoiserModel, Parameterization, adam_step, loss_and_gradients
+from .nnet import (
+    AdamState,
+    DenoiserModel,
+    Parameterization,
+    adam_step,
+    loss_and_gradients,
+    weighted_squared_error,
+)
 from .sampler import (
     SamplerConfig,
     SamplerKind,
@@ -61,5 +68,6 @@ __all__ = [
     "teacher_target",
     "train_base",
     "weight",
+    "weighted_squared_error",
     "x_to_eps",
 ]

@@ -21,10 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import ToyDataset, draw_batch
 from .errors import DegenerateTargetError, DistillationDivergedError
-from .nnet import AdamState, DenoiserModel, Parameterization, adam_step, loss_and_gradients
+from .nnet import (
+    AdamState,
+    DenoiserModel,
+    Parameterization,
+    adam_step,
+    loss_and_gradients,
+    weighted_squared_error,
+)
 from .sampler import ddim_step, predict_x
 from .schedule import CosineSchedule
 from .util import child_rng
@@ -130,10 +136,14 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
                   collect_log: bool = False) -> RoundResult:
     """Train one student against two-step teacher targets at grid size 1/N.
 
-    The teacher only needs the small model surface used here: `params`,
-    `parameterization`, `copy_with`, `forward`, and `graph_forward` (the
-    test suite exercises linear and constant families through the same
-    loop). The student starts as a bit-exact parameter copy of the teacher,
+    The models only need the small surface used here (the test suite
+    exercises linear and constant families through the same loop):
+    - the teacher: `parameterization`, `forward(z, t, cond)` and
+      `copy_with(parameterization)`;
+    - the student that `copy_with` returns: `params`, a dict of arrays, and
+      `forward_backward(z, t, cond) -> (out, backward)`, where
+      `backward(d_out)` returns a dict of gradients mirroring `params`.
+    The student starts as a bit-exact parameter copy of the teacher,
     retagged to predict clean latents, and trains for `steps_per_round`
     updates or until the windowed mean loss stops improving.
     """
@@ -162,20 +172,16 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
         snr = schedule.snr(t)
         w = config.strategy.weight(snr)
 
-        captured: dict[str, ad.Var] = {}
+        errors: dict[str, Array] = {}
 
-        def loss_fn(forward):
-            diff = forward(z_t, t, cond) - z0_tilde
-            sq_err = ad.sum_rows(ad.square(diff))
-            weighted = sq_err * w
-            captured["sq_err"] = sq_err
-            captured["weighted"] = weighted
-            return ad.sum_all(weighted) / config.batch_size
+        def loss_grad(out):
+            loss, d_out, errors["sq_err"], errors["weighted"] = weighted_squared_error(
+                out, z0_tilde, w)
+            return loss, d_out
 
-        loss, grads = loss_and_gradients(student, loss_fn)
+        loss, grads = loss_and_gradients(student, z_t, t, cond, loss_grad)
         if not np.isfinite(loss):
-            weighted = captured["weighted"].value
-            bad = int(np.argmax(~np.isfinite(weighted)))
+            bad = int(np.argmax(~np.isfinite(errors["weighted"])))
             raise DistillationDivergedError(t=float(t[bad]), weight=float(w[bad]), loss=loss)
         student.params, state = adam_step(student.params, grads, state)
         losses.append(loss)
@@ -185,8 +191,8 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
                 "t": t,
                 "snr": snr,
                 "weight": w,
-                "sq_err": captured["sq_err"].value,
-                "weighted": captured["weighted"].value,
+                "sq_err": errors["sq_err"],
+                "weighted": errors["weighted"],
                 "z_t": z_t,
                 "target": z0_tilde,
                 "cond": cond,

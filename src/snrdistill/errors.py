@@ -24,10 +24,6 @@ class SingularTimeError(ValueError):
     """A reverse-process coefficient hit its singular endpoint."""
 
 
-class NonScalarLossError(ValueError):
-    """Backward pass was requested from a non-scalar node."""
-
-
 class DegenerateTargetError(ValueError):
     """Two-step target denominator too close to zero to invert."""
 

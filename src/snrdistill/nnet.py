@@ -1,4 +1,4 @@
-"""Conditional MLP denoiser, its gradients, and a functional Adam optimizer.
+"""Conditional MLP denoiser, its hand-derived gradients, and a flat Adam optimizer.
 
 The network maps a noisy latent, a diffusion time in [0, 1], and a class id
 to a prediction with the same shape as the latent. Conditioning is plain
@@ -23,17 +23,42 @@ with OpenBLAS 0.3.31 on AVX-512:
 - A hidden width that is not a multiple of 8, or a hidden layer with more
   than 384 inputs, sends small blocks through a kernel that rounds
   differently from the full batch's, so such models run as one block.
+
+Training runs `forward_backward`: one full-batch pass whose backward is
+written out for this network under a weighted squared-error loss. It
+performs, in the same order and grouping, the operations of the general
+reverse-mode graph it replaced, so the gradients, and with them every
+trained parameter and experiment CSV, stay bit-for-bit the same. Float
+products and sums are commutative but not associative, so an elementwise
+step may run in place or with its operands swapped, but its grouping and
+every reduction must not change:
+- The loss sum_i w_i |pred_i - target_i|^2 is multiplied by 1.0 / batch,
+  never divided by batch; the two round differently unless batch is a
+  power of two.
+- dL/d(pred) is (w * (1/batch))[:, None] * (2.0 * diff). The
+  x-parameterized trainer reads pred as eps_hat = (z_t - alpha x_hat) /
+  sigma and chains it back as (-(g * inv_sigma)) * alpha.
+- Per layer, the bias gradient is g.sum(axis=0), the weight gradient
+  h.T @ g, and the input gradient g @ w.T over the full input width: the
+  same reductions and BLAS calls on the same operand layouts.
+- The SiLU slope is s * (1 + a * (1 - s)) with s = expit(a).
+- The embedding gradient scatter-adds the input gradient's embedding
+  columns with np.add.at, in row order, so repeated class ids sum in the
+  order they appear.
+`adam_step` keeps each element's grouping in the same way:
+m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+p - (lr*m_hat) / (sqrt(v_hat) + eps), over one flat buffer.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from . import autodiff as ad
 from .errors import ShapeMismatchError
 
 Array = np.ndarray
@@ -60,6 +85,17 @@ def time_features(t, num_frequencies: int) -> Array:
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out
+
+
+def class_ids(cond) -> Array:
+    """`cond` as int64 class ids; ValueError for a fractional or NaN id.
+
+    A plain int64 cast would truncate, turning class 2.7 into class 2.
+    """
+    cond = np.asarray(cond)
+    if cond.dtype.kind == "f" and not np.all(np.isfinite(cond) & (cond == np.trunc(cond))):
+        raise ValueError(f"condition ids must be integers, got {cond}")
+    return cond.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -140,11 +176,7 @@ class DenoiserModel:
         if not np.all((t >= -1e-12) & (t <= 1.0 + 1e-12)):
             raise ValueError(f"t must lie in [0, 1], got range [{t.min()}, {t.max()}]")
         t = np.clip(t, 0.0, 1.0)
-        cond = np.asarray(cond)
-        # The int64 cast below truncates, which would turn class 2.7 into 2.
-        if cond.dtype.kind == "f" and not np.all(np.isfinite(cond) & (cond == np.trunc(cond))):
-            raise ValueError(f"condition ids must be integers, got {cond}")
-        cond = cond.astype(np.int64, copy=False)
+        cond = class_ids(cond)
         if cond.ndim == 0:
             cond = np.full(batch, int(cond), dtype=np.int64)
         elif cond.shape != (batch,):
@@ -162,7 +194,7 @@ class DenoiserModel:
         `t` and `cond` may be scalars (broadcast over the batch) or arrays
         of length batch.
 
-        Inference only, bit-identical to `graph_forward`'s values. The hidden
+        Inference only, bit-identical to `forward_backward`'s output. The hidden
         layers run over blocks of FORWARD_BLOCK_ROWS rows, sized so a block's
         working set stays in L2; batches of up to 256 rows are one block, and
         so is every batch of a model whose hidden shapes would round blocks
@@ -214,17 +246,58 @@ class DenoiserModel:
         k = n_hidden
         return last @ params[f"w{k}"] + params[f"b{k}"]
 
-    def graph_forward(self, param_vars: dict[str, ad.Var], z, t, cond) -> ad.Var:
-        """Same forward pass, recorded on the autodiff tape for `param_vars`."""
+    def forward_backward(self, z, t, cond) -> tuple[Array, Callable[[Array], dict[str, Array]]]:
+        """Training pass: the output and the function that maps dL/d(output)
+        to the gradient of every parameter.
+
+        One full-batch pass that keeps each layer's input and SiLU slope;
+        `backward(d_out)` returns a dict mirroring `params`. It follows the
+        op-order rules of the module docstring, so the gradients are
+        bit-for-bit those of the reverse-mode graph they replace, and the
+        output is bit-identical to `forward`'s.
+        """
         z, t, cond = self._validate(z, t, cond)
-        feats = np.broadcast_to(
-            time_features(t, self.num_frequencies), (z.shape[0], 2 * self.num_frequencies)
-        )
-        h = ad.concat([z, feats, ad.take_rows(param_vars["embed"], cond)], axis=1)
-        for k in range(len(self.hidden)):
-            h = ad.silu(h @ param_vars[f"w{k}"] + param_vars[f"b{k}"])
-        k = len(self.hidden)
-        return h @ param_vars[f"w{k}"] + param_vars[f"b{k}"]
+        params = self.params
+        batch = z.shape[0]
+        n_hidden = len(self.hidden)
+        time_cols = slice(self.latent_dim, self.latent_dim + 2 * self.num_frequencies)
+        embed_cols = slice(time_cols.stop, None)
+
+        x = np.empty((batch, embed_cols.start + self.embed_dim))
+        x[:, : time_cols.start] = z
+        x[:, time_cols] = time_features(t, self.num_frequencies)
+        np.take(params["embed"], cond, axis=0, out=x[:, embed_cols])
+        inputs = [x]
+        slopes = []
+        for k in range(n_hidden):
+            a = inputs[-1] @ params[f"w{k}"]
+            a += params[f"b{k}"]
+            s = expit(a)
+            inputs.append(a * s)
+            # SiLU slope s * (1 + a * (1 - s)), built in a's buffer.
+            a *= 1.0 - s
+            a += 1.0
+            a *= s
+            slopes.append(a)
+        k = n_hidden
+        out = inputs[-1] @ params[f"w{k}"] + params[f"b{k}"]
+
+        def backward(d_out) -> dict[str, Array]:
+            g = np.asarray(d_out, dtype=np.float64)
+            if g.shape != out.shape:
+                raise ShapeMismatchError("d_out", 0, out.shape, g.shape)
+            grads: dict[str, Array] = {}
+            for k in range(n_hidden, -1, -1):
+                grads[f"w{k}"] = inputs[k].T @ g
+                grads[f"b{k}"] = g.sum(axis=0)
+                g = g @ params[f"w{k}"].T
+                if k:
+                    g *= slopes[k - 1]
+            grads["embed"] = np.zeros_like(params["embed"])
+            np.add.at(grads["embed"], cond, g[:, embed_cols])
+            return {name: grads[name] for name in params}
+
+        return out, backward
 
 
 def _row_blocks(batch: int, block_rows: int):
@@ -238,80 +311,112 @@ def _row_blocks(batch: int, block_rows: int):
         lo = hi
 
 
-def loss_and_gradients(model: DenoiserModel, loss_fn):
-    """Evaluate a scalar loss and its gradients w.r.t. every model parameter.
+def weighted_squared_error(pred: Array, target: Array, w: Array
+                           ) -> tuple[float, Array, Array, Array]:
+    """The loss sum_i w_i |pred_i - target_i|^2 / batch and its gradient in `pred`.
 
-    `loss_fn(forward)` must build the loss from tracked forward passes:
-    `forward(z, t, cond)` returns a Var, and the result must be a scalar Var
-    (or a plain constant, which yields all-zero gradients). Gradients come
-    back as a dict mirroring `model.params`.
+    Returns (loss, dL/d(pred), per-row squared error, per-row weighted
+    error), in the op order of the module docstring.
     """
-    param_vars = {k: ad.Var(v) for k, v in model.params.items()}
+    batch = len(w)
+    diff = pred - target
+    sq_err = (diff * diff).sum(axis=1)
+    weighted = sq_err * w
+    loss = float(weighted.sum() * (1.0 / batch))
+    d_pred = (w * (1.0 / batch))[:, None] * (2.0 * diff)
+    return loss, d_pred, sq_err, weighted
 
-    def forward(z, t, cond):
-        return model.graph_forward(param_vars, z, t, cond)
 
-    loss = ad.lift(loss_fn(forward))
-    ad.backward(loss)
-    grads = {
-        k: (pv.grad if pv.grad is not None else np.zeros_like(pv.value))
-        for k, pv in param_vars.items()
-    }
-    return float(loss.value), grads
+def loss_and_gradients(model, z, t, cond, loss_grad) -> tuple[float, dict[str, Array]]:
+    """A scalar loss of the model's output and its gradient in every parameter.
+
+    `loss_grad(out)` maps the output of `model.forward_backward(z, t, cond)`
+    to (loss, dL/d(out)); the gradients come back as a dict mirroring
+    `model.params`.
+    """
+    out, backward = model.forward_backward(z, t, cond)
+    loss, d_out = loss_grad(out)
+    return float(loss), backward(d_out)
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters."""
+    """Flat first/second moment accumulators plus hyperparameters.
 
-    m: dict[str, Array]
-    v: dict[str, Array]
+    `m` and `v` hold every parameter's moments end to end. The state also
+    keeps the flat parameter buffer that `adam_step` updates in place, its
+    per-name views, and scratch rows for the gradient and two temporaries,
+    so that a step allocates no parameter-sized array.
+    """
+
+    m: Array
+    v: Array
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     lr: float = 1e-3
+    _views: dict[str, Array] | None = field(default=None, init=False, repr=False)
+    _flat: Array | None = field(default=None, init=False, repr=False)
+    _work: Array | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def fresh(cls, params: dict[str, Array], lr: float = 1e-3,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            step=0,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-            lr=lr,
-        )
+        size = sum(p.size for p in params.values())
+        return cls(m=np.zeros(size), v=np.zeros(size), step=0,
+                   beta1=beta1, beta2=beta2, eps=eps, lr=lr)
 
 
 def adam_step(
     params: dict[str, Array], grads: dict[str, Array], state: AdamState
 ) -> tuple[dict[str, Array], AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
+    """One bias-corrected Adam update over one flat buffer, in place.
+
+    Returns the updated params as views of the state's flat buffer, and the
+    state with its step advanced. Params that are the views the previous
+    step returned are updated in place; any other dict is first copied into
+    a new buffer, so arrays the caller owns are never written.
+    """
+    size = 0
     for k, p in params.items():
-        if state.m[k].shape != p.shape:
-            raise ShapeMismatchError(f"adam m[{k}]", 0, p.shape, state.m[k].shape)
         if grads[k].shape != p.shape:
             raise ShapeMismatchError(f"grad[{k}]", 0, p.shape, grads[k].shape)
+        size += p.size
+    for name, moment in (("m", state.m), ("v", state.v)):
+        if moment.shape != (size,):
+            raise ShapeMismatchError(f"adam {name}", 0, (size,), moment.shape)
+    views = state._views
+    if views is None or len(views) != len(params) or any(
+        params.get(k) is not view for k, view in views.items()
+    ):
+        state._flat = np.concatenate([p.reshape(-1) for p in params.values()])
+        state._work = np.empty((3, size))
+        views, lo = {}, 0
+        for k, p in params.items():
+            views[k] = state._flat[lo: lo + p.size].reshape(p.shape)
+            lo += p.size
+        state._views = views
+    flat, (g, a, b) = state._flat, state._work
+    np.concatenate([grads[k].reshape(-1) for k in views], out=g)
+
     t = state.step + 1
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    new_params: dict[str, Array] = {}
-    new_m: dict[str, Array] = {}
-    new_v: dict[str, Array] = {}
-    for k, p in params.items():
-        g = grads[k]
-        m = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        new_params[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_m[k] = m
-        new_v[k] = v
-    new_state = AdamState(
-        m=new_m, v=new_v, step=t,
-        beta1=state.beta1, beta2=state.beta2, eps=state.eps, lr=state.lr,
-    )
-    return new_params, new_state
+    m, v = state.m, state.v
+    m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=a)
+    m += a
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=a)
+    a *= g
+    v += a
+    np.divide(v, bc2, out=a)
+    np.sqrt(a, out=a)
+    a += state.eps
+    np.divide(m, bc1, out=b)
+    b *= state.lr
+    b /= a
+    flat -= b
+    state.step = t
+    return dict(views), state

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularTimeError
-from .nnet import DenoiserModel, Parameterization
+from .nnet import DenoiserModel, Parameterization, class_ids
 from .schedule import CosineSchedule, DiscreteSchedule, build_discrete
 
 Array = np.ndarray
@@ -129,11 +129,12 @@ def sample(model: DenoiserModel, conditions, config: SamplerConfig,
            schedule: CosineSchedule, discrete: DiscreteSchedule | None = None) -> Array:
     """Run the full reverse process from z ~ N(0, I); returns (n, latent_dim).
 
-    `conditions` is an int (one latent) or an int array (one latent each).
+    `conditions` is an int (one latent) or an int array (one latent each);
+    a fractional or NaN id raises ValueError before any step runs.
     Deterministic given `config.seed`: the DDIM path consumes one normal
     draw for the start point, the ancestral path additionally one per step.
     """
-    conditions = np.atleast_1d(np.asarray(conditions, dtype=np.int64))
+    conditions = np.atleast_1d(class_ids(conditions))
     n_samples = conditions.shape[0]
     rng = np.random.default_rng(config.seed)
     z = rng.standard_normal((n_samples, model.latent_dim))

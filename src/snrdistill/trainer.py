@@ -10,10 +10,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import ToyDataset, draw_batch
 from .errors import TrainingDivergedError
-from .nnet import AdamState, DenoiserModel, Parameterization, adam_step, loss_and_gradients
+from .nnet import (
+    AdamState,
+    DenoiserModel,
+    Parameterization,
+    adam_step,
+    loss_and_gradients,
+    weighted_squared_error,
+)
 from .schedule import CosineSchedule
 from .util import child_rng
 from .weighting import WeightKind, WeightStrategy
@@ -83,18 +89,19 @@ def train_base(config: TrainConfig, dataset: ToyDataset, schedule: CosineSchedul
         w = _noise_space_weights(config.strategy, schedule.snr(t))
 
         if config.parameterization is Parameterization.EPSILON:
-            def loss_fn(forward):
-                diff = forward(z_t, t, cond) - eps
-                return ad.sum_all(ad.sum_rows(ad.square(diff)) * w) / len(w)
+            def loss_grad(out):
+                return weighted_squared_error(out, eps, w)[:2]
         else:
             inv_sigma = (1.0 / sigma)[:, None]
             alpha_col = alpha[:, None]
 
-            def loss_fn(forward):
-                eps_hat = (z_t - alpha_col * forward(z_t, t, cond)) * inv_sigma
-                return ad.sum_all(ad.sum_rows(ad.square(eps_hat - eps)) * w) / len(w)
+            def loss_grad(out):
+                # The loss is on the noise the latent prediction implies.
+                eps_hat = (z_t - alpha_col * out) * inv_sigma
+                loss, d_eps_hat = weighted_squared_error(eps_hat, eps, w)[:2]
+                return loss, (-(d_eps_hat * inv_sigma)) * alpha_col
 
-        loss, grads = loss_and_gradients(model, loss_fn)
+        loss, grads = loss_and_gradients(model, z_t, t, cond, loss_grad)
         if not np.isfinite(loss) or loss > DIVERGENCE_BOUND:
             raise TrainingDivergedError(update=update, loss=loss)
         model.params, state = adam_step(model.params, grads, state)

@@ -40,8 +40,14 @@ class AffineModel:
         z = np.asarray(z, dtype=np.float64)
         return z * self.params["a"] + self.params["b"]
 
-    def graph_forward(self, pvars, z, t, cond):
-        return pvars["a"] * np.asarray(z, dtype=np.float64) + pvars["b"]
+    def forward_backward(self, z, t, cond):
+        z = np.asarray(z, dtype=np.float64)
+
+        def backward(d_out):
+            # d(a z + b)/da = z and d/db = 1, summed over every element
+            return {"a": np.array([(d_out * z).sum()]), "b": np.array([d_out.sum()])}
+
+        return self.forward(z, t, cond), backward
 
 
 def random_teacher(seed=0):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from snrdistill import autodiff as ad
 from snrdistill.errors import ShapeMismatchError
 from snrdistill.nnet import (
     AdamState,
@@ -13,6 +12,7 @@ from snrdistill.nnet import (
     adam_step,
     loss_and_gradients,
     time_features,
+    weighted_squared_error,
 )
 from snrdistill.sampler import SamplerConfig, sample
 from snrdistill.schedule import CosineSchedule
@@ -185,9 +185,119 @@ def test_forward_finite_for_large_inputs():
     assert np.all(np.isfinite(out))
 
 
+def squared_error_loss_grad(target, w, chain=None):
+    """The trainers' loss_grad: plain, or through the x-parameterized chain
+    eps_hat = (z_t - alpha x_hat) / sigma with chain = (z_t, alpha, sigma)."""
+    if chain is None:
+        return lambda out: weighted_squared_error(out, target, w)[:2]
+    z_t, alpha, sigma = chain
+    inv_sigma = (1.0 / sigma)[:, None]
+    alpha_col = alpha[:, None]
+
+    def loss_grad(out):
+        loss, d_pred = weighted_squared_error((z_t - alpha_col * out) * inv_sigma, target, w)[:2]
+        return loss, (-(d_pred * inv_sigma)) * alpha_col
+
+    return loss_grad
+
+
+def reference_loss_and_gradients(model, z, t, cond, target, w, chain=None):
+    """Plain allocating backward, in the order the reverse-mode graph used:
+    loss, dL/d(pred), then each layer from the top, then the embedding."""
+    batch = z.shape[0]
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (batch,))
+    cond = np.broadcast_to(np.asarray(cond, dtype=np.int64), (batch,))
+    p = model.params
+    inputs = [np.concatenate(
+        [z, time_features(t, model.num_frequencies), p["embed"][cond]], axis=1
+    )]
+    pre = []
+    for k in range(len(model.hidden)):
+        pre.append(inputs[-1] @ p[f"w{k}"] + p[f"b{k}"])
+        inputs.append(pre[-1] * expit(pre[-1]))
+    k = len(model.hidden)
+    out = inputs[-1] @ p[f"w{k}"] + p[f"b{k}"]
+    pred = out
+    if chain is not None:
+        z_t, alpha, sigma = chain
+        pred = (z_t - alpha[:, None] * out) * (1.0 / sigma)[:, None]
+    diff = pred - target
+    loss = (np.square(diff).sum(axis=1) * w).sum() * (1.0 / batch)
+    g = (w * (1.0 / batch))[:, None] * (2.0 * diff)
+    if chain is not None:
+        g = (-(g * (1.0 / sigma)[:, None])) * alpha[:, None]
+    grads = {}
+    for k in range(len(model.hidden), -1, -1):
+        grads[f"w{k}"] = inputs[k].T @ g
+        grads[f"b{k}"] = g.sum(axis=0)
+        g = g @ p[f"w{k}"].T
+        if k:
+            a = pre[k - 1]
+            s = expit(a)
+            g = g * (s * (1.0 + a * (1.0 - s)))
+    grads["embed"] = np.zeros_like(p["embed"])
+    np.add.at(grads["embed"], cond, g[:, -model.embed_dim:])
+    return float(loss), grads
+
+
+# Batch 100 is not a power of two, so dividing by it instead of multiplying
+# by its inverse would change the bits.
+@pytest.mark.parametrize("chained", [False, True])
+@pytest.mark.parametrize("hidden", [(), (4,), (5, 3), (128, 128)])
+@pytest.mark.parametrize("batch", [1, 2, 100, 128, 256])
+def test_hand_backward_matches_reference_bitwise(batch, hidden, chained):
+    model = DenoiserModel.init(hidden=hidden, seed=batch)
+    rng = np.random.default_rng(len(hidden) + 10 * batch)
+    z = rng.normal(size=(batch, model.latent_dim))
+    cond = rng.integers(0, 3, size=batch)  # few ids, so most repeat
+    target = rng.normal(size=(batch, model.latent_dim))
+    w = rng.uniform(0.1, 3.0, size=batch)
+    chain = (z, rng.uniform(0.1, 1.0, size=batch), rng.uniform(0.1, 1.0, size=batch))
+    chain = chain if chained else None
+    for t in (0.37, rng.uniform(0.0, 1.0, size=batch)):
+        loss, grads = loss_and_gradients(
+            model, z, t, cond, squared_error_loss_grad(target, w, chain))
+        ref_loss, ref_grads = reference_loss_and_gradients(model, z, t, cond, target, w, chain)
+        assert loss == ref_loss
+        assert list(grads) == list(model.params)
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
+
+
+@pytest.mark.parametrize("batch", [128, 600])
+def test_forward_backward_output_matches_forward_bitwise(batch):
+    model = DenoiserModel.init(seed=2)
+    rng = np.random.default_rng(batch)
+    z = rng.normal(size=(batch, 2))
+    t = rng.uniform(size=batch)
+    cond = rng.integers(0, 8, size=batch)
+    out, _ = model.forward_backward(z, t, cond)
+    assert np.array_equal(out, model.forward(z, t, cond))
+
+
+def test_backward_rejects_wrong_gradient_shape():
+    model = tiny_model()
+    _, backward = model.forward_backward(np.zeros((3, 1)), 0.5, 0)
+    with pytest.raises(ShapeMismatchError):
+        backward(np.zeros((2, 1)))
+
+
+def test_weighted_squared_error_terms():
+    pred = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 3.0]])
+    target = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 2.0]])
+    w = np.array([2.0, 0.5, 1.0])
+    loss, d_pred, sq_err, weighted = weighted_squared_error(pred, target, w)
+    np.testing.assert_array_equal(sq_err, [5.0, 4.0, 1.0])
+    np.testing.assert_array_equal(weighted, [10.0, 2.0, 1.0])
+    assert loss == pytest.approx(13.0 / 3.0, abs=1e-15)
+    np.testing.assert_allclose(d_pred, 2.0 * w[:, None] * (pred - target) / 3.0, rtol=1e-15)
+
+
 def test_constant_loss_gives_zero_gradients():
     model = tiny_model()
-    loss, grads = loss_and_gradients(model, lambda forward: ad.Var(3.5))
+    z = np.random.default_rng(0).normal(size=(3, 1))
+    loss, grads = loss_and_gradients(
+        model, z, 0.4, 1, lambda out: (3.5, np.zeros_like(out)))
     assert loss == 3.5
     for name, g in grads.items():
         np.testing.assert_array_equal(g, np.zeros_like(model.params[name]))
@@ -197,19 +307,14 @@ def test_loss_at_exact_minimum_gives_zero_gradients():
     model = tiny_model(seed=2)
     z = np.random.default_rng(0).normal(size=(3, 1))
     target = model.forward(z, 0.4, 1)
-
-    def loss_fn(forward):
-        diff = forward(z, 0.4, 1) - target
-        return ad.sum_all(ad.square(diff)) * 2.0
-
-    loss, grads = loss_and_gradients(model, loss_fn)
+    loss, grads = loss_and_gradients(
+        model, z, 0.4, 1, squared_error_loss_grad(target, np.full(3, 2.0)))
     assert loss == 0.0
     for g in grads.values():
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
 
-@pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
-def test_gradients_match_central_finite_differences(hidden):
+def check_against_finite_differences(hidden, chained):
     model = tiny_model(seed=7, hidden=hidden)
     assert model.num_params <= 200
     rng = np.random.default_rng(11)
@@ -219,21 +324,110 @@ def test_gradients_match_central_finite_differences(hidden):
     cond = rng.integers(0, 2, size=batch)
     target = rng.normal(size=(batch, 1))
     w = rng.uniform(0.5, 2.0, size=batch)
-
-    def loss_fn(forward):
-        diff = forward(z, t, cond) - target
-        return ad.sum_all(ad.sum_rows(ad.square(diff)) * w) / batch
+    chain = (z, rng.uniform(0.2, 1.0, size=batch), rng.uniform(0.2, 1.0, size=batch))
+    loss_grad = squared_error_loss_grad(target, w, chain if chained else None)
 
     def loss_value():
-        diff = model.forward(z, t, cond) - target
-        return float((np.square(diff).sum(axis=1) * w).sum() / batch)
+        return loss_grad(model.forward(z, t, cond))[0]
 
-    _, grads = loss_and_gradients(model, loss_fn)
+    _, grads = loss_and_gradients(model, z, t, cond, loss_grad)
     numeric = finite_difference_grads(model, loss_value, h=1e-5)
     for name in model.params:
         err = np.abs(grads[name] - numeric[name])
         bound = 1e-4 * np.maximum(np.abs(grads[name]), np.abs(numeric[name])) + 1e-7
         assert np.all(err <= bound), f"gradient mismatch in {name}"
+
+
+@pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
+def test_gradients_match_central_finite_differences(hidden):
+    check_against_finite_differences(hidden, chained=False)
+
+
+@pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
+def test_chained_gradients_match_central_finite_differences(hidden):
+    check_against_finite_differences(hidden, chained=True)
+
+
+def test_embedding_gradient_scatter_adds_repeated_ids():
+    # With no hidden layer the input gradient is d_out @ w0.T, and rows that
+    # share a class id add up in that id's embedding row.
+    model = DenoiserModel.init(latent_dim=1, num_classes=4, hidden=(), embed_dim=2,
+                               num_frequencies=1, seed=0)
+    cond = np.array([1, 1, 3])
+    _, backward = model.forward_backward(np.zeros((3, 1)), 0.5, cond)
+    d_out = np.array([[1.0], [2.0], [-0.5]])
+    grads = backward(d_out)
+    w_embed = model.params["w0"][-2:, 0]
+    expected = np.zeros((4, 2))
+    expected[1] = 3.0 * w_embed
+    expected[3] = -0.5 * w_embed
+    np.testing.assert_allclose(grads["embed"], expected, rtol=1e-15)
+
+
+def reference_adam(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-array Adam update the flat one replaced."""
+    t = step + 1
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    new_params, new_m, new_v = {}, {}, {}
+    for k, p in params.items():
+        g = grads[k]
+        new_m[k] = beta1 * m[k] + (1.0 - beta1) * g
+        new_v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
+        new_params[k] = p - lr * (new_m[k] / bc1) / (np.sqrt(new_v[k] / bc2) + eps)
+    return new_params, new_m, new_v
+
+
+def test_flat_adam_matches_per_array_reference_over_chained_steps():
+    model = DenoiserModel.init(hidden=(16, 8), seed=3)
+    rng = np.random.default_rng(5)
+    ref = {k: p.copy() for k, p in model.params.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+    params, state = model.params, AdamState.fresh(model.params, lr=3e-3)
+    for step in range(6):
+        grads = {k: rng.normal(scale=10.0 ** (step - 3), size=p.shape) for k, p in ref.items()}
+        params, state = adam_step(params, grads, state)
+        ref, ref_m, ref_v = reference_adam(ref, grads, ref_m, ref_v, step, lr=3e-3)
+        assert state.step == step + 1
+        for k in ref:
+            assert np.array_equal(params[k], ref[k]), k
+        assert np.array_equal(state.m, np.concatenate([ref_m[k].ravel() for k in ref]))
+        assert np.array_equal(state.v, np.concatenate([ref_v[k].ravel() for k in ref]))
+
+
+def test_adam_updates_its_own_views_in_place_and_copies_others():
+    model = tiny_model()
+    caller_params = {k: p.copy() for k, p in model.params.items()}
+    grads = {k: np.ones_like(p) for k, p in model.params.items()}
+    state = AdamState.fresh(model.params, lr=0.1)
+    first, state = adam_step(model.params, grads, state)
+    for k in model.params:  # the caller's arrays are not written
+        np.testing.assert_array_equal(model.params[k], caller_params[k])
+    second, state = adam_step(first, grads, state)
+    assert all(second[k] is first[k] for k in first)
+    # A replaced entry is not one of the state's views, so the next step
+    # starts from a copy that includes it.
+    replaced = dict(second)
+    replaced["b0"] = np.zeros_like(second["b0"])
+    third, state = adam_step(replaced, grads, state)
+    assert third["b0"] is not replaced["b0"]
+    np.testing.assert_array_equal(replaced["b0"], 0.0)
+    assert np.all(third["b0"] < 0.0)
+
+
+def test_adam_reads_gradients_by_name_whatever_the_dict_order():
+    model = tiny_model(hidden=(3,))
+    rng = np.random.default_rng(8)
+    grads = {k: rng.normal(size=p.shape) for k, p in model.params.items()}
+    params, state = adam_step(model.params, grads, AdamState.fresh(model.params, lr=0.1))
+    ref, ref_state = adam_step(model.params, grads, AdamState.fresh(model.params, lr=0.1))
+    # The state's own views, listed in reverse, are still updated in place.
+    reordered = dict(reversed(list(params.items())))
+    params, state = adam_step(reordered, grads, state)
+    ref, ref_state = adam_step(ref, grads, ref_state)
+    for k in ref:
+        assert np.array_equal(params[k], ref[k]), k
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
@@ -254,8 +448,8 @@ def test_adam_identical_calls_identical_results():
     s1 = AdamState.fresh(params, lr=0.01)
     b_params, b_state = adam_step(params, grads, s1)
     np.testing.assert_array_equal(a_params["p"], b_params["p"])
-    np.testing.assert_array_equal(a_state.m["p"], b_state.m["p"])
-    np.testing.assert_array_equal(a_state.v["p"], b_state.v["p"])
+    np.testing.assert_array_equal(a_state.m, b_state.m)
+    np.testing.assert_array_equal(a_state.v, b_state.v)
 
 
 def test_adam_first_step_hand_computed():
@@ -274,6 +468,8 @@ def test_adam_shape_mismatch_rejected():
     grads = {"p": np.zeros(2)}
     with pytest.raises(ShapeMismatchError):
         adam_step(params, grads, AdamState.fresh(params))
+    with pytest.raises(ShapeMismatchError):
+        adam_step(params, {"p": np.zeros(3)}, AdamState.fresh({"p": np.zeros(4)}))
 
 
 def test_time_features_shape_and_range():

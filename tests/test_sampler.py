@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snrdistill.errors import SingularTimeError
-from snrdistill.nnet import Parameterization
+from snrdistill.nnet import DenoiserModel, Parameterization
 from snrdistill.sampler import (
     SamplerConfig,
     SamplerKind,
@@ -227,3 +227,19 @@ def test_sample_ancestral_runs_and_is_deterministic():
 def test_sampler_config_validates_steps():
     with pytest.raises(ValueError):
         SamplerConfig(steps=0)
+
+
+@pytest.mark.parametrize("conditions", [np.array([2.7, 0.4]), np.array([1.0, np.nan]), 1.5])
+def test_sample_rejects_fractional_conditions_before_stepping(conditions):
+    # The stub's forward checks nothing, so only sample itself can reject.
+    with pytest.raises(ValueError, match="integers"):
+        sample(ConstModel(0.0), conditions, SamplerConfig(steps=2), SCHEDULE)
+
+
+def test_sample_accepts_integral_float_conditions():
+    model = DenoiserModel.init(seed=0)
+    config = SamplerConfig(steps=2, seed=1)
+    np.testing.assert_array_equal(
+        sample(model, np.array([2.0, 0.0]), config, SCHEDULE),
+        sample(model, np.array([2, 0]), config, SCHEDULE),
+    )
