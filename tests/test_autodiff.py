@@ -1,12 +1,19 @@
+# Gradients of DenoiserModel's hand-written backward and of the weighted
+# squared error, one operation at a time: the broadcast bias, the matmul,
+# SiLU, the square and the weight, the input concat, the embedding gather
+# and the per-row sum.
 import numpy as np
 import pytest
 
-from snrdistill import autodiff as ad
-from snrdistill.errors import NonScalarLossError
+from snrdistill.errors import ShapeMismatchError
+from snrdistill.nnet import DenoiserModel, time_features, weighted_squared_error
 
 
 def numeric_grad(f, x, h=1e-6):
-    """Central finite differences of a scalar function of one array."""
+    """Central finite differences of a scalar function of one array.
+
+    `x` is perturbed in place and restored, so it may be a model parameter
+    that `f` reads."""
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gf = g.reshape(-1)
@@ -21,103 +28,116 @@ def numeric_grad(f, x, h=1e-6):
     return g
 
 
-def check_unary(op, x0, h=1e-6, tol=1e-7):
-    x = ad.Var(x0.copy())
-    y = ad.sum_all(op(x))
-    ad.backward(y)
-    expected = numeric_grad(lambda a: np.asarray(op(ad.Var(a)).value).sum(), x0.copy(), h=h)
-    np.testing.assert_allclose(x.grad, expected, atol=tol, rtol=1e-6)
+def small_model(latent_dim=1, num_classes=4, hidden=(), embed_dim=2, seed=0):
+    return DenoiserModel.init(latent_dim=latent_dim, num_classes=num_classes, hidden=hidden,
+                              embed_dim=embed_dim, num_frequencies=1, seed=seed)
 
 
 def test_add_broadcast_bias():
-    rng = np.random.default_rng(0)
-    a = ad.Var(rng.normal(size=(5, 3)))
-    b = ad.Var(rng.normal(size=3))
-    loss = ad.sum_all(a + b)
-    ad.backward(loss)
-    np.testing.assert_array_equal(a.grad, np.ones((5, 3)))
-    np.testing.assert_array_equal(b.grad, np.full(3, 5.0))
+    # The bias is added to every row, so its gradient sums d_out over rows.
+    model = small_model(latent_dim=3)
+    z = np.random.default_rng(0).normal(size=(5, 3))
+    _, backward = model.forward_backward(z, 0.5, 0)
+    grads = backward(np.ones((5, 3)))
+    np.testing.assert_array_equal(grads["b0"], np.full(3, 5.0))
 
 
 def test_matmul_grads_match_finite_differences():
+    # out = x @ w0 + b0 with x = [z, time features, embed[cond]]: w0 takes
+    # x.T @ d_out and the embedding takes its columns of d_out @ w0.T.
+    model = small_model(latent_dim=2, seed=1)
     rng = np.random.default_rng(1)
-    a0 = rng.normal(size=(4, 3))
-    b0 = rng.normal(size=(3, 2))
-    a, b = ad.Var(a0.copy()), ad.Var(b0.copy())
-    loss = ad.sum_all(ad.square(a @ b))
-    ad.backward(loss)
-    ga = numeric_grad(lambda x: np.square(x @ b0).sum(), a0.copy())
-    gb = numeric_grad(lambda x: np.square(a0 @ x).sum(), b0.copy())
-    np.testing.assert_allclose(a.grad, ga, rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(b.grad, gb, rtol=1e-6, atol=1e-8)
+    z = rng.normal(size=(4, 2))
+    t = rng.uniform(size=4)
+    cond = np.array([0, 1, 2, 3])
+    out, backward = model.forward_backward(z, t, cond)
+    grads = backward(2.0 * out)  # d/d(out) of sum(out^2)
+
+    def loss(_):
+        return np.square(model.forward(z, t, cond)).sum()
+
+    for name in ("w0", "embed"):
+        expected = numeric_grad(loss, model.params[name])
+        np.testing.assert_allclose(grads[name], expected, rtol=1e-6, atol=1e-8)
 
 
 def test_silu_gradient():
+    model = small_model(hidden=(6,), seed=2)
     rng = np.random.default_rng(2)
-    check_unary(ad.silu, rng.normal(size=(6, 4)))
+    model.params["b0"][:] = rng.normal(0.0, 2.0, size=6)  # pre-activations of both signs
+    z = rng.normal(size=(5, 1))
+    t = rng.uniform(size=5)
+    cond = rng.integers(0, 4, size=5)
+    out, backward = model.forward_backward(z, t, cond)
+    grads = backward(np.ones_like(out))  # d/d(out) of sum(out)
+
+    def loss(_):
+        return model.forward(z, t, cond).sum()
+
+    for name in ("w0", "b0"):
+        expected = numeric_grad(loss, model.params[name])
+        np.testing.assert_allclose(grads[name], expected, rtol=1e-6, atol=1e-7)
 
 
 def test_square_and_mul_gradients():
     rng = np.random.default_rng(3)
-    check_unary(ad.square, rng.normal(size=(3, 5)))
-    w = rng.normal(size=(3, 5))
-    check_unary(lambda v: v * w, rng.normal(size=(3, 5)))
+    pred = rng.normal(size=(3, 5))
+    target = rng.normal(size=(3, 5))
+    w = rng.uniform(0.5, 2.0, size=3)
+    _, d_pred, _, _ = weighted_squared_error(pred, target, w)
+    expected = numeric_grad(lambda p: weighted_squared_error(p, target, w)[0], pred.copy())
+    np.testing.assert_allclose(d_pred, expected, rtol=1e-6, atol=1e-7)
 
 
 def test_concat_routes_gradients_to_segments():
+    # The input row is [z | time features | embed[cond]]: each segment gets
+    # its own rows of w0's gradient, and the embedding its columns of the
+    # input gradient.
+    model = small_model(latent_dim=3, num_classes=2, seed=4)
     rng = np.random.default_rng(4)
-    a = ad.Var(rng.normal(size=(2, 3)))
-    b = ad.Var(rng.normal(size=(2, 2)))
-    scale = np.arange(10.0).reshape(2, 5)
-    loss = ad.sum_all(ad.concat([a, b], axis=1) * scale)
-    ad.backward(loss)
-    np.testing.assert_array_equal(a.grad, scale[:, :3])
-    np.testing.assert_array_equal(b.grad, scale[:, 3:])
+    z = rng.normal(size=(2, 3))
+    t = np.array([0.2, 0.7])
+    cond = np.array([1, 0])
+    d_out = np.arange(6.0).reshape(2, 3)
+    _, backward = model.forward_backward(z, t, cond)
+    grads = backward(d_out)
+    segments = [z, time_features(t, 1), model.params["embed"][cond]]
+    rows = np.cumsum([0] + [s.shape[1] for s in segments])
+    for seg, lo, hi in zip(segments, rows[:-1], rows[1:]):
+        np.testing.assert_allclose(grads["w0"][lo:hi], seg.T @ d_out, rtol=1e-14)
+    d_x = d_out @ model.params["w0"].T
+    np.testing.assert_array_equal(grads["embed"][cond], d_x[:, rows[2]:])
 
 
 def test_take_rows_scatter_adds_repeated_indices():
-    table = ad.Var(np.zeros((4, 2)))
-    idx = np.array([1, 1, 3])
-    loss = ad.sum_all(ad.take_rows(table, idx))
-    ad.backward(loss)
+    # With no hidden layer the input gradient is d_out @ w0.T, and rows that
+    # share a class id add up in that id's embedding row.
+    model = small_model()
+    cond = np.array([1, 1, 3])
+    _, backward = model.forward_backward(np.zeros((3, 1)), 0.5, cond)
+    d_out = np.array([[1.0], [2.0], [-0.5]])
+    grads = backward(d_out)
+    w_embed = model.params["w0"][-2:, 0]
     expected = np.zeros((4, 2))
-    expected[1] = 2.0
-    expected[3] = 1.0
-    np.testing.assert_array_equal(table.grad, expected)
+    expected[1] = 3.0 * w_embed
+    expected[3] = -0.5 * w_embed
+    np.testing.assert_allclose(grads["embed"], expected, rtol=1e-15)
 
 
 def test_sum_rows_gradient_shape():
-    x = ad.Var(np.arange(6.0).reshape(2, 3))
+    # A row's squared error sums its columns, so the row's weight reaches
+    # every column of the gradient.
+    pred = np.arange(6.0).reshape(2, 3)
     w = np.array([2.0, -1.0])
-    loss = ad.sum_all(ad.sum_rows(x) * w)
-    ad.backward(loss)
-    np.testing.assert_array_equal(x.grad, np.array([[2.0] * 3, [-1.0] * 3]))
-
-
-def test_shared_subexpression_accumulates_both_paths():
-    x = ad.Var(np.array(3.0))
-    y = x * x + x  # dy/dx = 2x + 1 = 7
-    ad.backward(y)
-    assert x.grad == pytest.approx(7.0)
-
-
-def test_diamond_graph_orders_correctly():
-    # c feeds both a and b, which rejoin: grad must be complete before c's
-    # own parents are visited.
-    c = ad.Var(np.array(2.0))
-    a = c * 3.0
-    b = ad.square(c)
-    out = a * b  # f = 3c * c^2 = 3c^3, df/dc = 9c^2 = 36
-    ad.backward(out)
-    assert c.grad == pytest.approx(36.0)
+    _, d_pred, sq_err, _ = weighted_squared_error(pred, pred - 1.0, w)
+    np.testing.assert_array_equal(sq_err, [3.0, 3.0])
+    np.testing.assert_array_equal(d_pred, np.array([[2.0] * 3, [-1.0] * 3]))
 
 
 def test_backward_rejects_non_scalar():
-    x = ad.Var(np.ones(3))
-    with pytest.raises(NonScalarLossError):
-        ad.backward(x + 1.0)
-
-
-def test_division_by_var_rejected():
-    with pytest.raises(TypeError):
-        ad.Var(1.0) / ad.Var(2.0)
+    # backward takes the gradient of one scalar loss in the output, so
+    # d_out must have the output's shape.
+    model = small_model()
+    _, backward = model.forward_backward(np.zeros((3, 1)), 0.5, 0)
+    with pytest.raises(ShapeMismatchError):
+        backward(np.zeros((2, 1)))
