@@ -11,6 +11,15 @@ the unique latent prediction for which one DDIM step t -> t'' from z_t lands
 exactly on z_t''. The per-sample squared error is weighted by the configured
 SNR strategy. After a round the student becomes the next teacher and the
 step count halves.
+
+Round 1 is where strategies share work. A round's draws (batch, grid time,
+noise) come from its seed alone, and its target from the teacher and those
+draws, so the weighting only enters the loss. Every strategy distilled from
+one teacher with one seed therefore meets the same round-1 targets; later
+rounds differ, because their teachers are the strategies' own students. A
+`TeacherTargetCache` holds those targets for one teacher: update u's
+z0_tilde, steps_per_round x batch_size x latent_dim doubles in all (123 KB at
+30 x 256 x 2, 16 MB at the default 4000 x 256 x 2).
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .weighting import WeightKind, WeightStrategy
 Array = np.ndarray
 
 DENOMINATOR_FLOOR = 1e-9
+GRID_TOL = 1e-9  # in units of the grid index i = t * N
 
 
 @dataclass
@@ -86,6 +96,38 @@ class DistillTrace:
 
 
 @dataclass
+class TeacherTargetCache:
+    """Round-1 targets z0_tilde by update, for one teacher, grid, seed and batch.
+
+    The first round that uses the cache appends a target per update; a
+    later round reads them back and extends the list if it runs longer.
+    The teacher is recorded by identity and must not change in place while
+    the cache is in use; the dataset and schedule must stay the same too.
+    """
+
+    teacher: object
+    n_steps: int
+    seed: int
+    batch_size: int
+    z0_tilde: list[Array] = field(default_factory=list)
+
+    def check(self, teacher, n_steps: int, seed: int, batch_size: int) -> None:
+        if (teacher is not self.teacher or n_steps != self.n_steps
+                or seed != self.seed or batch_size != self.batch_size):
+            raise ValueError(
+                f"target cache holds (n_steps, seed, batch_size) = "
+                f"({self.n_steps}, {self.seed}, {self.batch_size}), got "
+                f"({n_steps}, {seed}, {batch_size})"
+                + ("" if teacher is self.teacher else " and another teacher")
+            )
+
+
+def round_seed(root_seed: int, k: int) -> int:
+    """The seed of round k's draws in a progressive run seeded by `root_seed`."""
+    return int(child_rng(root_seed, "round", k).integers(0, 2**31 - 1))
+
+
+@dataclass
 class RoundResult:
     student: DenoiserModel
     final_loss: float
@@ -98,15 +140,22 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
                    ) -> tuple[Array, Array]:
     """Two teacher half-steps from z_t, collapsed to a one-step target.
 
-    `t` is expected on the student grid {i/N : i >= 1} (scalar or per-sample
-    array). Returns (z0_tilde, z_t''). Noise-parameterized teachers are
+    `t` must lie on the student grid {i/N : 1 <= i <= N} (scalar or
+    per-sample array); any other time, NaN included, raises ValueError.
+    Returns (z0_tilde, z_t''). Noise-parameterized teachers are
     converted to latent predictions with the query time clipped to
     1 - 0.5/N, which keeps the conversion away from its t = 1 singularity.
     """
     z_t = np.asarray(z_t, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 1.0 / n_steps - 1e-9) or np.any(t > 1.0 + 1e-12):
-        raise ValueError(f"t must lie on the grid i/{n_steps} with i >= 1, got {t}")
+    i = t * n_steps
+    # Written so that NaN, which fails every comparison, fails the test.
+    on_grid = ((i >= 1.0 - GRID_TOL) & (i <= n_steps + GRID_TOL)
+               & (np.abs(i - np.rint(i)) <= GRID_TOL))
+    if not np.all(on_grid):
+        bad = np.ravel(t)[~np.ravel(on_grid)][0]
+        raise ValueError(
+            f"t must lie on the grid i/{n_steps} with 1 <= i <= {n_steps}, got {bad}")
     half = 0.5 / n_steps
     t_p = np.clip(t - half, 0.0, 1.0)
     t_pp = np.clip(t - 2.0 * half, 0.0, 1.0)
@@ -133,7 +182,8 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
 
 def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
                   schedule: CosineSchedule, seed: int | None = None,
-                  collect_log: bool = False) -> RoundResult:
+                  collect_log: bool = False,
+                  targets: TeacherTargetCache | None = None) -> RoundResult:
     """Train one student against two-step teacher targets at grid size 1/N.
 
     The models only need the small surface used here (the test suite
@@ -146,11 +196,18 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
     The student starts as a bit-exact parameter copy of the teacher,
     retagged to predict clean latents, and trains for `steps_per_round`
     updates or until the windowed mean loss stops improving.
+
+    With `targets`, update u reuses the cached target u when there is one
+    and caches the one it computes otherwise; every draw still comes from
+    the round's rng, so the result is bit-identical to a run without it.
     """
     if n_steps < 2 or n_steps % 2 != 0:
         raise ValueError(f"student steps must be even and >= 2, got {n_steps}")
+    seed = config.seed if seed is None else seed
+    if targets is not None:
+        targets.check(teacher, n_steps, seed, config.batch_size)
     student = teacher.copy_with(parameterization=Parameterization.X)
-    rng = child_rng(config.seed if seed is None else seed, "distill-round", n_steps)
+    rng = child_rng(seed, "distill-round", n_steps)
     state = AdamState.fresh(
         student.params, lr=config.lr,
         beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps,
@@ -168,7 +225,12 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
         alpha, sigma = schedule.alpha_sigma(t)
         z_t = alpha[:, None] * z0 + sigma[:, None] * eps
 
-        z0_tilde, _ = teacher_target(teacher, z_t, t, n_steps, cond, schedule)
+        if targets is not None and update < len(targets.z0_tilde):
+            z0_tilde = targets.z0_tilde[update]
+        else:
+            z0_tilde, _ = teacher_target(teacher, z_t, t, n_steps, cond, schedule)
+            if targets is not None:
+                targets.z0_tilde.append(z0_tilde)
         snr = schedule.snr(t)
         w = config.strategy.weight(snr)
 
@@ -218,13 +280,15 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
 
 def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
                         schedule: CosineSchedule, checkpoint_dir: str | Path | None = None,
-                        seed: int | None = None) -> tuple[DenoiserModel, DistillTrace]:
+                        seed: int | None = None, targets: TeacherTargetCache | None = None,
+                        ) -> tuple[DenoiserModel, DistillTrace]:
     """Run K halving rounds: round k trains a student at n_start / 2^k steps.
 
     The teacher's effective grid in round k is n_start / 2^(k-1): its two
     half-steps have spacing 1/(that grid). After each round the student is
     promoted to teacher. When `checkpoint_dir` is given, each round's
     student is saved as round_<k>.ckpt and referenced in the trace.
+    `targets`, a cache for `teacher`, serves round 1 only.
     """
     from .checkpoint import checkpoint_from_model, save_checkpoint
 
@@ -237,7 +301,7 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
         started = time.perf_counter()
         result = distill_round(
             current, config, student_steps, dataset, schedule,
-            seed=int(child_rng(root_seed, "round", k).integers(0, 2**31 - 1)),
+            seed=round_seed(root_seed, k), targets=targets if k == 1 else None,
         )
         seconds = time.perf_counter() - started
         ckpt_path = None

@@ -3,7 +3,8 @@
 For every training seed it trains one base teacher, evaluates undistilled
 DDIM sampling at each step count in the halving sequence, then distills the
 teacher once per configured weighting strategy and evaluates every round's
-student at its own step count. Each evaluation is repeated with distinct
+student at its own step count. The strategies of one seed share one cache of
+round-1 teacher targets. Each evaluation is repeated with distinct
 sampling seeds and all raw numbers land in metrics.csv; results.csv holds
 the aggregated mean and 95% confidence interval per (strategy, steps) cell.
 Everything is derived from explicit seeds, so identical configs reproduce
@@ -21,7 +22,7 @@ import numpy as np
 from .checkpoint import checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
 from .config import RunConfig, serialize_config
 from .data import ToyDataset, reference_population
-from .distill import DistillConfig, progressive_distill
+from .distill import DistillConfig, TeacherTargetCache, progressive_distill, round_seed
 from .frechet import MomentFit, fit_moments, frechet_distance
 from .nnet import DenoiserModel, Parameterization
 from .sampler import SamplerConfig, SamplerKind, sample
@@ -115,6 +116,14 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
 
     Per-strategy failures are logged to errors.log and do not abort the rest
     of the run; whatever metrics were collected stay on disk.
+
+    Every strategy of a seed distills the same teacher with the same seed,
+    so round 1 draws the same batches for each and the teacher's targets
+    for them do not depend on the weighting, which enters only the loss.
+    Those targets are computed once per seed, by the first strategy, and
+    read by the rest from a `TeacherTargetCache`. It holds z0_tilde alone,
+    steps_per_round x distill.batch_size x latent_dim doubles (16 MB at the
+    defaults), and is dropped when the seed's strategies are done.
     """
     out = Path(output_dir if output_dir is not None else cfg.run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -148,6 +157,10 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
                 _eval_repetitions(teacher, schedule, dataset, ref, cfg, seed,
                                   BASELINE_NAME, steps, rows, metrics_file)
 
+            targets = TeacherTargetCache(
+                teacher, n_steps=cfg.distill.n_start >> 1, seed=round_seed(seed, 1),
+                batch_size=cfg.distill.batch_size,
+            )
             for strategy in cfg.run.strategies:
                 strat_dir = seed_dir / strategy
                 strat_dir.mkdir(exist_ok=True)
@@ -155,7 +168,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
                     dconfig = build_distill_config(cfg, strategy, seed)
                     _, trace = progressive_distill(
                         teacher, dconfig, dataset, schedule,
-                        checkpoint_dir=strat_dir, seed=seed,
+                        checkpoint_dir=strat_dir, seed=seed, targets=targets,
                     )
                     _write_trace(strat_dir / "trace.csv", trace)
                     for record in trace.rounds:
@@ -167,6 +180,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
                         f"seed {seed}, strategy {strategy}: distillation failed\n"
                         f"{traceback.format_exc()}"
                     )
+            del targets
 
     if errors:
         (out / "errors.log").write_text("\n".join(errors), encoding="utf-8")

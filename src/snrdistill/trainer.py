@@ -86,7 +86,8 @@ def train_base(config: TrainConfig, dataset: ToyDataset, schedule: CosineSchedul
         eps = rng.standard_normal(z0.shape)
         alpha, sigma = schedule.alpha_sigma(t)
         z_t = alpha[:, None] * z0 + sigma[:, None] * eps
-        w = _noise_space_weights(config.strategy, schedule.snr(t))
+        # schedule.snr(t) bit for bit: t already lies in its [t_min, 1] clip.
+        w = _noise_space_weights(config.strategy, np.square(alpha) / np.square(sigma))
 
         if config.parameterization is Parameterization.EPSILON:
             def loss_grad(out):

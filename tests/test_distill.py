@@ -1,14 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from snrdistill.data import ToyDataset
+from snrdistill import distill
 from snrdistill.distill import (
     DistillConfig,
     RoundResult,
+    TeacherTargetCache,
     distill_round,
     progressive_distill,
+    round_seed,
     teacher_target,
 )
 from snrdistill.errors import DistillationDivergedError
@@ -16,7 +20,7 @@ from snrdistill.nnet import DenoiserModel, Parameterization
 from snrdistill.sampler import ddim_step
 from snrdistill.schedule import CosineSchedule
 from snrdistill.util import child_rng
-from snrdistill.weighting import WeightKind, WeightStrategy
+from snrdistill.weighting import WeightKind, WeightStrategy, strategy_from_name
 
 SCHEDULE = CosineSchedule()
 
@@ -130,6 +134,24 @@ def test_teacher_target_rejects_off_grid_times():
     teacher = AffineModel(0.0, 1.0)
     with pytest.raises(ValueError):
         teacher_target(teacher, np.ones((1, 1)), 0.1, 4, 0, SCHEDULE)  # below 1/N
+
+
+@pytest.mark.parametrize("t", [0.3, 0.26, 1.25, float("nan"), [0.25, 0.3], [0.5, float("nan")]])
+def test_teacher_target_rejects_times_between_grid_points_and_nan(t):
+    teacher = AffineModel(0.0, 1.0)
+    z_t = np.ones((np.size(t), 1))
+    with pytest.raises(ValueError, match="grid i/4"):
+        teacher_target(teacher, z_t, np.asarray(t), 4, np.zeros(np.size(t), dtype=np.int64),
+                       SCHEDULE)
+
+
+def test_teacher_target_accepts_every_grid_time():
+    teacher = AffineModel(0.0, 1.0)
+    for n in (2, 4, 64, 4096):
+        t = np.arange(1, n + 1) / n
+        z0_tilde, _ = teacher_target(teacher, np.ones((n, 1)), t, n,
+                                     np.zeros(n, dtype=np.int64), SCHEDULE)
+        assert z0_tilde.shape == (n, 1)
 
 
 def test_zero_updates_student_is_bitwise_teacher_copy():
@@ -298,3 +320,119 @@ def test_progressive_writes_round_checkpoints(tmp_path):
     ckpt = load_checkpoint(trace.rounds[0].checkpoint)
     assert ckpt.provenance["round"] == "1"
     assert ckpt.provenance["steps"] == "8"
+
+
+def _strategy_config(name, **overrides):
+    kw = dict(iterations=3, n_start=16, steps_per_round=6, batch_size=8)
+    kw.update(overrides)
+    return DistillConfig(strategy=strategy_from_name(name, 5.0), **kw)
+
+
+def _first_round_cache(teacher, config, seed):
+    return TeacherTargetCache(teacher, n_steps=config.n_start >> 1,
+                              seed=round_seed(seed, 1), batch_size=config.batch_size)
+
+
+def _distill_strategies(tmp_path, tag, teacher, configs, targets):
+    """Checkpoint bytes and traces of one progressive run per config."""
+    out = []
+    for j, config in enumerate(configs):
+        ckpt_dir = tmp_path / f"{tag}-{j}"
+        ckpt_dir.mkdir()
+        _, trace = progressive_distill(teacher, config, small_dataset(), SCHEDULE,
+                                       checkpoint_dir=ckpt_dir, seed=4, targets=targets)
+        out.append(([Path(r.checkpoint).read_bytes() for r in trace.rounds], trace))
+    return out
+
+
+def _assert_cache_changes_nothing(tmp_path, teacher, configs):
+    cache = _first_round_cache(teacher, configs[0], 4)
+    shared = _distill_strategies(tmp_path, "shared", teacher, configs, cache)
+    alone = _distill_strategies(tmp_path, "alone", teacher, configs, None)
+    for (shared_bytes, shared_trace), (alone_bytes, alone_trace) in zip(shared, alone):
+        assert len(shared_bytes) == configs[0].iterations
+        assert shared_bytes == alone_bytes
+        assert ([r.final_loss for r in shared_trace.rounds]
+                == [r.final_loss for r in alone_trace.rounds])
+    round1 = [trace.rounds[0].updates_run for _, trace in shared]
+    assert len(cache.z0_tilde) == max(round1)
+    return round1
+
+
+def test_shared_target_cache_leaves_every_round_checkpoint_bit_identical(tmp_path):
+    configs = [_strategy_config(name) for name in ("trunc-snr", "min-snr", "bsa")]
+    round1 = _assert_cache_changes_nothing(tmp_path, random_teacher(4), configs)
+    assert round1 == [6, 6, 6]
+
+
+@pytest.mark.parametrize("names", [("trunc-snr", "min-snr"), ("min-snr", "trunc-snr")])
+def test_shared_target_cache_is_exact_when_strategies_stop_at_different_updates(tmp_path, names):
+    # With a 2-update plateau window trunc-snr stops round 1 before min-snr:
+    # in the first order min-snr extends the cache, in the second trunc-snr
+    # reads a prefix of it.
+    configs = [_strategy_config(name, iterations=2, steps_per_round=40, lr=1e-2,
+                                plateau_window=2) for name in names]
+    round1 = _assert_cache_changes_nothing(tmp_path, random_teacher(1), configs)
+    assert len(set(round1)) == 2
+
+
+def test_cached_updates_skip_the_teacher(monkeypatch):
+    calls = []
+    real = distill.teacher_target
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distill, "teacher_target", counting)
+    teacher = random_teacher(2)
+    config = _strategy_config("bsa", iterations=1)
+    cache = _first_round_cache(teacher, config, 5)
+    progressive_distill(teacher, config, small_dataset(), SCHEDULE, seed=5, targets=cache)
+    assert len(calls) == 6
+    progressive_distill(teacher, _strategy_config("min-snr", iterations=1), small_dataset(),
+                        SCHEDULE, seed=5, targets=cache)
+    assert len(calls) == 6
+
+
+def test_target_cache_rejects_another_teacher_seed_grid_or_batch():
+    teacher = random_teacher(6)
+    config = DistillConfig(iterations=1, n_start=8, steps_per_round=2, batch_size=8)
+    cache = TeacherTargetCache(teacher, n_steps=4, seed=9, batch_size=8)
+    distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=9, targets=cache)
+    assert len(cache.z0_tilde) == 2
+    same_params = teacher.copy_with()
+    for other_teacher, n_steps, seed, batch in [
+        (same_params, 4, 9, 8),
+        (random_teacher(7), 4, 9, 8),
+        (teacher, 4, 10, 8),
+        (teacher, 2, 9, 8),
+        (teacher, 4, 9, 16),
+    ]:
+        other = DistillConfig(iterations=1, n_start=8, steps_per_round=2, batch_size=batch)
+        with pytest.raises(ValueError, match="target cache"):
+            distill_round(other_teacher, other, n_steps, small_dataset(), SCHEDULE,
+                          seed=seed, targets=cache)
+    assert len(cache.z0_tilde) == 2
+    # progressive_distill seeds round 1 from its own seed, not the cache's
+    with pytest.raises(ValueError, match="target cache"):
+        progressive_distill(teacher, _strategy_config("bsa", iterations=1, n_start=8,
+                                                      batch_size=8),
+                            small_dataset(), SCHEDULE, seed=9, targets=cache)
+
+
+def test_rounds_after_the_first_never_see_the_cache(monkeypatch):
+    seen = []
+    real = distill.distill_round
+
+    def recording(teacher, config, n_steps, *args, targets=None, **kwargs):
+        seen.append(targets)
+        return real(teacher, config, n_steps, *args, targets=targets, **kwargs)
+
+    monkeypatch.setattr(distill, "distill_round", recording)
+    teacher = random_teacher(3)
+    config = _strategy_config("bsa")
+    cache = _first_round_cache(teacher, config, 8)
+    progressive_distill(teacher, config, small_dataset(), SCHEDULE, seed=8, targets=cache)
+    assert seen == [cache, None, None]
+    assert len(cache.z0_tilde) == 6

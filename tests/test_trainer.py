@@ -91,3 +91,31 @@ def test_non_default_strategy_weights_noise_loss():
     b = train_base(capped, ds, SCHEDULE)
     assert not np.allclose(a.loss_history, b.loss_history)
     assert np.all(np.isfinite(b.loss_history))
+
+
+@pytest.mark.parametrize("t_min", [1e-4, 0.05])
+def test_weights_use_the_schedule_snr_bit_for_bit(monkeypatch, t_min):
+    # train_base takes snr from the alpha and sigma it already has; for the
+    # times it draws, that must equal schedule.snr(t) exactly.
+    from snrdistill import trainer
+
+    schedule = CosineSchedule(t_min=t_min)
+    seen_snr, seen_t = [], []
+    real_weights, real_grads = trainer._noise_space_weights, trainer.loss_and_gradients
+
+    def weights(strategy, snr):
+        seen_snr.append(snr)
+        return real_weights(strategy, snr)
+
+    def grads(model, z, t, cond, loss_grad):
+        seen_t.append(t)
+        return real_grads(model, z, t, cond, loss_grad)
+
+    monkeypatch.setattr(trainer, "_noise_space_weights", weights)
+    monkeypatch.setattr(trainer, "loss_and_gradients", grads)
+    config = TrainConfig(updates=40, batch_size=256, seed=1, hidden=(8,), embed_dim=4,
+                         num_frequencies=2, strategy=WeightStrategy(WeightKind.MIN_SNR_GAMMA))
+    train_base(config, ToyDataset(), schedule)
+    assert len(seen_snr) == len(seen_t) == 40
+    for snr, t in zip(seen_snr, seen_t):
+        np.testing.assert_array_equal(snr, schedule.snr(t))
