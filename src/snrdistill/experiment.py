@@ -13,6 +13,7 @@ identical CSV bytes.
 
 from __future__ import annotations
 
+import os
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
@@ -189,11 +190,14 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
 
 
 def _write_trace(path: Path, trace) -> None:
+    """One row per round; checkpoint paths are relative to `path`'s directory,
+    so a moved or copied run directory still points at its own checkpoints."""
     lines = ["round,teacher_steps,student_steps,final_loss,updates_run,seconds,checkpoint"]
     for r in trace.rounds:
         lines.append(
             f"{r.round_index},{r.teacher_steps},{r.student_steps},"
-            f"{fmt_float(r.final_loss)},{r.updates_run},{fmt_float(r.seconds)},{r.checkpoint}"
+            f"{fmt_float(r.final_loss)},{r.updates_run},{fmt_float(r.seconds)},"
+            f"{os.path.relpath(r.checkpoint, path.parent)}"
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -1,6 +1,7 @@
+import threading
 from pathlib import Path
 
-from snrdistill import experiment
+from snrdistill import experiment, nnet
 from snrdistill.cli import main
 from snrdistill.config import parse_config
 
@@ -19,7 +20,8 @@ run.seeds = 1
 run.strategies = min-snr,bsa
 """
 
-# Everything a run writes except trace.csv, which holds wall times and paths.
+# Everything a run writes except trace.csv, which differs between runs in its
+# wall seconds only.
 COMPARED = ["config.cfg", "metrics.csv", "results.csv", "seed_1/teacher.ckpt"] + [
     f"seed_1/{strategy}/round_{k}.ckpt" for strategy in ("min-snr", "bsa") for k in (1, 2)
 ]
@@ -93,3 +95,34 @@ def test_cli_and_library_runs_agree(tmp_path):
     via_cli = _outputs(_run_cli(tmp_path, "cli"))
     via_lib = _outputs(experiment.run_experiment(parse_config(TINY), tmp_path / "lib"))
     assert via_cli == via_lib
+
+
+def test_trace_checkpoints_resolve_next_to_the_trace(tmp_path):
+    cfg = parse_config(TINY)
+    columns = []
+    for name in ("a", "nested/b"):
+        run_dir = experiment.run_experiment(cfg, tmp_path / name)
+        for strategy in ("min-snr", "bsa"):
+            trace_path = run_dir / "seed_1" / strategy / "trace.csv"
+            lines = trace_path.read_text(encoding="utf-8").splitlines()
+            entries = [line.rsplit(",", 1)[1] for line in lines[1:]]
+            assert all((trace_path.parent / entry).is_file() for entry in entries)
+            columns.append(entries)
+    assert columns[:2] == columns[2:] == [["round_1.ckpt", "round_2.ckpt"]] * 2
+
+
+def test_forward_split_leaves_the_run_unchanged(tmp_path, monkeypatch):
+    # 1024 evaluation latents, so every sampling forward spans 4 row blocks.
+    cfg = parse_config(TINY + "eval.num_samples = 1024\n")
+    threads = set()
+    real = nnet.expit
+
+    def recording(a, out=None):
+        threads.add(threading.get_ident())
+        return real(a, out=out)
+
+    monkeypatch.setattr(nnet, "expit", recording)
+    split = _outputs(experiment.run_experiment(cfg, tmp_path / "split"))
+    assert (len(threads) > 1) == (nnet._available_cpus() > 1)
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 1)
+    assert _outputs(experiment.run_experiment(cfg, tmp_path / "single")) == split

@@ -1,9 +1,15 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from snrdistill import nnet
 from snrdistill.errors import ShapeMismatchError
 from snrdistill.nnet import (
     AdamState,
@@ -87,6 +93,156 @@ def test_sample_matches_reference_forward_loop_bitwise(monkeypatch):
     config = SamplerConfig(steps=4, seed=3)
     out = sample(model, conds, config, CosineSchedule())
     np.testing.assert_array_equal(out, sample(reference, conds, config, CosineSchedule()))
+
+
+def recording_expit(monkeypatch, before=None):
+    """Replaces the forward's expit with one that logs (thread, rows) per call
+    and first runs `before(a)`; returns the log."""
+    calls = []
+    real = nnet.expit
+
+    def wrapped(a, out=None):
+        if before is not None:
+            before(a)
+        result = real(a, out=out)
+        calls.append((threading.get_ident(), a.shape[0]))
+        return result
+
+    monkeypatch.setattr(nnet, "expit", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("batch", [512, 513, 769, 1024, 4097, 8192])
+def test_split_forward_matches_full_batch_reference_bitwise(monkeypatch, workers, batch):
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: workers)
+    model = DenoiserModel.init(seed=7)
+    rng = np.random.default_rng(batch)
+    z = rng.normal(size=(batch, model.latent_dim))
+    cond = rng.integers(0, model.num_classes, size=batch)
+    for t in (0.61, rng.uniform(0.0, 1.0, size=batch)):
+        calls = recording_expit(monkeypatch)
+        out = model.forward(z, t, cond)
+        assert np.array_equal(out, reference_forward(model, z, t, cond))
+        # Every row passes each hidden layer once: no chunk overlaps another.
+        assert sum(rows for _, rows in calls) == batch * len(model.hidden)
+        assert (len({thread for thread, _ in calls}) > 1) == (workers > 1)
+
+
+def test_single_block_forward_stays_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 4)
+    calls = recording_expit(monkeypatch)
+    model = DenoiserModel.init(seed=7)
+    model.forward(np.zeros((257, model.latent_dim)), 0.5, 0)
+    assert {thread for thread, _ in calls} == {threading.get_ident()}
+
+
+def test_concurrent_callers_each_get_their_own_result(monkeypatch):
+    model = DenoiserModel.init(seed=9)
+    rng = np.random.default_rng(9)
+    inputs = [(rng.normal(size=(batch, model.latent_dim)), t,
+               rng.integers(0, model.num_classes, size=batch))
+              for batch, t in ((1500, 0.2), (2049, 0.7), (770, 0.45))]
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 1)
+    expected = [model.forward(*args) for args in inputs]
+    # More callers and chunks than this machine's cores, switching often.
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 3)
+    barrier = threading.Barrier(len(inputs))
+    results = [[] for _ in inputs]
+
+    def call(k):
+        barrier.wait()
+        for _ in range(8):
+            results[k].append(model.forward(*inputs[k]))
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for outs, want in zip(results, expected):
+        assert len(outs) == 8
+        assert all(np.array_equal(out, want) for out in outs)
+
+
+def test_forward_waits_for_the_pool_when_its_own_chunk_raises(monkeypatch):
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 2)
+    caller = threading.get_ident()
+
+    def fail_on_caller(a):
+        if threading.get_ident() == caller:
+            raise RuntimeError("caller chunk failed")
+        time.sleep(0.005)
+
+    calls = recording_expit(monkeypatch, fail_on_caller)
+    model = DenoiserModel.init(seed=8)
+    with pytest.raises(RuntimeError, match="caller chunk failed"):
+        model.forward(np.zeros((2048, model.latent_dim)), 0.5, 0)
+    # The pool's chunk, the last 4 of 8 blocks, had run to its end.
+    assert sum(rows for _, rows in calls) == 4 * 256 * len(model.hidden)
+
+
+def test_forward_raises_a_pool_chunk_error_once_the_other_chunks_finish(monkeypatch):
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 3)
+    caller = threading.get_ident()
+    lock = threading.Lock()
+    failed = []
+
+    def fail_first_pool_call(a):
+        if threading.get_ident() == caller:
+            return
+        with lock:
+            first = not failed
+            failed.append(first)
+        if first:
+            raise RuntimeError("pool chunk failed")
+        time.sleep(0.005)
+
+    calls = recording_expit(monkeypatch, fail_first_pool_call)
+    model = DenoiserModel.init(seed=8)
+    with pytest.raises(RuntimeError, match="pool chunk failed"):
+        model.forward(np.zeros((9 * 256, model.latent_dim)), 0.5, 0)
+    # 9 blocks in 3 chunks of 3: the caller's and the other pool chunk ran to
+    # their ends before the error came back.
+    assert sum(rows for _, rows in calls) == 2 * 3 * 256 * len(model.hidden)
+
+
+def _split_forward_in_child(queue):
+    model = DenoiserModel.init(seed=8)
+    queue.put(model.forward(np.zeros((1024, model.latent_dim)), 0.5, 0))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_runs_a_split_forward(monkeypatch):
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 2)
+    model = DenoiserModel.init(seed=8)
+    want = model.forward(np.zeros((1024, model.latent_dim)), 0.5, 0)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_split_forward_in_child, args=(queue,))
+    child.start()
+    try:
+        np.testing.assert_array_equal(queue.get(timeout=20), want)
+    finally:
+        child.join(timeout=20)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+def test_sample_is_the_same_on_one_thread_and_by_default(monkeypatch):
+    model = DenoiserModel.init(seed=6)
+    conds = np.random.default_rng(1).integers(0, model.num_classes, size=4096)
+    config = SamplerConfig(steps=8, seed=5)
+    default = sample(model, conds, config, CosineSchedule())
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 1)
+    np.testing.assert_array_equal(default, sample(model, conds, config, CosineSchedule()))
 
 
 def test_forward_output_shape_matches_latent():
