@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .util import fmt_float
-from .weighting import STRATEGY_NAMES
+from .weighting import STRATEGY_NAMES, strategy_from_name
 
 
 @dataclass
@@ -48,6 +48,8 @@ class TrainSection:
     batch_size: int = 128
     lr: float = 1e-3
     parameterization: str = "epsilon"
+    # Under epsilon only eps-snr and min-snr, whose weight is 0 at snr = 0.
+    # The cap of min-snr and bsa is distill.gamma, as in distillation.
     strategy: str = "eps-snr"
 
 
@@ -59,7 +61,7 @@ class DistillSection:
     batch_size: int = 256
     lr: float = 1e-3
     strategy: str = "bsa"
-    gamma: float = 5.0
+    gamma: float = 5.0  # also the cap of train.strategy
 
 
 @dataclass
@@ -178,6 +180,15 @@ def validate_config(cfg: RunConfig) -> None:
     for name in (cfg.train.strategy, cfg.distill.strategy, *cfg.run.strategies):
         if name not in STRATEGY_NAMES:
             raise ConfigError(f"unknown weight strategy {name!r}; choose from {STRATEGY_NAMES}")
+    # A noise-predicting model trains on the weight w / snr, which grows without
+    # bound as snr -> 0 unless w(0) = 0; trunc-snr, snr-plus-one and bsa diverge.
+    train_strategy = strategy_from_name(cfg.train.strategy, cfg.distill.gamma)
+    if cfg.train.parameterization == "epsilon" and train_strategy.weight(0.0) > 0.0:
+        raise ConfigError(
+            f"train.strategy = {cfg.train.strategy} weights snr = 0 by "
+            f"{train_strategy.weight(0.0)}, so its noise-space weight w / snr is unbounded "
+            f"under train.parameterization = epsilon; use x or a strategy with w(0) = 0"
+        )
     if cfg.distill.n_start % (2 ** cfg.distill.iterations) != 0:
         raise ConfigError(
             f"distill.n_start={cfg.distill.n_start} must be divisible by "

@@ -12,14 +12,25 @@ exactly on z_t''. The per-sample squared error is weighted by the configured
 SNR strategy. After a round the student becomes the next teacher and the
 step count halves.
 
-Round 1 is where strategies share work. A round's draws (batch, grid time,
-noise) come from its seed alone, and its target from the teacher and those
-draws, so the weighting only enters the loss. Every strategy distilled from
-one teacher with one seed therefore meets the same round-1 targets; later
-rounds differ, because their teachers are the strategies' own students. A
-`TeacherTargetCache` holds those targets for one teacher: update u's
-z0_tilde, steps_per_round x batch_size x latent_dim doubles in all (123 KB at
-30 x 256 x 2, 16 MB at the default 4000 x 256 x 2).
+A round's draws (batch, grid time, noise) come from its seed alone, and its
+targets from the frozen teacher and those draws; only the loss depends on
+the student. So a round draws K = max(1, LOOKAHEAD_ROWS // batch_size)
+updates ahead (16 at batch 256), in the same rng order as one at a time,
+and computes their targets in one teacher call over the stacked K x batch
+rows. The teacher's forward keeps each update's rows a separate slab, so
+the targets are bit-identical to K separate calls, while its hidden layers
+run on every CPU and the per-call costs (validation, time features, the
+schedule, the DDIM arithmetic) are paid once per chunk. A plateau stop in
+mid-chunk discards at most K - 1 computed targets. A trial at 8192 rows
+per chunk was no faster than 4096.
+
+Round 1 is also where strategies share work: every strategy distilled from
+one teacher with one seed meets the same round-1 targets, because the
+weighting only enters the loss; later rounds differ, because their teachers
+are the strategies' own students. A `TeacherTargetCache` holds those
+targets for one teacher: update u's z0_tilde, steps_per_round x batch_size
+x latent_dim doubles in all (123 KB at 30 x 256 x 2, 16 MB at the default
+4000 x 256 x 2).
 """
 
 from __future__ import annotations
@@ -49,6 +60,8 @@ Array = np.ndarray
 
 DENOMINATOR_FLOOR = 1e-9
 GRID_TOL = 1e-9  # in units of the grid index i = t * N
+# Rows of updates a round draws ahead to stack into one teacher call.
+LOOKAHEAD_ROWS = 4096
 
 
 @dataclass
@@ -99,8 +112,10 @@ class DistillTrace:
 class TeacherTargetCache:
     """Round-1 targets z0_tilde by update, for one teacher, grid, seed and batch.
 
-    The first round that uses the cache appends a target per update; a
-    later round reads them back and extends the list if it runs longer.
+    The first round that uses the cache appends the targets of each
+    look-ahead chunk it computes, so after a plateau stop in mid-chunk the
+    cache also holds the rest of that chunk. A later round reads the cached
+    updates back and extends the list if it runs longer.
     The teacher is recorded by identity and must not change in place while
     the cache is in use; the dataset and schedule must stay the same too.
     """
@@ -136,8 +151,8 @@ class RoundResult:
     sample_log: list[dict] | None = None
 
 
-def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
-                   ) -> tuple[Array, Array]:
+def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule,
+                   slab_rows: int | None = None) -> tuple[Array, Array]:
     """Two teacher half-steps from z_t, collapsed to a one-step target.
 
     `t` must lie on the student grid {i/N : 1 <= i <= N} (scalar or
@@ -145,6 +160,9 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
     Returns (z0_tilde, z_t''). Noise-parameterized teachers are
     converted to latent predictions with the query time clipped to
     1 - 0.5/N, which keeps the conversion away from its t = 1 singularity.
+    Every step after the teacher's forward is elementwise, so with
+    `slab_rows` (passed on to the forward) the result equals, bit for bit,
+    the stacked results of one call per `slab_rows`-row slab.
     """
     z_t = np.asarray(z_t, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -161,9 +179,11 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
     t_pp = np.clip(t - 2.0 * half, 0.0, 1.0)
     max_query_t = 1.0 - half
 
-    x1 = predict_x(teacher, z_t, t, cond, schedule, max_query_t=max_query_t)
+    x1 = predict_x(teacher, z_t, t, cond, schedule, max_query_t=max_query_t,
+                   slab_rows=slab_rows)
     z_p = ddim_step(z_t, x1, t, t_p, schedule)
-    x2 = predict_x(teacher, z_p, t_p, cond, schedule, max_query_t=max_query_t)
+    x2 = predict_x(teacher, z_p, t_p, cond, schedule, max_query_t=max_query_t,
+                   slab_rows=slab_rows)
     z_pp = ddim_step(z_p, x2, t_p, t_pp, schedule)
 
     alpha_t, sigma_t = schedule.alpha_sigma(t)
@@ -180,6 +200,49 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
     return z0_tilde, z_pp
 
 
+def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
+                   schedule: CosineSchedule, rng: np.random.Generator,
+                   targets: TeacherTargetCache | None):
+    """Yields (z_t, t, cond, z0_tilde, snr, w) for each update of a round.
+
+    The updates are drawn in chunks of max(1, LOOKAHEAD_ROWS // batch_size),
+    with the same rng calls in the same order as one at a time. A chunk's
+    uncached updates get their targets from one teacher call over their
+    stacked rows, one `batch_size`-row slab per update, and are appended to
+    `targets`.
+    """
+    batch = config.batch_size
+    lookahead = max(1, LOOKAHEAD_ROWS // batch)
+    for first in range(0, config.steps_per_round, lookahead):
+        count = min(lookahead, config.steps_per_round - first)
+        draws = []
+        for _ in range(count):
+            cond, z0 = draw_batch(dataset, batch, rng)
+            i = rng.integers(1, n_steps + 1, size=batch)
+            eps = rng.standard_normal(z0.shape)
+            draws.append((cond, z0, i, eps))
+        cond, z0, i, eps = (np.concatenate(parts) for parts in zip(*draws))
+        t = i / n_steps
+        alpha, sigma = schedule.alpha_sigma(t)
+        z_t = alpha[:, None] * z0 + sigma[:, None] * eps
+        snr = schedule.snr(t)
+        w = config.strategy.weight(snr)
+
+        # The cache always covers a prefix of the round that reaches `first`.
+        z0_tilde = [] if targets is None else targets.z0_tilde[first: first + count]
+        lo = len(z0_tilde) * batch
+        if lo < len(t):
+            fresh, _ = teacher_target(teacher, z_t[lo:], t[lo:], n_steps, cond[lo:], schedule,
+                                      slab_rows=batch)
+            fresh = [fresh[j: j + batch] for j in range(0, len(fresh), batch)]
+            if targets is not None:
+                targets.z0_tilde.extend(fresh)
+            z0_tilde += fresh
+        for j, target in enumerate(z0_tilde):
+            rows = slice(j * batch, (j + 1) * batch)
+            yield z_t[rows], t[rows], cond[rows], target, snr[rows], w[rows]
+
+
 def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
                   schedule: CosineSchedule, seed: int | None = None,
                   collect_log: bool = False,
@@ -188,8 +251,10 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
 
     The models only need the small surface used here (the test suite
     exercises linear and constant families through the same loop):
-    - the teacher: `parameterization`, `forward(z, t, cond)` and
-      `copy_with(parameterization)`;
+    - the teacher: `parameterization`, `forward(z, t, cond, slab_rows=None)`
+      and `copy_with(parameterization)`; `forward` must return, for a
+      stacked batch, the stacked outputs of one call per `slab_rows`-row
+      slab;
     - the student that `copy_with` returns: `params`, a dict of arrays, and
       `forward_backward(z, t, cond) -> (out, backward)`, where
       `backward(d_out)` returns a dict of gradients mirroring `params`.
@@ -197,9 +262,12 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
     retagged to predict clean latents, and trains for `steps_per_round`
     updates or until the windowed mean loss stops improving.
 
-    With `targets`, update u reuses the cached target u when there is one
-    and caches the one it computes otherwise; every draw still comes from
-    the round's rng, so the result is bit-identical to a run without it.
+    The round draws max(1, LOOKAHEAD_ROWS // batch_size) updates ahead and
+    computes their targets in one teacher call (see the module docstring),
+    which changes no bit: draws and targets do not depend on the student.
+    With `targets`, cached updates read their targets and the others
+    extend the cache; a plateau stop leaves the rest of its chunk's
+    targets there for the next strategy.
     """
     if n_steps < 2 or n_steps % 2 != 0:
         raise ValueError(f"student steps must be even and >= 2, got {n_steps}")
@@ -217,23 +285,8 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
     sample_log: list[dict] | None = [] if collect_log else None
     prev_window: float | None = None
 
-    for update in range(config.steps_per_round):
-        cond, z0 = draw_batch(dataset, config.batch_size, rng)
-        i = rng.integers(1, n_steps + 1, size=config.batch_size)
-        t = i / n_steps
-        eps = rng.standard_normal(z0.shape)
-        alpha, sigma = schedule.alpha_sigma(t)
-        z_t = alpha[:, None] * z0 + sigma[:, None] * eps
-
-        if targets is not None and update < len(targets.z0_tilde):
-            z0_tilde = targets.z0_tilde[update]
-        else:
-            z0_tilde, _ = teacher_target(teacher, z_t, t, n_steps, cond, schedule)
-            if targets is not None:
-                targets.z0_tilde.append(z0_tilde)
-        snr = schedule.snr(t)
-        w = config.strategy.weight(snr)
-
+    batches = _round_batches(teacher, config, n_steps, dataset, schedule, rng, targets)
+    for update, (z_t, t, cond, z0_tilde, snr, w) in enumerate(batches):
         errors: dict[str, Array] = {}
 
         def loss_grad(out):

@@ -11,15 +11,15 @@ The inference forward runs the hidden layers over blocks of
 FORWARD_BLOCK_ROWS rows. A block of 256 rows keeps one layer's input,
 pre-activation and gate (about 0.8 MB at width 128) inside a 2 MB L2 cache,
 where a full 4096-row batch would stream 4 MB temporaries through memory;
-batches of up to 256 rows, such as the teacher forwards of a distill update,
-stay one block. The blocked result is bit-identical to the full-batch one
-because each output element of a hidden-layer matmul sums its products in
-the same order whatever the number of rows, with three exceptions, measured
-with OpenBLAS 0.3.31 on AVX-512:
+batches of up to 256 rows stay one block. The blocked result is
+bit-identical to the full-batch one because each output element of a
+hidden-layer matmul sums its products in the same order whatever the number
+of rows, with three exceptions, measured with OpenBLAS 0.3.31 on AVX-512:
 - A 1-row product goes through numpy's matrix-vector path, whose rounding
   differs, so a trailing 1-row remainder joins the block before it.
 - The narrow output layer (width = latent_dim) rounds differently when its
-  rows are split, from 4096 rows on, so it stays one full-batch matmul.
+  rows are split, from 4096 rows on, so it stays one matmul per call (per
+  slab, below).
 - A hidden width that is not a multiple of 8, or a hidden layer with more
   than 384 inputs, sends small blocks through a kernel that rounds
   differently from the full batch's, so such models run as one block.
@@ -33,14 +33,25 @@ split cannot change a bit: each block is the same rows computed by the same
 calls as on one thread, into its own rows of the last hidden layer's array
 and into buffers that belong to its chunk alone, so the number of threads
 only decides which thread computes a block. The narrow output layer runs
-after every chunk has finished, as the one full-batch matmul above. A call
-of at most 257 rows, such as every teacher forward of a distill update, is
-one block and stays on the calling thread: split into two 128-row halves on
-two threads, a 256-row forward measured slower on the same machine (1.73
-against 1.61 ms), so at that size the hand-off to a second thread costs
-more than it saves. The caller allocates every chunk's buffers before any
-chunk starts, so the pool's threads allocate no array and open no allocator
-arena of their own.
+after every chunk has finished, as the one matmul above. A call of at most
+257 rows is one block and stays on the calling thread: split into two
+128-row halves on two threads, a 256-row forward measured slower on the
+same machine (1.73 against 1.61 ms), so at that size the hand-off to a
+second thread costs more than it saves. The caller allocates every chunk's
+buffers before any chunk starts, so the pool's threads allocate no array
+and open no allocator arena of their own.
+
+`forward(z, t, cond, slab_rows=S)` runs a stack of independent batches as
+one call. Its result equals, bit for bit, the concatenation of stand-alone
+calls on consecutive S-row slabs (the last one may be shorter): each slab is
+cut into blocks exactly as a stand-alone call on it would be, the blocks of
+all slabs are dealt to the threads as above, and after the join the output
+layer runs one matmul per slab. One output matmul over the whole stack
+would not do: over 4096 stacked rows it differs from 16 stand-alone
+256-row calls (by up to 9e-16 on random inputs) while 3840 rows still
+agree, a cut-off of the BLAS kernel. A distill round stacks the teacher
+forwards of 16 updates this way (4096 rows at batch 256), so their hidden
+layers run on every CPU.
 
 Training runs `forward_backward`: one full-batch pass whose backward is
 written out for this network under a weighted squared-error loss. It
@@ -210,7 +221,7 @@ class DenoiserModel:
             )
         return z, t, cond
 
-    def forward(self, z, t, cond) -> Array:
+    def forward(self, z, t, cond, slab_rows: int | None = None) -> Array:
         """Network prediction for a batch, shape (batch, latent_dim).
 
         `t` and `cond` may be scalars (broadcast over the batch) or arrays
@@ -229,15 +240,26 @@ class DenoiserModel:
         full-batch array, and once every chunk has finished the output
         layer is a single matmul over that array, because splitting the
         narrow output matmul by rows changes its bits.
+
+        With `slab_rows`, the rows are consecutive slabs of that many rows
+        (the last may be shorter), and the result is bit-identical to one
+        stand-alone call per slab, concatenated: each slab is blocked as on
+        its own and gets its own output matmul. ValueError if it is < 1.
         """
         z, t, cond = self._validate(z, t, cond)
         batch = z.shape[0]
+        if slab_rows is not None and slab_rows < 1:
+            raise ValueError(f"slab_rows must be >= 1, got {slab_rows}")
         n_hidden = len(self.hidden)
         in_dim = self.latent_dim + 2 * self.num_frequencies + self.embed_dim
         exact = max((in_dim, *self.hidden[:-1])) <= _EXACT_MAX_INPUTS and all(
             width % _EXACT_WIDTH_MULTIPLE == 0 for width in self.hidden
         )
-        blocks = list(_row_blocks(batch, FORWARD_BLOCK_ROWS if exact else batch))
+        step = slab_rows or max(batch, 1)
+        slabs = [(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
+        # Each slab is cut into blocks as a stand-alone call on it would be.
+        blocks = [(lo + b_lo, lo + b_hi) for lo, hi in slabs
+                  for b_lo, b_hi in _row_blocks(hi - lo, FORWARD_BLOCK_ROWS if exact else hi - lo)]
         workers = min(_available_cpus(), len(blocks))
         # One row of features for a scalar t, broadcast into every block.
         feats = time_features(t, self.num_frequencies)
@@ -257,8 +279,12 @@ class DenoiserModel:
             chunks.append(functools.partial(
                 self._hidden_rows, chunk, buffers, z, feats, cond, last))
         _run_chunks(chunks)
-        k = n_hidden
-        return last @ self.params[f"w{k}"] + self.params[f"b{k}"]
+        w, b = self.params[f"w{n_hidden}"], self.params[f"b{n_hidden}"]
+        out = np.empty((batch, w.shape[1]))
+        for lo, hi in slabs:
+            np.matmul(last[lo:hi], w, out=out[lo:hi])
+            out[lo:hi] += b
+        return out
 
     def _hidden_rows(self, blocks, buffers, z, feats, cond, last) -> None:
         """Writes the last hidden activation of the rows of `blocks` into

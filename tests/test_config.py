@@ -70,6 +70,20 @@ def test_bad_values_rejected():
         parse_config("run.seeds = ")
 
 
+@pytest.mark.parametrize("strategy", ["trunc-snr", "snr-plus-one", "bsa"])
+def test_epsilon_training_rejects_strategies_that_weight_zero_snr(strategy):
+    # w / snr is unbounded at snr -> 0 for these, and base training diverges.
+    with pytest.raises(ConfigError, match="train.parameterization = epsilon"):
+        parse_config(f"train.strategy = {strategy}")
+    assert parse_config(f"train.strategy = {strategy}\ntrain.parameterization = x")
+
+
+@pytest.mark.parametrize("strategy", ["eps-snr", "min-snr"])
+def test_epsilon_training_accepts_strategies_with_zero_weight_at_zero_snr(strategy):
+    cfg = parse_config(f"train.strategy = {strategy}")
+    assert cfg.train.parameterization == "epsilon"
+
+
 def test_load_config_none_gives_defaults():
     assert load_config(None) == default_config()
 

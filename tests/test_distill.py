@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from snrdistill.data import ToyDataset
+from snrdistill.data import ToyDataset, draw_batch
 from snrdistill import distill
 from snrdistill.distill import (
     DistillConfig,
@@ -16,7 +16,14 @@ from snrdistill.distill import (
     teacher_target,
 )
 from snrdistill.errors import DistillationDivergedError
-from snrdistill.nnet import DenoiserModel, Parameterization
+from snrdistill.nnet import (
+    AdamState,
+    DenoiserModel,
+    Parameterization,
+    adam_step,
+    loss_and_gradients,
+    weighted_squared_error,
+)
 from snrdistill.sampler import ddim_step
 from snrdistill.schedule import CosineSchedule
 from snrdistill.util import child_rng
@@ -40,7 +47,7 @@ class AffineModel:
                           parameterization or self.parameterization)
         return out
 
-    def forward(self, z, t, cond):
+    def forward(self, z, t, cond, slab_rows=None):
         z = np.asarray(z, dtype=np.float64)
         return z * self.params["a"] + self.params["b"]
 
@@ -101,7 +108,7 @@ def test_scalar_target_matches_longhand_two_step_oracle():
         num_classes = 8
         parameterization = Parameterization.EPSILON
 
-        def forward(self, z, t, cond):
+        def forward(self, z, t, cond, slab_rows=None):
             return np.zeros_like(np.asarray(z, dtype=np.float64))
 
     n = 4
@@ -355,7 +362,10 @@ def _assert_cache_changes_nothing(tmp_path, teacher, configs):
         assert ([r.final_loss for r in shared_trace.rounds]
                 == [r.final_loss for r in alone_trace.rounds])
     round1 = [trace.rounds[0].updates_run for _, trace in shared]
-    assert len(cache.z0_tilde) == max(round1)
+    # Targets are computed a whole look-ahead chunk at a time.
+    k = lookahead(configs[0].batch_size)
+    covered = -(-max(round1) // k) * k
+    assert len(cache.z0_tilde) == min(covered, configs[0].steps_per_round)
     return round1
 
 
@@ -366,10 +376,13 @@ def test_shared_target_cache_leaves_every_round_checkpoint_bit_identical(tmp_pat
 
 
 @pytest.mark.parametrize("names", [("trunc-snr", "min-snr"), ("min-snr", "trunc-snr")])
-def test_shared_target_cache_is_exact_when_strategies_stop_at_different_updates(tmp_path, names):
-    # With a 2-update plateau window trunc-snr stops round 1 before min-snr:
-    # in the first order min-snr extends the cache, in the second trunc-snr
-    # reads a prefix of it.
+def test_shared_target_cache_is_exact_when_strategies_stop_at_different_updates(
+        tmp_path, monkeypatch, names):
+    # With a 2-update plateau window trunc-snr stops round 1 before min-snr,
+    # and with 4-update look-ahead chunks one of them stops mid-chunk: in the
+    # first order min-snr extends the cache, in the second trunc-snr reads a
+    # prefix of it.
+    monkeypatch.setattr(distill, "LOOKAHEAD_ROWS", 4 * 8)
     configs = [_strategy_config(name, iterations=2, steps_per_round=40, lr=1e-2,
                                 plateau_window=2) for name in names]
     round1 = _assert_cache_changes_nothing(tmp_path, random_teacher(1), configs)
@@ -389,10 +402,11 @@ def test_cached_updates_skip_the_teacher(monkeypatch):
     config = _strategy_config("bsa", iterations=1)
     cache = _first_round_cache(teacher, config, 5)
     progressive_distill(teacher, config, small_dataset(), SCHEDULE, seed=5, targets=cache)
-    assert len(calls) == 6
+    # The round's 6 updates fit one look-ahead chunk: one stacked call.
+    assert len(calls) == 1
     progressive_distill(teacher, _strategy_config("min-snr", iterations=1), small_dataset(),
                         SCHEDULE, seed=5, targets=cache)
-    assert len(calls) == 6
+    assert len(calls) == 1
 
 
 def test_target_cache_rejects_another_teacher_seed_grid_or_batch():
@@ -436,3 +450,131 @@ def test_rounds_after_the_first_never_see_the_cache(monkeypatch):
     progressive_distill(teacher, config, small_dataset(), SCHEDULE, seed=8, targets=cache)
     assert seen == [cache, None, None]
     assert len(cache.z0_tilde) == 6
+
+
+def reference_round(teacher, config, n_steps, dataset, seed):
+    """distill_round one update at a time: draw, teacher target, Adam step.
+
+    Returns (student, losses, targets): the per-update loop the look-ahead
+    chunks replace, with one teacher call per update.
+    """
+    student = teacher.copy_with(parameterization=Parameterization.X)
+    rng = child_rng(seed, "distill-round", n_steps)
+    state = AdamState.fresh(student.params, lr=config.lr, beta1=config.beta1,
+                            beta2=config.beta2, eps=config.adam_eps)
+    losses, targets = [], []
+    prev_window = None
+    for update in range(config.steps_per_round):
+        cond, z0 = draw_batch(dataset, config.batch_size, rng)
+        i = rng.integers(1, n_steps + 1, size=config.batch_size)
+        t = i / n_steps
+        eps = rng.standard_normal(z0.shape)
+        alpha, sigma = SCHEDULE.alpha_sigma(t)
+        z_t = alpha[:, None] * z0 + sigma[:, None] * eps
+        z0_tilde, _ = teacher_target(teacher, z_t, t, n_steps, cond, SCHEDULE)
+        targets.append(z0_tilde)
+        w = config.strategy.weight(SCHEDULE.snr(t))
+        loss, grads = loss_and_gradients(
+            student, z_t, t, cond, lambda out: weighted_squared_error(out, z0_tilde, w)[:2])
+        student.params, state = adam_step(student.params, grads, state)
+        losses.append(loss)
+        if (update + 1) % config.plateau_window == 0:
+            window = float(np.mean(losses[-config.plateau_window:]))
+            if prev_window is not None and (
+                    (prev_window - window) / max(abs(prev_window), 1e-30)
+                    < config.plateau_rel_tol):
+                break
+            prev_window = window
+    return student, np.asarray(losses), targets
+
+
+def counting_forward(monkeypatch, model):
+    """Counts the calls of `model.forward`; returns the list of slab sizes."""
+    calls = []
+    real = model.forward
+
+    def forward(z, t, cond, slab_rows=None):
+        calls.append(slab_rows)
+        return real(z, t, cond, slab_rows=slab_rows)
+
+    monkeypatch.setattr(model, "forward", forward)
+    return calls
+
+
+def assert_round_matches_reference(result, reference):
+    student, losses, _ = reference
+    assert result.updates_run == len(losses)
+    assert np.array_equal(result.losses, losses)
+    for k in student.params:
+        assert np.array_equal(result.student.params[k], student.params[k])
+
+
+def lookahead(batch_size):
+    return max(1, distill.LOOKAHEAD_ROWS // batch_size)
+
+
+def _lookahead_cases():
+    k = lookahead(256)
+    cases = [(256, steps) for steps in (1, k - 1, k, k + 1, 2 * k + 3)]
+    return cases + [(100, lookahead(100) + 1), (5000, 3)]
+
+
+@pytest.mark.parametrize("batch, steps", _lookahead_cases())
+def test_lookahead_round_equals_the_per_update_loop(monkeypatch, batch, steps):
+    assert lookahead(5000) == 1
+    teacher = DenoiserModel.init(seed=13)
+    config = DistillConfig(iterations=1, n_start=16, steps_per_round=steps, batch_size=batch,
+                           strategy=strategy_from_name("bsa"))
+    dataset = ToyDataset()
+    reference = reference_round(teacher, config, 8, dataset, seed=21)
+    calls = counting_forward(monkeypatch, teacher)
+    result = distill_round(teacher, config, 8, dataset, SCHEDULE, seed=21)
+    assert_round_matches_reference(result, reference)
+    # Two half-steps per chunk, each over one `batch`-row slab per update.
+    assert calls == [batch] * (2 * math.ceil(steps / lookahead(batch)))
+
+
+def test_lookahead_round_stops_on_a_plateau_in_mid_chunk(monkeypatch):
+    # An infinite tolerance stops the round at the second window, update 6,
+    # 10 updates before the end of its first chunk.
+    teacher = DenoiserModel.init(seed=14, parameterization=Parameterization.X)
+    config = DistillConfig(iterations=1, n_start=16, steps_per_round=40, batch_size=256,
+                           strategy=strategy_from_name("min-snr"), plateau_window=3,
+                           plateau_rel_tol=math.inf)
+    reference = reference_round(teacher, config, 8, ToyDataset(), seed=22)
+    assert len(reference[1]) == 6 < lookahead(256)
+    calls = counting_forward(monkeypatch, teacher)
+    result = distill_round(teacher, config, 8, ToyDataset(), SCHEDULE, seed=22)
+    assert_round_matches_reference(result, reference)
+    assert len(calls) == 2
+
+
+def test_lookahead_cache_is_filled_read_and_extended_across_strategies(monkeypatch):
+    # K = 16. Strategy 1 runs 20 updates, so the cache ends 4 updates into
+    # chunk 2. Strategy 2 reads those 4, computes 12 more, and stops on a
+    # plateau at update 30, leaving updates 30 and 31 in the cache.
+    # Strategy 3 reads 32 and extends the cache to 40.
+    teacher = DenoiserModel.init(seed=15)
+    dataset = ToyDataset()
+    runs = [  # steps, strategy, window, tol -> updates, cache length, teacher forwards
+        ((20, "trunc-snr", 10**9, 1e-4), (20, 20, 4)),
+        ((40, "min-snr", 15, math.inf), (30, 32, 2)),
+        ((40, "bsa", 10**9, 1e-4), (40, 40, 2)),
+    ]
+    configs = [DistillConfig(iterations=1, n_start=16, steps_per_round=steps, batch_size=256,
+                             strategy=strategy_from_name(name), plateau_window=window,
+                             plateau_rel_tol=tol)
+               for (steps, name, window, tol), _ in runs]
+    references = [reference_round(teacher, config, 8, dataset, seed=23) for config in configs]
+    all_targets = references[-1][2]
+    cache = TeacherTargetCache(teacher, n_steps=8, seed=23, batch_size=256)
+    calls = counting_forward(monkeypatch, teacher)
+    for config, reference, (_, (updates, cached, forwards)) in zip(configs, references, runs):
+        before = len(calls)
+        result = distill_round(teacher, config, 8, dataset, SCHEDULE, seed=23, targets=cache)
+        assert result.updates_run == updates
+        assert_round_matches_reference(result, reference)
+        assert len(calls) - before == forwards
+        assert len(cache.z0_tilde) == cached
+        for got, want in zip(cache.z0_tilde, all_targets[:cached], strict=True):
+            assert np.array_equal(got, want)

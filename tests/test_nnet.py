@@ -87,7 +87,8 @@ def test_sample_matches_reference_forward_loop_bitwise(monkeypatch):
     model = DenoiserModel.init(seed=6)
     reference = model.copy_with()
     monkeypatch.setattr(
-        reference, "forward", lambda z, t, cond: reference_forward(reference, z, t, cond)
+        reference, "forward",
+        lambda z, t, cond, slab_rows=None: reference_forward(reference, z, t, cond)
     )
     conds = np.random.default_rng(0).integers(0, model.num_classes, size=4097)
     config = SamplerConfig(steps=4, seed=3)
@@ -127,6 +128,40 @@ def test_split_forward_matches_full_batch_reference_bitwise(monkeypatch, workers
         # Every row passes each hidden layer once: no chunk overlaps another.
         assert sum(rows for _, rows in calls) == batch * len(model.hidden)
         assert (len({thread for thread, _ in calls}) > 1) == (workers > 1)
+
+
+# At 4096 rows and more, one output matmul over the stack rounds differently
+# from one per slab, so these sizes catch a forward that skips the per-slab
+# output. (100,) is unblocked, so each of its slabs is one block.
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("hidden", [(128, 128), (100,), ()])
+@pytest.mark.parametrize("batch", [4096, 4100, 8192])
+def test_slab_forward_equals_stand_alone_slab_calls_bitwise(monkeypatch, workers, hidden, batch):
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: workers)
+    model = DenoiserModel.init(hidden=hidden, seed=11)
+    rng = np.random.default_rng(batch)
+    z = rng.normal(size=(batch, model.latent_dim))
+    t = rng.uniform(0.0, 1.0, size=batch)
+    cond = rng.integers(0, model.num_classes, size=batch)
+    for slab_rows in (100, 256, 300):
+        out = model.forward(z, t, cond, slab_rows=slab_rows)
+        alone = [model.forward(z[lo: lo + slab_rows], t[lo: lo + slab_rows],
+                               cond[lo: lo + slab_rows]) for lo in range(0, batch, slab_rows)]
+        assert np.array_equal(out, np.concatenate(alone))
+
+
+def test_slab_rows_of_the_whole_batch_or_more_is_a_plain_call():
+    model = DenoiserModel.init(seed=12)
+    rng = np.random.default_rng(12)
+    z = rng.normal(size=(600, model.latent_dim))
+    cond = rng.integers(0, model.num_classes, size=600)
+    want = model.forward(z, 0.3, cond)
+    for slab_rows in (600, 601, 10**6):
+        assert np.array_equal(model.forward(z, 0.3, cond, slab_rows=slab_rows), want)
+    assert model.forward(z[:0], 0.3, cond[:0], slab_rows=7).shape == (0, model.latent_dim)
+    for bad in (0, -256):
+        with pytest.raises(ValueError, match="slab_rows"):
+            model.forward(z, 0.3, cond, slab_rows=bad)
 
 
 def test_single_block_forward_stays_on_the_calling_thread(monkeypatch):

@@ -29,7 +29,7 @@ class ConstModel:
         self.num_classes = 8
         self.parameterization = parameterization
 
-    def forward(self, z, t, cond):
+    def forward(self, z, t, cond, slab_rows=None):
         z = np.asarray(z, dtype=np.float64)
         return np.full_like(z, self.value)
 
