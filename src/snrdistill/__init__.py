@@ -16,13 +16,12 @@ from .nnet import (
 from .sampler import (
     SamplerConfig,
     SamplerKind,
-    ancestral_step,
     ddim_step,
     eps_to_x,
     sample,
     x_to_eps,
 )
-from .schedule import CosineSchedule, DiscreteSchedule, build_discrete
+from .schedule import CosineSchedule
 from .trainer import TrainConfig, TrainResult, train_base
 from .weighting import STRATEGY_NAMES, WeightKind, WeightStrategy, strategy_from_name, weight
 
@@ -32,7 +31,6 @@ __all__ = [
     "AdamState",
     "CosineSchedule",
     "DenoiserModel",
-    "DiscreteSchedule",
     "DistillConfig",
     "DistillTrace",
     "MomentFit",
@@ -47,8 +45,6 @@ __all__ = [
     "WeightKind",
     "WeightStrategy",
     "adam_step",
-    "ancestral_step",
-    "build_discrete",
     "ddim_step",
     "default_config",
     "distill_round",

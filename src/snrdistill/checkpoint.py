@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointFormatError
-from .nnet import DenoiserModel, Parameterization
+from .nnet import DenoiserModel, Parameterization, param_shapes
 from .schedule import CosineSchedule
 from .util import fmt_float
 
@@ -146,7 +146,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     header: dict[str, str] = {}
     provenance: dict[str, str] = {}
-    params: dict[str, Array] = {}
     line = reader.next_line()
     while line is not None and not line.startswith("param ") and line != "end":
         key, value = _parse_header_value(reader, line)
@@ -165,6 +164,30 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if key not in header:
             reader.fail(f"missing header field {key}")
 
+    try:
+        parameterization = Parameterization(header["model.parameterization"])
+    except ValueError:
+        reader.fail(f"unknown parameterization {header['model.parameterization']!r}")
+    try:
+        ckpt = Checkpoint(
+            parameterization=parameterization,
+            latent_dim=int(header["model.latent_dim"]),
+            num_classes=int(header["model.num_classes"]),
+            embed_dim=int(header["model.embed_dim"]),
+            num_frequencies=int(header["model.num_frequencies"]),
+            hidden=tuple(int(h) for h in header["model.hidden"].split(",")),
+            schedule_kind=header["schedule.kind"],
+            t_min=float(header["schedule.t_min"]),
+            params={},
+            provenance=provenance,
+            version=version,
+        )
+    except ValueError as exc:
+        raise CheckpointFormatError(f"bad header value: {exc}", 0) from exc
+    expected = param_shapes(ckpt.latent_dim, ckpt.num_classes, ckpt.hidden,
+                            ckpt.embed_dim, ckpt.num_frequencies)
+    params = ckpt.params
+
     while line is not None and line.startswith("param "):
         parts = line.split()
         if len(parts) != 3:
@@ -174,6 +197,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             shape = tuple(int(s) for s in parts[2].split(","))
         except ValueError:
             reader.fail(f"malformed shape in {line!r}")
+        if name in params:
+            reader.fail(f"param {name} appears twice")
+        if expected.get(name) != shape:
+            reader.fail(f"param {name} has shape {shape}, but the header implies "
+                        f"{expected.get(name, 'no such param')}")
         count = int(np.prod(shape)) if shape else 1
         values = np.empty(count, dtype=np.float64)
         got = 0
@@ -198,23 +226,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if line != "end":
         reader.fail(f"expected 'end', got {line!r}")
 
-    try:
-        parameterization = Parameterization(header["model.parameterization"])
-    except ValueError:
-        reader.fail(f"unknown parameterization {header['model.parameterization']!r}")
-    try:
-        return Checkpoint(
-            parameterization=parameterization,
-            latent_dim=int(header["model.latent_dim"]),
-            num_classes=int(header["model.num_classes"]),
-            embed_dim=int(header["model.embed_dim"]),
-            num_frequencies=int(header["model.num_frequencies"]),
-            hidden=tuple(int(h) for h in header["model.hidden"].split(",")),
-            schedule_kind=header["schedule.kind"],
-            t_min=float(header["schedule.t_min"]),
-            params=params,
-            provenance=provenance,
-            version=version,
-        )
-    except ValueError as exc:
-        raise CheckpointFormatError(f"bad header value: {exc}", 0) from exc
+    missing = [name for name in expected if name not in params]
+    if missing:
+        reader.fail(f"params {', '.join(missing)} implied by the header are missing")
+    return ckpt

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: train, distill, sample, eval, weights-table, report, experiment.
+Subcommands: train, distill, sample, eval, weights-table, report, experiment,
+print-config.
 All numeric work is driven by a config file (see config.py for the format);
 flags override the seeds, paths, and strategy choices that vary between
 invocations.
@@ -181,7 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=1000)
     p.add_argument("--condition", type=int, default=None,
                    help="fixed class id; random classes when omitted")
-    p.add_argument("--sampler", choices=[k.value for k in SamplerKind], default="ddim")
+    p.add_argument("--sampler", choices=[k.value for k in SamplerKind], default="ddim",
+                   help="ddim: DDIM with eta = 0, deterministic; ancestral: DDIM with "
+                        "eta = 1, fresh noise at each step; both on the checkpoint's "
+                        "cosine schedule")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-", help="output csv path, or - for stdout")
     p.set_defaults(func=_cmd_sample)

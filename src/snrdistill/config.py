@@ -11,6 +11,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .distill import check_halvings
 from .errors import ConfigError
 from .util import fmt_float
 from .weighting import STRATEGY_NAMES, strategy_from_name
@@ -36,10 +37,6 @@ class ModelSection:
 class ScheduleSection:
     kind: str = "cosine"
     t_min: float = 1e-4
-    # discrete table used only by the ancestral sampler
-    n_train: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 2e-2
 
 
 @dataclass
@@ -189,12 +186,15 @@ def validate_config(cfg: RunConfig) -> None:
             f"{train_strategy.weight(0.0)}, so its noise-space weight w / snr is unbounded "
             f"under train.parameterization = epsilon; use x or a strategy with w(0) = 0"
         )
-    if cfg.distill.n_start % (2 ** cfg.distill.iterations) != 0:
-        raise ConfigError(
-            f"distill.n_start={cfg.distill.n_start} must be divisible by "
-            f"2^iterations={2 ** cfg.distill.iterations}"
-        )
+    try:
+        check_halvings(cfg.distill.n_start, cfg.distill.iterations)
+    except ValueError as exc:
+        raise ConfigError(f"distill: {exc}") from None
     if cfg.eval.repetitions < 1:
         raise ConfigError("eval.repetitions must be >= 1")
+    # A Frechet moment fit needs two samples for its covariance.
+    for key in ("num_samples", "reference_samples"):
+        if getattr(cfg.eval, key) < 2:
+            raise ConfigError(f"eval.{key} must be >= 2, got {getattr(cfg.eval, key)}")
     if not cfg.run.seeds:
         raise ConfigError("run.seeds must not be empty")

@@ -84,12 +84,20 @@ class DistillConfig:
     plateau_rel_tol: float = 1e-4  # relative improvement below which we stop
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.n_start % (2**self.iterations) != 0:
-            raise ValueError(
-                f"n_start={self.n_start} must be divisible by 2^iterations={2**self.iterations}"
-            )
+        check_halvings(self.n_start, self.iterations)
+
+
+def check_halvings(n_start: int, iterations: int) -> None:
+    """Raise ValueError unless every round's student, at n_start / 2^k steps
+    for k = 1..iterations, has the even step count >= 2 `distill_round` needs."""
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    unit = 2 ** (iterations + 1)
+    if n_start < unit or n_start % unit != 0:
+        raise ValueError(
+            f"n_start={n_start} must be a positive multiple of 2^(iterations + 1)={unit}, "
+            f"so that the last student's n_start / 2^iterations steps are even and >= 2"
+        )
 
 
 @dataclass

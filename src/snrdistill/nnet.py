@@ -131,6 +131,18 @@ def class_ids(cond) -> Array:
     return cond.astype(np.int64, copy=False)
 
 
+def param_shapes(latent_dim: int, num_classes: int, hidden: tuple[int, ...],
+                 embed_dim: int, num_frequencies: int) -> dict[str, tuple[int, ...]]:
+    """Parameter names and shapes: `embed`, then `w{k}`/`b{k}` over the layer
+    widths [latent_dim + 2 num_frequencies + embed_dim, *hidden, latent_dim]."""
+    dims = [latent_dim + 2 * num_frequencies + embed_dim, *hidden, latent_dim]
+    shapes = {"embed": (num_classes, embed_dim)}
+    for k in range(len(dims) - 1):
+        shapes[f"w{k}"] = (dims[k], dims[k + 1])
+        shapes[f"b{k}"] = (dims[k + 1],)
+    return shapes
+
+
 @dataclass
 class DenoiserModel:
     """Conditional denoiser: 2-hidden-layer MLP by default, SiLU activations."""
@@ -155,15 +167,15 @@ class DenoiserModel:
         seed: int = 0,
     ) -> "DenoiserModel":
         rng = np.random.default_rng(seed)
-        in_dim = latent_dim + 2 * num_frequencies + embed_dim
-        dims = [in_dim, *hidden, latent_dim]
-        params: dict[str, Array] = {
-            "embed": rng.normal(0.0, 1.0, size=(num_classes, embed_dim))
-        }
-        for k in range(len(dims) - 1):
-            scale = 1.0 / np.sqrt(dims[k])
-            params[f"w{k}"] = rng.normal(0.0, scale, size=(dims[k], dims[k + 1]))
-            params[f"b{k}"] = np.zeros(dims[k + 1], dtype=np.float64)
+        params: dict[str, Array] = {}
+        for name, shape in param_shapes(latent_dim, num_classes, hidden, embed_dim,
+                                        num_frequencies).items():
+            if name == "embed":
+                params[name] = rng.normal(0.0, 1.0, size=shape)
+            elif name.startswith("w"):
+                params[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
+            else:
+                params[name] = np.zeros(shape, dtype=np.float64)
         return cls(
             latent_dim=latent_dim,
             num_classes=num_classes,

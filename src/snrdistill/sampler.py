@@ -1,9 +1,11 @@
-"""Reverse-process samplers.
+"""Reverse-process samplers on the continuous cosine schedule.
 
-Deterministic DDIM steps on the continuous cosine schedule, the conversion
-between noise- and latent-prediction parameterizations, and the stochastic
-ancestral sampler driven by a discrete beta table. The DDIM grid is uniform:
-starting from pure noise at t = 1, each step moves t -> t - 1/N until t = 0.
+One generalised DDIM step (Song et al., arXiv:2010.02502, eq. 12) with noise
+scale eta, and the conversion between noise- and latent-prediction
+parameterizations. eta = 0 is deterministic DDIM; eta = 1 is ancestral
+sampling, whose added noise has the variance of the forward posterior
+q(z_s | z_t, x). The step grid is uniform: starting from pure noise at t = 1,
+each step moves t -> t - 1/N until t = 0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import SingularTimeError
 from .nnet import DenoiserModel, Parameterization, class_ids
-from .schedule import CosineSchedule, DiscreteSchedule, build_discrete
+from .schedule import CosineSchedule
 
 Array = np.ndarray
 
@@ -24,8 +26,14 @@ SIGMA_FLOOR = 1e-12
 
 
 class SamplerKind(enum.Enum):
+    """The DDIM noise scale eta: 0 for DDIM, 1 for ancestral sampling."""
+
     DDIM = "ddim"
     ANCESTRAL = "ancestral"
+
+    @property
+    def eta(self) -> float:
+        return 1.0 if self is SamplerKind.ANCESTRAL else 0.0
 
 
 @dataclass(frozen=True)
@@ -67,23 +75,41 @@ def x_to_eps(z_t, x_hat, alpha_t, sigma_t):
     return (np.asarray(z_t, dtype=np.float64) - _col(alpha_t) * x_hat) / _col(s)
 
 
-def ddim_step(z_t, x_hat, t, s, schedule: CosineSchedule):
-    """Deterministic update z_s = alpha_s x_hat + (sigma_s / sigma_t)(z_t - alpha_t x_hat).
+def ddim_step(z_t, x_hat, t, s, schedule: CosineSchedule, eta: float = 0.0,
+              rng: np.random.Generator | None = None):
+    """One DDIM step from t to s <= t with noise scale eta in [0, 1].
 
-    `t` and `s` may be scalars or per-sample arrays with s <= t; only
-    sigma_t appears in a denominator, so stepping into s = 0 is exact.
+    z_s = alpha_s x_hat + sqrt(sigma_s^2 - sigma_eta^2) eps_hat + sigma_eta xi,
+    with sigma_eta^2 = eta^2 (sigma_s^2 / sigma_t^2)(1 - alpha_t^2 / alpha_s^2),
+    eps_hat = x_to_eps(z_t, x_hat, alpha_t, sigma_t) and xi ~ N(0, I) drawn
+    from `rng`. At eta = 0 it draws nothing and is computed as
+    z_s = alpha_s x_hat + (sigma_s / sigma_t)(z_t - alpha_t x_hat).
+
+    `t` and `s` may be scalars or per-sample arrays with s <= t. At eta = 0
+    only sigma_t appears in a denominator, so stepping into s = 0 is exact;
+    eta > 0 also divides by alpha_s, so it needs s < 1.
     """
     t = np.asarray(t, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if np.any(s > t + 1e-12):
         raise ValueError(f"ddim_step needs s <= t, got s={s}, t={t}")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     a_t, s_t = schedule.alpha_sigma(t)
     a_s, s_s = schedule.alpha_sigma(s)
     if np.any(np.asarray(s_t) <= SIGMA_FLOOR):
         raise SingularTimeError(f"sigma_t = 0 at t={t}; cannot step from the clean endpoint")
-    return _col(a_s) * x_hat + _col(np.asarray(s_s) / np.asarray(s_t)) * (
-        np.asarray(z_t, dtype=np.float64) - _col(a_t) * x_hat
-    )
+    z_t = np.asarray(z_t, dtype=np.float64)
+    if eta == 0.0:
+        return _col(a_s) * x_hat + _col(np.asarray(s_s) / np.asarray(s_t)) * (
+            z_t - _col(a_t) * x_hat
+        )
+    if np.any(np.asarray(a_s) <= ALPHA_FLOOR):
+        raise SingularTimeError(f"alpha_s = 0 at s={s}; a stochastic step needs s < 1")
+    var_eta = eta**2 * (s_s**2 / s_t**2) * (1.0 - a_t**2 / a_s**2)
+    eps_hat = x_to_eps(z_t, x_hat, a_t, s_t)
+    return (_col(a_s) * x_hat + _col(np.sqrt(np.maximum(s_s**2 - var_eta, 0.0))) * eps_hat
+            + _col(np.sqrt(var_eta)) * rng.standard_normal(z_t.shape))
 
 
 def predict_x(model: DenoiserModel, z, t, cond, schedule: CosineSchedule,
@@ -106,60 +132,23 @@ def predict_x(model: DenoiserModel, z, t, cond, schedule: CosineSchedule,
     return eps_to_x(z, eps_hat, alpha, sigma)
 
 
-def ancestral_step(z_n, eps_hat, n: int, discrete: DiscreteSchedule,
-                   rng: np.random.Generator) -> Array:
-    """One stochastic reverse step from index n to n - 1 (1-based).
-
-    Posterior mean from the noise prediction plus sqrt(beta_tilde_n) noise;
-    the first step has beta_tilde_1 = 0 and is deterministic.
-    """
-    if not (1 <= n <= discrete.n_train):
-        raise ValueError(f"step index {n} outside [1, {discrete.n_train}]")
-    beta_n = discrete.beta[n - 1]
-    alpha_n = 1.0 - beta_n
-    alpha_bar_n = discrete.alpha_bar[n - 1]
-    mean = (np.asarray(z_n, dtype=np.float64)
-            - (beta_n / np.sqrt(1.0 - alpha_bar_n)) * eps_hat) / np.sqrt(alpha_n)
-    beta_tilde = discrete.beta_tilde[n - 1]
-    if beta_tilde == 0.0:
-        return mean
-    return mean + np.sqrt(beta_tilde) * rng.standard_normal(mean.shape)
-
-
 def sample(model: DenoiserModel, conditions, config: SamplerConfig,
-           schedule: CosineSchedule, discrete: DiscreteSchedule | None = None) -> Array:
+           schedule: CosineSchedule) -> Array:
     """Run the full reverse process from z ~ N(0, I); returns (n, latent_dim).
 
     `conditions` is an int (one latent) or an int array (one latent each);
     a fractional or NaN id raises ValueError before any step runs.
-    Deterministic given `config.seed`: the DDIM path consumes one normal
-    draw for the start point, the ancestral path additionally one per step.
+    Deterministic given `config.seed`: DDIM consumes one normal draw for the
+    start point, ancestral sampling then one more for each step's noise.
     """
     conditions = np.atleast_1d(class_ids(conditions))
-    n_samples = conditions.shape[0]
     rng = np.random.default_rng(config.seed)
-    z = rng.standard_normal((n_samples, model.latent_dim))
-
-    if config.kind is SamplerKind.DDIM:
-        n = config.steps
-        max_query_t = 1.0 - 0.5 / n
-        for i in range(n, 0, -1):
-            t = i / n
-            s = (i - 1) / n
-            x_hat = predict_x(model, z, t, conditions, schedule, max_query_t=max_query_t)
-            z = ddim_step(z, x_hat, t, s, schedule)
-        return z
-
-    if discrete is None:
-        discrete = build_discrete(config.steps)
-    n_train = discrete.n_train
-    for n in range(n_train, 0, -1):
-        t = n / n_train
-        if model.parameterization is Parameterization.EPSILON:
-            eps_hat = model.forward(z, t, conditions)
-        else:
-            x_hat = model.forward(z, t, conditions)
-            a_bar = discrete.alpha_bar[n - 1]
-            eps_hat = x_to_eps(z, x_hat, np.sqrt(a_bar), np.sqrt(1.0 - a_bar))
-        z = ancestral_step(z, eps_hat, n, discrete, rng)
+    z = rng.standard_normal((conditions.shape[0], model.latent_dim))
+    n = config.steps
+    max_query_t = 1.0 - 0.5 / n
+    for i in range(n, 0, -1):
+        t = i / n
+        s = (i - 1) / n
+        x_hat = predict_x(model, z, t, conditions, schedule, max_query_t=max_query_t)
+        z = ddim_step(z, x_hat, t, s, schedule, eta=config.kind.eta, rng=rng)
     return z

@@ -1,9 +1,9 @@
-"""Noise schedules.
+"""The noise schedule.
 
-Continuous side: a variance-preserving cosine schedule, alpha(t) = cos(pi t / 2),
-sigma(t) = sin(pi t / 2) on t in [0, 1], used by the trainer, the distiller and
-the deterministic sampler. Discrete side: the classic linear-beta table with
-cumulative products and posterior variances, used by the ancestral sampler.
+A variance-preserving cosine schedule, alpha(t) = cos(pi t / 2),
+sigma(t) = sin(pi t / 2) on t in [0, 1], used by the trainer, the distiller
+and both samplers: DDIM and ancestral sampling are the eta = 0 and eta = 1
+cases of one DDIM step on it (see sampler.py).
 """
 
 from __future__ import annotations
@@ -61,33 +61,3 @@ class CosineSchedule:
         out = np.square(alpha) / np.square(sigma)
         return float(out) if scalar else out
 
-
-@dataclass(frozen=True)
-class DiscreteSchedule:
-    """Per-step variance table: beta_n, alpha_bar_n, and posterior beta_tilde_n.
-
-    Arrays are indexed 0..N-1 for steps 1..N; alpha_bar_0 = 1 by convention,
-    which makes beta_tilde at the first step exactly zero.
-    """
-
-    n_train: int
-    beta: Array
-    alpha_bar: Array
-    beta_tilde: Array
-
-
-def build_discrete(n_train: int, beta_start: float = 1e-4, beta_end: float = 2e-2) -> DiscreteSchedule:
-    """Linear beta interpolation with the usual cumulative-product bookkeeping."""
-    if n_train < 1:
-        raise ValueError(f"n_train must be >= 1, got {n_train}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError(
-            f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
-        )
-    beta = np.linspace(beta_start, beta_end, n_train)
-    alpha_bar = np.cumprod(1.0 - beta)
-    alpha_bar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
-    beta_tilde = (1.0 - alpha_bar_prev) / (1.0 - alpha_bar) * beta
-    return DiscreteSchedule(
-        n_train=n_train, beta=beta, alpha_bar=alpha_bar, beta_tilde=beta_tilde
-    )

@@ -92,3 +92,43 @@ def test_missing_header_field_rejected(tmp_path):
     with pytest.raises(CheckpointFormatError) as err:
         load_checkpoint(path)
     assert "missing header" in str(err.value)
+
+
+def _save_lines(path, model):
+    save_checkpoint(path, checkpoint_from_model(model, CosineSchedule()))
+    return path.read_text().splitlines()
+
+
+def test_missing_param_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    lines = _save_lines(path, make_model(5))
+    start = lines.index(next(l for l in lines if l.startswith("param w1 ")))
+    end = lines.index(next(l for l in lines if l.startswith("param b1 ")))
+    path.write_text("\n".join(lines[:start] + lines[end:]) + "\n")
+    with pytest.raises(CheckpointFormatError, match="w1"):
+        load_checkpoint(path)
+
+
+def test_param_shapes_must_match_the_header(tmp_path):
+    # w0, b0 and w1 cut to width 64 make a consistent network, but not the
+    # one that model.hidden = 128,128 describes.
+    model = DenoiserModel.init(hidden=(128, 128), seed=0)
+    model.params["w0"] = model.params["w0"][:, :64]
+    model.params["b0"] = model.params["b0"][:64]
+    model.params["w1"] = model.params["w1"][:64]
+    path = tmp_path / "cut.ckpt"
+    lines = _save_lines(path, model)
+    assert "model.hidden = 128,128" in lines
+    with pytest.raises(CheckpointFormatError, match="w0"):
+        load_checkpoint(path)
+
+
+def test_duplicate_and_unknown_params_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    lines = _save_lines(path, make_model(6))
+    b0 = lines.index(next(l for l in lines if l.startswith("param b0 ")))
+    for name in ("embed", "extra"):
+        block = [lines[b0].replace("b0", name, 1), lines[b0 + 1]]
+        path.write_text("\n".join(lines[:b0] + block + lines[b0:]) + "\n")
+        with pytest.raises(CheckpointFormatError, match=name):
+            load_checkpoint(path)

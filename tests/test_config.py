@@ -1,5 +1,6 @@
 import pytest
 
+from snrdistill.cli import main
 from snrdistill.config import (
     default_config,
     load_config,
@@ -82,6 +83,37 @@ def test_epsilon_training_rejects_strategies_that_weight_zero_snr(strategy):
 def test_epsilon_training_accepts_strategies_with_zero_weight_at_zero_snr(strategy):
     cfg = parse_config(f"train.strategy = {strategy}")
     assert cfg.train.parameterization == "epsilon"
+
+
+@pytest.mark.parametrize("n_start, iterations", [(8, 3), (12, 2), (16, 4), (0, 1), (8, 0)])
+def test_halvings_must_leave_an_even_student_of_two_or_more_steps(n_start, iterations):
+    # 8 >> 3 = 1 and 12 >> 2 = 3 would train, evaluate and distill before
+    # the last round found its odd step count.
+    with pytest.raises(ConfigError, match="distill"):
+        parse_config(f"distill.n_start = {n_start}\ndistill.iterations = {iterations}")
+
+
+@pytest.mark.parametrize("n_start, iterations", [(8, 2), (12, 1), (16, 3), (64, 3)])
+def test_halvings_that_leave_even_students_are_accepted(n_start, iterations):
+    cfg = parse_config(f"distill.n_start = {n_start}\ndistill.iterations = {iterations}")
+    assert cfg.distill.n_start >> cfg.distill.iterations >= 2
+
+
+@pytest.mark.parametrize("key", ["num_samples", "reference_samples"])
+def test_eval_needs_two_samples_to_fit_a_covariance(key):
+    with pytest.raises(ConfigError, match=f"eval.{key}"):
+        parse_config(f"eval.{key} = 1")
+    assert getattr(parse_config(f"eval.{key} = 2").eval, key) == 2
+
+
+@pytest.mark.parametrize("key", ["schedule.n_train", "schedule.beta_start", "schedule.beta_end"])
+def test_removed_discrete_schedule_keys_are_rejected(key, capsys):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"{key} = 1")
+    assert main(["print-config"]) == 0
+    printed = capsys.readouterr().out
+    assert "schedule.t_min = " in printed
+    assert key not in printed
 
 
 def test_load_config_none_gives_defaults():

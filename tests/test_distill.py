@@ -286,6 +286,12 @@ def test_config_requires_divisible_n_start():
         DistillConfig(iterations=3, n_start=100)  # 100 % 8 != 0
     with pytest.raises(ValueError):
         DistillConfig(iterations=0)
+    # the last student, at n_start >> iterations steps, must be even and >= 2
+    with pytest.raises(ValueError, match="even"):
+        DistillConfig(iterations=3, n_start=8)
+    with pytest.raises(ValueError, match="even"):
+        DistillConfig(iterations=2, n_start=12)
+    assert DistillConfig(iterations=2, n_start=8).n_start == 8
 
 
 def test_progressive_trace_halves_steps_exactly():

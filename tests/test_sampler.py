@@ -8,14 +8,13 @@ from snrdistill.nnet import DenoiserModel, Parameterization
 from snrdistill.sampler import (
     SamplerConfig,
     SamplerKind,
-    ancestral_step,
     ddim_step,
     eps_to_x,
     predict_x,
     sample,
     x_to_eps,
 )
-from snrdistill.schedule import CosineSchedule, build_discrete
+from snrdistill.schedule import CosineSchedule
 
 SCHEDULE = CosineSchedule()
 
@@ -136,45 +135,6 @@ def test_predict_x_converts_epsilon_models():
     assert clipped[0, 0] == pytest.approx(0.8 / a_q, abs=1e-14)
 
 
-def test_ancestral_step_zero_eps_mean():
-    d = build_discrete(2, 0.1, 0.1)
-    z = np.array([[1.0]])
-    out = ancestral_step(z, np.zeros_like(z), 1, d, np.random.default_rng(0))
-    assert out[0, 0] == pytest.approx(1.0 / math.sqrt(0.9), abs=1e-15)
-
-
-def test_ancestral_step_first_index_is_deterministic():
-    d = build_discrete(3, 0.05, 0.2)
-    z = np.array([[0.4, -0.2]])
-    eps = np.array([[0.1, 0.3]])
-    a = ancestral_step(z, eps, 1, d, np.random.default_rng(0))
-    b = ancestral_step(z, eps, 1, d, np.random.default_rng(999))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_ancestral_step_hand_values():
-    # mean = (z - beta/sqrt(1 - alpha_bar) eps) / sqrt(1 - beta), variance
-    # beta_tilde = (1 - alpha_bar_1) / (1 - alpha_bar_2) * beta, evaluated
-    # longhand for beta = 0.1 at both steps
-    d = build_discrete(2, 0.1, 0.1)
-    mu = (1.0 - 0.1 / math.sqrt(1.0 - 0.81)) / math.sqrt(0.9)
-    beta_tilde = (1.0 - 0.9) / (1.0 - 0.81) * 0.1
-    assert mu == pytest.approx(0.8122, abs=1e-4)
-    assert beta_tilde == pytest.approx(0.0526, abs=1e-4)
-    rng = np.random.default_rng(7)
-    g = np.random.default_rng(7).standard_normal((1, 1))
-    out = ancestral_step(np.array([[1.0]]), np.array([[1.0]]), 2, d, rng)
-    assert out[0, 0] == pytest.approx(mu + math.sqrt(beta_tilde) * g[0, 0], abs=1e-12)
-
-
-def test_ancestral_step_index_out_of_range():
-    d = build_discrete(2)
-    with pytest.raises(ValueError):
-        ancestral_step(np.ones((1, 1)), np.ones((1, 1)), 3, d, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        ancestral_step(np.ones((1, 1)), np.ones((1, 1)), 0, d, np.random.default_rng(0))
-
-
 def test_sample_single_step_x_model_is_one_shot_prediction():
     model = ConstModel(0.42, latent_dim=2)
     config = SamplerConfig(steps=1, seed=5)
@@ -222,6 +182,84 @@ def test_sample_ancestral_runs_and_is_deterministic():
     b = sample(model, np.zeros(5, dtype=np.int64), config, SCHEDULE)
     np.testing.assert_array_equal(a, b)
     assert np.all(np.isfinite(a))
+
+
+class GaussianDenoiser:
+    """Exact latent prediction E[x | z_t] for data x ~ N(mu, s^2 I)."""
+
+    num_classes = 1
+    parameterization = Parameterization.X
+
+    def __init__(self, mu, s):
+        self.mu = np.asarray(mu, dtype=np.float64)
+        self.s = s
+        self.latent_dim = self.mu.size
+
+    def forward(self, z, t, cond, slab_rows=None):
+        a, sigma = SCHEDULE.alpha_sigma(t)
+        gain = a * self.s**2 / (a**2 * self.s**2 + sigma**2)
+        return self.mu + gain * (np.asarray(z, dtype=np.float64) - a * self.mu)
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_sample_with_exact_gaussian_denoiser_recovers_the_data(kind):
+    # Given the exact denoiser, both samplers must land on N(mu, s^2 I); a
+    # stochastic step whose noise does not match the schedule shrinks the spread.
+    mu, s = np.array([2.0, -1.0]), 0.15
+    out = sample(GaussianDenoiser(mu, s), np.zeros(20000, dtype=np.int64),
+                 SamplerConfig(steps=64, kind=kind, seed=4), SCHEDULE)
+    np.testing.assert_allclose(out.mean(axis=0), mu, atol=0.02)
+    np.testing.assert_allclose(out.std(axis=0), s, rtol=0.2)
+
+
+def test_ancestral_sample_matches_longhand_eta_one_steps():
+    # sigma_eta^2 = (sigma_s^2 / sigma_t^2)(1 - alpha_t^2 / alpha_s^2), and the
+    # step noise comes from the sampler's rng after the start draw.
+    model = GaussianDenoiser([0.5, -0.2], 0.3)
+    n, seed = 4, 9
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((3, 2))
+    for i in range(n, 0, -1):
+        x_hat = model.forward(z, i / n, 0)
+        a_t, s_t = SCHEDULE.alpha_sigma(i / n)
+        a_s, s_s = SCHEDULE.alpha_sigma((i - 1) / n)
+        var = (s_s / s_t) ** 2 * (1.0 - (a_t / a_s) ** 2)
+        eps_hat = (z - a_t * x_hat) / s_t
+        z = (a_s * x_hat + math.sqrt(max(s_s**2 - var, 0.0)) * eps_hat
+             + math.sqrt(var) * rng.standard_normal(z.shape))
+    out = sample(model, np.zeros(3, dtype=np.int64),
+                 SamplerConfig(steps=n, kind=SamplerKind.ANCESTRAL, seed=seed), SCHEDULE)
+    np.testing.assert_allclose(out, z, atol=1e-12)
+
+
+@pytest.mark.parametrize("parameterization", list(Parameterization))
+def test_ddim_sample_keeps_the_deterministic_step_bitwise(parameterization):
+    # 4097 latents run the threaded forward split. eta = 0 must stay the
+    # expression alpha_s x_hat + (sigma_s / sigma_t)(z_t - alpha_t x_hat),
+    # not the eta form with a zero noise term, which rounds differently.
+    model = DenoiserModel.init(seed=0, parameterization=parameterization)
+    conds = np.random.default_rng(1).integers(0, model.num_classes, size=4097)
+    n, seed = 8, 3
+    z = np.random.default_rng(seed).standard_normal((conds.size, model.latent_dim))
+    for i in range(n, 0, -1):
+        t, s = i / n, (i - 1) / n
+        x_hat = predict_x(model, z, t, conds, SCHEDULE, max_query_t=1.0 - 0.5 / n)
+        a_t, s_t = SCHEDULE.alpha_sigma(t)
+        a_s, s_s = SCHEDULE.alpha_sigma(s)
+        z = a_s * x_hat + (s_s / s_t) * (z - a_t * x_hat)
+    out = sample(model, conds, SamplerConfig(steps=n, seed=seed), SCHEDULE)
+    assert np.array_equal(out, z)
+
+
+def test_ddim_step_eta_checks():
+    z = np.ones((1, 1))
+    rng = np.random.default_rng(0)
+    for eta in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="eta"):
+            ddim_step(z, z, 0.5, 0.25, SCHEDULE, eta=eta, rng=rng)
+    # the noise variance divides by alpha_s, which is 0 at s = 1
+    with pytest.raises(SingularTimeError):
+        ddim_step(z, z, 1.0, 1.0, SCHEDULE, eta=1.0, rng=rng)
 
 
 def test_sampler_config_validates_steps():

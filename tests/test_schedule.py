@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from snrdistill.errors import ScheduleRangeError
-from snrdistill.schedule import CosineSchedule, build_discrete
+from snrdistill.schedule import CosineSchedule
 
 SCHEDULE = CosineSchedule()
 
@@ -75,39 +75,3 @@ def test_snr_monotone_non_increasing():
     t = np.linspace(SCHEDULE.t_min, 1.0, 1000)
     snr = SCHEDULE.snr(t)
     assert np.all(np.diff(snr) <= 0)
-
-
-def test_build_discrete_single_step():
-    d = build_discrete(1, 0.1, 0.1)
-    np.testing.assert_allclose(d.beta, [0.1])
-    np.testing.assert_allclose(d.alpha_bar, [0.9])
-    np.testing.assert_allclose(d.beta_tilde, [0.0])
-
-
-def test_build_discrete_two_steps_hand_values():
-    d = build_discrete(2, 0.1, 0.1)
-    np.testing.assert_allclose(d.alpha_bar, [0.9, 0.81], atol=1e-15)
-    # ((1 - 0.9) / (1 - 0.81)) * 0.1 evaluated longhand
-    assert d.beta_tilde[0] == 0.0
-    assert d.beta_tilde[1] == pytest.approx(0.1 / 0.19 * 0.1, abs=1e-15)
-    assert d.beta_tilde[1] == pytest.approx(0.0526316, abs=1e-7)
-
-
-@pytest.mark.parametrize("n", [1, 2, 10, 1000])
-def test_alpha_bar_strictly_decreasing_and_bounded(n):
-    d = build_discrete(n)
-    assert np.all(d.alpha_bar > 0)
-    assert np.all(d.alpha_bar < 1)
-    assert np.all(np.diff(d.alpha_bar) < 0) or n == 1
-    assert np.all((d.beta > 0) & (d.beta < 1))
-
-
-def test_build_discrete_validates_range():
-    with pytest.raises(ValueError):
-        build_discrete(0)
-    with pytest.raises(ValueError):
-        build_discrete(10, 0.2, 0.1)
-    with pytest.raises(ValueError):
-        build_discrete(10, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        build_discrete(10, 0.5, 1.0)
