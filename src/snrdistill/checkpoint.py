@@ -168,6 +168,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         parameterization = Parameterization(header["model.parameterization"])
     except ValueError:
         reader.fail(f"unknown parameterization {header['model.parameterization']!r}")
+    hidden = header["model.hidden"]
     try:
         ckpt = Checkpoint(
             parameterization=parameterization,
@@ -175,7 +176,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             num_classes=int(header["model.num_classes"]),
             embed_dim=int(header["model.embed_dim"]),
             num_frequencies=int(header["model.num_frequencies"]),
-            hidden=tuple(int(h) for h in header["model.hidden"].split(",")),
+            # An empty value is a model with no hidden layer.
+            hidden=tuple(int(h) for h in hidden.split(",")) if hidden else (),
             schedule_kind=header["schedule.kind"],
             t_min=float(header["schedule.t_min"]),
             params={},

@@ -35,6 +35,18 @@ def test_round_trip_is_bitwise(tmp_path):
         np.testing.assert_array_equal(loaded.params[k], v)
 
 
+def test_model_without_hidden_layer_round_trips(tmp_path):
+    model = DenoiserModel.init(hidden=(), seed=3)
+    path = tmp_path / "linear.ckpt"
+    save_checkpoint(path, checkpoint_from_model(model, CosineSchedule()))
+    assert b"model.hidden = \n" in path.read_bytes()
+    loaded, _ = model_from_checkpoint(load_checkpoint(path))
+    assert loaded.hidden == ()
+    assert loaded.params.keys() == model.params.keys()
+    for k, v in model.params.items():
+        np.testing.assert_array_equal(loaded.params[k], v)
+
+
 def test_double_round_trip_is_identical_bytes(tmp_path):
     model = make_model(2)
     schedule = CosineSchedule()

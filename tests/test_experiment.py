@@ -126,3 +126,12 @@ def test_forward_split_leaves_the_run_unchanged(tmp_path, monkeypatch):
     assert (len(threads) > 1) == (nnet._available_cpus() > 1)
     monkeypatch.setattr(nnet, "_available_cpus", lambda: 1)
     assert _outputs(experiment.run_experiment(cfg, tmp_path / "single")) == split
+
+
+def test_model_without_hidden_layer_runs_every_strategy(tmp_path):
+    cfg = parse_config(TINY.replace("model.hidden = 16,16", "model.hidden = "))
+    assert cfg.model.hidden == ()
+    run_dir = experiment.run_experiment(cfg, tmp_path / "linear")
+    assert not (run_dir / "errors.log").exists()
+    rows = experiment.read_metrics(run_dir / "metrics.csv")
+    assert len(rows) == (3 + 2 * 2) * 2

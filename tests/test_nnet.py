@@ -1,13 +1,16 @@
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import expit
+import scipy.special
 
 from snrdistill import nnet
 from snrdistill.errors import ShapeMismatchError
@@ -61,7 +64,7 @@ def reference_forward(model, z, t, cond):
     )
     for k in range(len(model.hidden)):
         a = h @ p[f"w{k}"] + p[f"b{k}"]
-        h = a * expit(a)
+        h = a * (1.0 / (1.0 + np.exp(-a)))
     k = len(model.hidden)
     return h @ p[f"w{k}"] + p[f"b{k}"]
 
@@ -271,6 +274,60 @@ def test_forked_child_runs_a_split_forward(monkeypatch):
     assert child.exitcode == 0
 
 
+def test_gate_is_scipy_expit_within_two_ulp():
+    special = [1e3, -1e3, np.inf, -np.inf, 0.0, -0.0]
+    a = np.concatenate([special, np.random.default_rng(0).normal(0.0, 3.0, size=100_000)])
+    kept = a.copy()
+    want = scipy.special.expit(a)
+    out = np.empty_like(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nnet.expit(a, out=out) is out
+        got = nnet.expit(a)
+    assert np.array_equal(a, kept)
+    assert np.array_equal(got, out)
+    assert np.array_equal(got[: len(special)], [1.0, 0.0, 1.0, 0.0, 0.5, 0.5])
+    # Gates lie in [0, 1], where a double's int64 bits count its ULPs.
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+    assert np.isnan(nnet.expit(np.array([np.nan, -np.nan]))).all()
+
+
+def test_saturated_gates_warn_on_no_thread(monkeypatch):
+    # Pool threads do not inherit the caller's np.errstate, so the gate must
+    # silence its own overflow on whichever thread runs it.
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 2)
+    calls = recording_expit(monkeypatch)
+    model = DenoiserModel.init(seed=8)
+    n_hidden = len(model.hidden)
+    for k in range(n_hidden):
+        model.params[f"b{k}"][:] = -1000.0
+    z = np.random.default_rng(8).normal(size=(1024, model.latent_dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = model.forward(z, 0.5, 0)
+        train_out, _ = model.forward_backward(z, 0.5, 0)
+    assert len({thread for thread, _ in calls}) == 2
+    # Every gate is exactly 0, so only the output bias is left.
+    bias = np.broadcast_to(model.params[f"b{n_hidden}"], out.shape)
+    assert np.array_equal(out, bias)
+    assert np.array_equal(train_out, bias)
+
+
+def test_the_package_imports_without_scipy():
+    src = str(Path(nnet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import importlib, pkgutil, sys, snrdistill, snrdistill.cli\n"
+        "for m in pkgutil.iter_modules(snrdistill.__path__):\n"
+        "    importlib.import_module('snrdistill.' + m.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_sample_is_the_same_on_one_thread_and_by_default(monkeypatch):
     model = DenoiserModel.init(seed=6)
     conds = np.random.default_rng(1).integers(0, model.num_classes, size=4096)
@@ -405,7 +462,7 @@ def reference_loss_and_gradients(model, z, t, cond, target, w, chain=None):
     pre = []
     for k in range(len(model.hidden)):
         pre.append(inputs[-1] @ p[f"w{k}"] + p[f"b{k}"])
-        inputs.append(pre[-1] * expit(pre[-1]))
+        inputs.append(pre[-1] * (1.0 / (1.0 + np.exp(-pre[-1]))))
     k = len(model.hidden)
     out = inputs[-1] @ p[f"w{k}"] + p[f"b{k}"]
     pred = out
@@ -424,7 +481,7 @@ def reference_loss_and_gradients(model, z, t, cond, target, w, chain=None):
         g = g @ p[f"w{k}"].T
         if k:
             a = pre[k - 1]
-            s = expit(a)
+            s = 1.0 / (1.0 + np.exp(-a))
             g = g * (s * (1.0 + a * (1.0 - s)))
     grads["embed"] = np.zeros_like(p["embed"])
     np.add.at(grads["embed"], cond, g[:, -model.embed_dim:])
