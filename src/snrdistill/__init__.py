@@ -23,7 +23,7 @@ from .sampler import (
 )
 from .schedule import CosineSchedule
 from .trainer import TrainConfig, TrainResult, train_base
-from .weighting import STRATEGY_NAMES, WeightKind, WeightStrategy, strategy_from_name, weight
+from .weighting import STRATEGY_NAMES, WeightStrategy, strategy_from_name, weight
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "ToyDataset",
     "TrainConfig",
     "TrainResult",
-    "WeightKind",
     "WeightStrategy",
     "adam_step",
     "ddim_step",

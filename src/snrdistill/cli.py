@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
-from .config import default_config, load_config, serialize_config
+from .config import default_config, load_config, serialize_config, validate_config
 from .distill import progressive_distill
 from .experiment import (
     build_dataset,
@@ -66,6 +66,7 @@ def _cmd_distill(args) -> int:
         cfg.distill.strategy = args.strategy
     if args.gamma is not None:
         cfg.distill.gamma = args.gamma
+    validate_config(cfg)
     dataset = build_dataset(cfg)
     ckpt = load_checkpoint(args.teacher)
     teacher, schedule = model_from_checkpoint(ckpt)

@@ -45,8 +45,10 @@ class TrainSection:
     batch_size: int = 128
     lr: float = 1e-3
     parameterization: str = "epsilon"
-    # Under epsilon only eps-snr and min-snr, whose weight is 0 at snr = 0.
-    # The cap of min-snr and bsa is distill.gamma, as in distillation.
+    # The strategy's point (offset, floor, cap) must keep the loss weight
+    # bounded: epsilon needs w(0) = 0, that is offset = floor = 0 (eps-snr,
+    # min-snr), and x needs a finite cap (min-snr, bsa). The cap of min-snr
+    # and bsa is distill.gamma, as in distillation.
     strategy: str = "eps-snr"
 
 
@@ -177,15 +179,16 @@ def validate_config(cfg: RunConfig) -> None:
     for name in (cfg.train.strategy, cfg.distill.strategy, *cfg.run.strategies):
         if name not in STRATEGY_NAMES:
             raise ConfigError(f"unknown weight strategy {name!r}; choose from {STRATEGY_NAMES}")
-    # A noise-predicting model trains on the weight w / snr, which grows without
-    # bound as snr -> 0 unless w(0) = 0; trunc-snr, snr-plus-one and bsa diverge.
-    train_strategy = strategy_from_name(cfg.train.strategy, cfg.distill.gamma)
-    if cfg.train.parameterization == "epsilon" and train_strategy.weight(0.0) > 0.0:
+    try:
+        train_strategy = strategy_from_name(cfg.train.strategy, cfg.distill.gamma)
+    except ValueError as exc:  # the names are known, so it is gamma's
+        raise ConfigError(f"distill.gamma: {exc}") from None
+    try:
+        train_strategy.check_base_training(cfg.train.parameterization == "epsilon")
+    except ValueError as exc:
         raise ConfigError(
-            f"train.strategy = {cfg.train.strategy} weights snr = 0 by "
-            f"{train_strategy.weight(0.0)}, so its noise-space weight w / snr is unbounded "
-            f"under train.parameterization = epsilon; use x or a strategy with w(0) = 0"
-        )
+            f"train.strategy = {cfg.train.strategy} under "
+            f"train.parameterization = {cfg.train.parameterization}: {exc}") from None
     try:
         check_halvings(cfg.distill.n_start, cfg.distill.iterations)
     except ValueError as exc:

@@ -49,12 +49,11 @@ from .nnet import (
     Parameterization,
     adam_step,
     loss_and_gradients,
-    weighted_squared_error,
 )
 from .sampler import ddim_step, predict_x
 from .schedule import CosineSchedule
 from .util import child_rng
-from .weighting import WeightKind, WeightStrategy
+from .weighting import WeightStrategy, strategy_from_name
 
 Array = np.ndarray
 
@@ -72,13 +71,8 @@ class DistillConfig:
     n_start: int = 64              # full step count of the initial teacher
     steps_per_round: int = 4000    # optimizer-update budget per round
     batch_size: int = 256
-    strategy: WeightStrategy = field(
-        default_factory=lambda: WeightStrategy(WeightKind.BALANCED_SNR_AWARE)
-    )
+    strategy: WeightStrategy = field(default_factory=lambda: strategy_from_name("bsa"))
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     plateau_window: int = 200      # updates per moving-average window
     plateau_rel_tol: float = 1e-4  # relative improvement below which we stop
@@ -284,10 +278,7 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
         targets.check(teacher, n_steps, seed, config.batch_size)
     student = teacher.copy_with(parameterization=Parameterization.X)
     rng = child_rng(seed, "distill-round", n_steps)
-    state = AdamState.fresh(
-        student.params, lr=config.lr,
-        beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps,
-    )
+    state = AdamState.fresh(student.params, lr=config.lr)
 
     losses: list[float] = []
     sample_log: list[dict] | None = [] if collect_log else None
@@ -295,16 +286,9 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
 
     batches = _round_batches(teacher, config, n_steps, dataset, schedule, rng, targets)
     for update, (z_t, t, cond, z0_tilde, snr, w) in enumerate(batches):
-        errors: dict[str, Array] = {}
-
-        def loss_grad(out):
-            loss, d_out, errors["sq_err"], errors["weighted"] = weighted_squared_error(
-                out, z0_tilde, w)
-            return loss, d_out
-
-        loss, grads = loss_and_gradients(student, z_t, t, cond, loss_grad)
+        loss, grads, sq_err, weighted = loss_and_gradients(student, z_t, t, cond, z0_tilde, w)
         if not np.isfinite(loss):
-            bad = int(np.argmax(~np.isfinite(errors["weighted"])))
+            bad = int(np.argmax(~np.isfinite(weighted)))
             raise DistillationDivergedError(t=float(t[bad]), weight=float(w[bad]), loss=loss)
         student.params, state = adam_step(student.params, grads, state)
         losses.append(loss)
@@ -314,8 +298,8 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
                 "t": t,
                 "snr": snr,
                 "weight": w,
-                "sq_err": errors["sq_err"],
-                "weighted": errors["weighted"],
+                "sq_err": sq_err,
+                "weighted": weighted,
                 "z_t": z_t,
                 "target": z0_tilde,
                 "cond": cond,
@@ -373,7 +357,7 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
                 provenance={
                     "round": k,
                     "steps": student_steps,
-                    "strategy": config.strategy.kind.value,
+                    "strategy": config.strategy.name,
                     "seed": root_seed,
                 },
             ))

@@ -64,9 +64,7 @@ every reduction must not change:
 - The loss sum_i w_i |pred_i - target_i|^2 is multiplied by 1.0 / batch,
   never divided by batch; the two round differently unless batch is a
   power of two.
-- dL/d(pred) is (w * (1/batch))[:, None] * (2.0 * diff). The
-  x-parameterized trainer reads pred as eps_hat = (z_t - alpha x_hat) /
-  sigma and chains it back as (-(g * inv_sigma)) * alpha.
+- dL/d(pred) is (w * (1/batch))[:, None] * (2.0 * diff).
 - Per layer, the bias gradient is g.sum(axis=0), the weight gradient
   h.T @ g, and the input gradient g @ w.T over the full input width: the
   same reductions and BLAS calls on the same operand layouts.
@@ -480,16 +478,17 @@ def weighted_squared_error(pred: Array, target: Array, w: Array
     return loss, d_pred, sq_err, weighted
 
 
-def loss_and_gradients(model, z, t, cond, loss_grad) -> tuple[float, dict[str, Array]]:
-    """A scalar loss of the model's output and its gradient in every parameter.
+def loss_and_gradients(model, z, t, cond, target, w
+                       ) -> tuple[float, dict[str, Array], Array, Array]:
+    """The weighted squared error of the model's output against `target`
+    and its gradient in every parameter.
 
-    `loss_grad(out)` maps the output of `model.forward_backward(z, t, cond)`
-    to (loss, dL/d(out)); the gradients come back as a dict mirroring
-    `model.params`.
+    Returns (loss, gradients, per-row squared error, per-row weighted
+    error); the gradients come back as a dict mirroring `model.params`.
     """
     out, backward = model.forward_backward(z, t, cond)
-    loss, d_out = loss_grad(out)
-    return float(loss), backward(d_out)
+    loss, d_out, sq_err, weighted = weighted_squared_error(out, target, w)
+    return loss, backward(d_out), sq_err, weighted
 
 
 @dataclass
@@ -514,11 +513,9 @@ class AdamState:
     _work: Array | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def fresh(cls, params: dict[str, Array], lr: float = 1e-3,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def fresh(cls, params: dict[str, Array], lr: float = 1e-3) -> "AdamState":
         size = sum(p.size for p in params.values())
-        return cls(m=np.zeros(size), v=np.zeros(size), step=0,
-                   beta1=beta1, beta2=beta2, eps=eps, lr=lr)
+        return cls(m=np.zeros(size), v=np.zeros(size), lr=lr)
 
 
 def adam_step(

@@ -53,7 +53,7 @@ def _col(x) -> Array | float:
     return x[:, None] if x.ndim == 1 else float(x)
 
 
-def eps_to_x(z_t, eps_hat, alpha_t, sigma_t):
+def eps_to_x(z_t, eps_pred, alpha_t, sigma_t):
     """Invert z_t = alpha x + sigma eps for x, given a noise prediction."""
     a = np.asarray(alpha_t, dtype=np.float64)
     if np.any(a <= ALPHA_FLOOR):
@@ -61,7 +61,7 @@ def eps_to_x(z_t, eps_hat, alpha_t, sigma_t):
             f"alpha_t={a.min() if a.ndim else float(a)} is at or below the "
             f"{ALPHA_FLOOR} floor; clip t away from 1 before converting"
         )
-    return (np.asarray(z_t, dtype=np.float64) - _col(sigma_t) * eps_hat) / _col(a)
+    return (np.asarray(z_t, dtype=np.float64) - _col(sigma_t) * eps_pred) / _col(a)
 
 
 def x_to_eps(z_t, x_hat, alpha_t, sigma_t):
@@ -79,9 +79,9 @@ def ddim_step(z_t, x_hat, t, s, schedule: CosineSchedule, eta: float = 0.0,
               rng: np.random.Generator | None = None):
     """One DDIM step from t to s <= t with noise scale eta in [0, 1].
 
-    z_s = alpha_s x_hat + sqrt(sigma_s^2 - sigma_eta^2) eps_hat + sigma_eta xi,
+    z_s = alpha_s x_hat + sqrt(sigma_s^2 - sigma_eta^2) eps_pred + sigma_eta xi,
     with sigma_eta^2 = eta^2 (sigma_s^2 / sigma_t^2)(1 - alpha_t^2 / alpha_s^2),
-    eps_hat = x_to_eps(z_t, x_hat, alpha_t, sigma_t) and xi ~ N(0, I) drawn
+    eps_pred = x_to_eps(z_t, x_hat, alpha_t, sigma_t) and xi ~ N(0, I) drawn
     from `rng`. At eta = 0 it draws nothing and is computed as
     z_s = alpha_s x_hat + (sigma_s / sigma_t)(z_t - alpha_t x_hat).
 
@@ -107,8 +107,8 @@ def ddim_step(z_t, x_hat, t, s, schedule: CosineSchedule, eta: float = 0.0,
     if np.any(np.asarray(a_s) <= ALPHA_FLOOR):
         raise SingularTimeError(f"alpha_s = 0 at s={s}; a stochastic step needs s < 1")
     var_eta = eta**2 * (s_s**2 / s_t**2) * (1.0 - a_t**2 / a_s**2)
-    eps_hat = x_to_eps(z_t, x_hat, a_t, s_t)
-    return (_col(a_s) * x_hat + _col(np.sqrt(np.maximum(s_s**2 - var_eta, 0.0))) * eps_hat
+    eps_pred = x_to_eps(z_t, x_hat, a_t, s_t)
+    return (_col(a_s) * x_hat + _col(np.sqrt(np.maximum(s_s**2 - var_eta, 0.0))) * eps_pred
             + _col(np.sqrt(var_eta)) * rng.standard_normal(z_t.shape))
 
 
@@ -128,8 +128,8 @@ def predict_x(model: DenoiserModel, z, t, cond, schedule: CosineSchedule,
     if max_query_t is not None:
         tq = np.minimum(tq, max_query_t)
     alpha, sigma = schedule.alpha_sigma(tq)
-    eps_hat = model.forward(z, tq, cond, slab_rows=slab_rows)
-    return eps_to_x(z, eps_hat, alpha, sigma)
+    eps_pred = model.forward(z, tq, cond, slab_rows=slab_rows)
+    return eps_to_x(z, eps_pred, alpha, sigma)
 
 
 def sample(model: DenoiserModel, conditions, config: SamplerConfig,

@@ -1,7 +1,10 @@
-"""Base diffusion training: weighted noise-prediction MSE over random (t, eps).
+"""Base diffusion training: a weighted squared error over random (t, eps).
 
 Produces the initial teacher for distillation. Times are drawn continuously
 from [t_min, 1] so the resulting model can be queried on any step grid later.
+A noise-predicting model regresses eps under the strategy's noise-space
+weight, a clean-latent-predicting one regresses z0 under w(snr) itself: the
+same loss, since |eps - eps_pred|^2 = snr |z0 - x_pred|^2.
 """
 
 from __future__ import annotations
@@ -18,26 +21,22 @@ from .nnet import (
     Parameterization,
     adam_step,
     loss_and_gradients,
-    weighted_squared_error,
 )
 from .schedule import CosineSchedule
 from .util import child_rng
-from .weighting import WeightKind, WeightStrategy
+from .weighting import WeightStrategy, strategy_from_name
 
 DIVERGENCE_BOUND = 1e6
-SNR_RATIO_FLOOR = 1e-12
 
 
 @dataclass
 class TrainConfig:
-    updates: int = 20000
+    updates: int = 16000
     batch_size: int = 128
     lr: float = 1e-3
     seed: int = 0
     parameterization: Parameterization = Parameterization.EPSILON
-    strategy: WeightStrategy = field(
-        default_factory=lambda: WeightStrategy(WeightKind.EPSILON_SNR)
-    )
+    strategy: WeightStrategy = field(default_factory=lambda: strategy_from_name("eps-snr"))
     hidden: tuple[int, ...] = (128, 128)
     embed_dim: int = 16
     num_frequencies: int = 8
@@ -45,24 +44,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.updates < 0:
             raise ValueError("updates must be >= 0")
+        self.strategy.check_base_training(self.parameterization is Parameterization.EPSILON)
 
 
 @dataclass
 class TrainResult:
     model: DenoiserModel
     loss_history: np.ndarray
-
-
-def _noise_space_weights(strategy: WeightStrategy, snr: np.ndarray) -> np.ndarray:
-    """Translate an x-space weight into the equivalent noise-space weight.
-
-    The squared-error identity |eps - eps_hat|^2 = snr * |x - x_hat|^2 means
-    an x-space weight w corresponds to w / snr on the noise loss; the plain
-    eps-snr strategy cancels to exactly 1.
-    """
-    if strategy.kind is WeightKind.EPSILON_SNR:
-        return np.ones_like(snr)
-    return strategy.weight(snr) / np.maximum(snr, SNR_RATIO_FLOOR)
 
 
 def train_base(config: TrainConfig, dataset: ToyDataset, schedule: CosineSchedule) -> TrainResult:
@@ -87,22 +75,12 @@ def train_base(config: TrainConfig, dataset: ToyDataset, schedule: CosineSchedul
         alpha, sigma = schedule.alpha_sigma(t)
         z_t = alpha[:, None] * z0 + sigma[:, None] * eps
         # schedule.snr(t) bit for bit: t already lies in its [t_min, 1] clip.
-        w = _noise_space_weights(config.strategy, np.square(alpha) / np.square(sigma))
-
+        snr = np.square(alpha) / np.square(sigma)
         if config.parameterization is Parameterization.EPSILON:
-            def loss_grad(out):
-                return weighted_squared_error(out, eps, w)[:2]
+            target, w = eps, config.strategy.noise_weight(snr)
         else:
-            inv_sigma = (1.0 / sigma)[:, None]
-            alpha_col = alpha[:, None]
-
-            def loss_grad(out):
-                # The loss is on the noise the latent prediction implies.
-                eps_hat = (z_t - alpha_col * out) * inv_sigma
-                loss, d_eps_hat = weighted_squared_error(eps_hat, eps, w)[:2]
-                return loss, (-(d_eps_hat * inv_sigma)) * alpha_col
-
-        loss, grads = loss_and_gradients(model, z_t, t, cond, loss_grad)
+            target, w = z0, config.strategy.weight(snr)
+        loss, grads, *_ = loss_and_gradients(model, z_t, t, cond, target, w)
         if not np.isfinite(loss) or loss > DIVERGENCE_BOUND:
             raise TrainingDivergedError(update=update, loss=loss)
         model.params, state = adam_step(model.params, grads, state)

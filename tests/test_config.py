@@ -7,7 +7,10 @@ from snrdistill.config import (
     parse_config,
     serialize_config,
 )
+from snrdistill.distill import DistillConfig
 from snrdistill.errors import ConfigError
+from snrdistill.experiment import build_distill_config, build_train_config
+from snrdistill.trainer import TrainConfig
 
 
 def test_defaults_parse_and_serialize_as_fixed_point():
@@ -76,7 +79,42 @@ def test_epsilon_training_rejects_strategies_that_weight_zero_snr(strategy):
     # w / snr is unbounded at snr -> 0 for these, and base training diverges.
     with pytest.raises(ConfigError, match="train.parameterization = epsilon"):
         parse_config(f"train.strategy = {strategy}")
-    assert parse_config(f"train.strategy = {strategy}\ntrain.parameterization = x")
+    # Under x only a capped one is allowed.
+    text = f"train.strategy = {strategy}\ntrain.parameterization = x"
+    if strategy == "bsa":
+        assert parse_config(text).train.parameterization == "x"
+    else:
+        with pytest.raises(ConfigError, match="finite cap"):
+            parse_config(text)
+
+
+@pytest.mark.parametrize("strategy", ["eps-snr", "trunc-snr", "snr-plus-one"])
+def test_x_training_rejects_strategies_without_a_cap(strategy):
+    # The x-space weight reaches snr(t_min), about 4e8, and base training
+    # diverged on seeds 1 and 3.
+    with pytest.raises(ConfigError, match="train.parameterization = x"):
+        parse_config(f"train.strategy = {strategy}\ntrain.parameterization = x")
+
+
+@pytest.mark.parametrize("strategy", ["min-snr", "bsa"])
+def test_x_training_accepts_capped_strategies(strategy):
+    cfg = parse_config(f"train.strategy = {strategy}\ntrain.parameterization = x")
+    assert build_train_config(cfg, 0).strategy.cap == cfg.distill.gamma
+
+
+@pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
+def test_bad_gamma_is_a_config_error(gamma, tmp_path):
+    with pytest.raises(ConfigError, match="distill.gamma"):
+        parse_config(f"distill.gamma = {gamma}")
+    with pytest.raises(ConfigError, match="distill.gamma"):
+        main(["distill", "--teacher", str(tmp_path / "none.ckpt"), "--gamma", gamma,
+              "--out-dir", str(tmp_path / "out")])
+
+
+def test_default_sections_build_the_default_configs():
+    cfg = default_config()
+    assert build_train_config(cfg, 0) == TrainConfig(seed=0)
+    assert build_distill_config(cfg, cfg.distill.strategy, 0) == DistillConfig(seed=0)
 
 
 @pytest.mark.parametrize("strategy", ["eps-snr", "min-snr"])

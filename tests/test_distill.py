@@ -22,12 +22,11 @@ from snrdistill.nnet import (
     Parameterization,
     adam_step,
     loss_and_gradients,
-    weighted_squared_error,
 )
 from snrdistill.sampler import ddim_step
 from snrdistill.schedule import CosineSchedule
 from snrdistill.util import child_rng
-from snrdistill.weighting import WeightKind, WeightStrategy, strategy_from_name
+from snrdistill.weighting import strategy_from_name
 
 SCHEDULE = CosineSchedule()
 
@@ -179,7 +178,7 @@ def test_reachable_target_drives_loss_to_zero():
     teacher = AffineModel(0.0, 1.3)
     config = DistillConfig(
         iterations=1, n_start=8, steps_per_round=400, batch_size=64, lr=0.05,
-        strategy=WeightStrategy(WeightKind.BALANCED_SNR_AWARE),
+        strategy=strategy_from_name("bsa"),
     )
     result = distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=1)
     assert result.final_loss < 1e-10
@@ -213,7 +212,7 @@ def test_affine_round_matches_normal_equations():
     teacher = OffInitTeacher(0.0, 1.3)
     config = DistillConfig(
         iterations=1, n_start=8, steps_per_round=2000, batch_size=512, lr=2e-2,
-        strategy=WeightStrategy(WeightKind.BALANCED_SNR_AWARE),
+        strategy=strategy_from_name("bsa"),
         plateau_window=10**9,  # run the full budget
     )
     result = distill_round(teacher, config, 4, _OneDimDataset(), SCHEDULE,
@@ -466,8 +465,7 @@ def reference_round(teacher, config, n_steps, dataset, seed):
     """
     student = teacher.copy_with(parameterization=Parameterization.X)
     rng = child_rng(seed, "distill-round", n_steps)
-    state = AdamState.fresh(student.params, lr=config.lr, beta1=config.beta1,
-                            beta2=config.beta2, eps=config.adam_eps)
+    state = AdamState.fresh(student.params, lr=config.lr)
     losses, targets = [], []
     prev_window = None
     for update in range(config.steps_per_round):
@@ -480,8 +478,7 @@ def reference_round(teacher, config, n_steps, dataset, seed):
         z0_tilde, _ = teacher_target(teacher, z_t, t, n_steps, cond, SCHEDULE)
         targets.append(z0_tilde)
         w = config.strategy.weight(SCHEDULE.snr(t))
-        loss, grads = loss_and_gradients(
-            student, z_t, t, cond, lambda out: weighted_squared_error(out, z0_tilde, w)[:2])
+        loss, grads, *_ = loss_and_gradients(student, z_t, t, cond, z0_tilde, w)
         student.params, state = adam_step(student.params, grads, state)
         losses.append(loss)
         if (update + 1) % config.plateau_window == 0:

@@ -433,25 +433,21 @@ def test_forward_finite_for_large_inputs():
     assert np.all(np.isfinite(out))
 
 
-def squared_error_loss_grad(target, w, chain=None):
-    """The trainers' loss_grad: plain, or through the x-parameterized chain
-    eps_hat = (z_t - alpha x_hat) / sigma with chain = (z_t, alpha, sigma)."""
-    if chain is None:
-        return lambda out: weighted_squared_error(out, target, w)[:2]
+def x_form_of_chain(target, w, chain):
+    """The clean-latent target and weight whose plain loss equals the loss
+    of the noise eps_hat = (z_t - alpha x_hat) / sigma against `target`
+    under `w`, with chain = (z_t, alpha, sigma): since
+    |eps - eps_hat|^2 = snr |x - x_hat|^2, x = (z_t - sigma eps) / alpha
+    and the weight is w snr."""
     z_t, alpha, sigma = chain
-    inv_sigma = (1.0 / sigma)[:, None]
-    alpha_col = alpha[:, None]
-
-    def loss_grad(out):
-        loss, d_pred = weighted_squared_error((z_t - alpha_col * out) * inv_sigma, target, w)[:2]
-        return loss, (-(d_pred * inv_sigma)) * alpha_col
-
-    return loss_grad
+    return (z_t - sigma[:, None] * target) / alpha[:, None], w * np.square(alpha / sigma)
 
 
 def reference_loss_and_gradients(model, z, t, cond, target, w, chain=None):
     """Plain allocating backward, in the order the reverse-mode graph used:
-    loss, dL/d(pred), then each layer from the top, then the embedding."""
+    loss, dL/d(pred), then each layer from the top, then the embedding.
+    With `chain`, the loss is on the noise the output implies, as the
+    x-parameterized trainer once computed it (see `x_form_of_chain`)."""
     batch = z.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (batch,))
     cond = np.broadcast_to(np.asarray(cond, dtype=np.int64), (batch,))
@@ -501,15 +497,22 @@ def test_hand_backward_matches_reference_bitwise(batch, hidden, chained):
     target = rng.normal(size=(batch, model.latent_dim))
     w = rng.uniform(0.1, 3.0, size=batch)
     chain = (z, rng.uniform(0.1, 1.0, size=batch), rng.uniform(0.1, 1.0, size=batch))
-    chain = chain if chained else None
+    x_target, x_w = x_form_of_chain(target, w, chain) if chained else (target, w)
     for t in (0.37, rng.uniform(0.0, 1.0, size=batch)):
-        loss, grads = loss_and_gradients(
-            model, z, t, cond, squared_error_loss_grad(target, w, chain))
-        ref_loss, ref_grads = reference_loss_and_gradients(model, z, t, cond, target, w, chain)
+        loss, grads, *_ = loss_and_gradients(model, z, t, cond, x_target, x_w)
+        ref_loss, ref_grads = reference_loss_and_gradients(model, z, t, cond, x_target, x_w)
         assert loss == ref_loss
         assert list(grads) == list(model.params)
         for name, g in grads.items():
             assert np.array_equal(g, ref_grads[name]), name
+        if chained:
+            # The same loss as the old chain through eps_hat, up to rounding.
+            ref_loss, ref_grads = reference_loss_and_gradients(
+                model, z, t, cond, target, w, chain)
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            for name, g in grads.items():
+                scale = np.max(np.abs(ref_grads[name]), initial=0.0)
+                assert np.max(np.abs(g - ref_grads[name]), initial=0.0) <= 1e-12 * scale, name
 
 
 @pytest.mark.parametrize("batch", [128, 600])
@@ -537,9 +540,9 @@ def test_weighted_squared_error_terms():
 def test_constant_loss_gives_zero_gradients():
     model = tiny_model()
     z = np.random.default_rng(0).normal(size=(3, 1))
-    loss, grads = loss_and_gradients(
-        model, z, 0.4, 1, lambda out: (3.5, np.zeros_like(out)))
-    assert loss == 3.5
+    target = np.random.default_rng(1).normal(size=(3, 1))
+    loss, grads, *_ = loss_and_gradients(model, z, 0.4, 1, target, np.zeros(3))
+    assert loss == 0.0
     for name, g in grads.items():
         np.testing.assert_array_equal(g, np.zeros_like(model.params[name]))
 
@@ -548,8 +551,7 @@ def test_loss_at_exact_minimum_gives_zero_gradients():
     model = tiny_model(seed=2)
     z = np.random.default_rng(0).normal(size=(3, 1))
     target = model.forward(z, 0.4, 1)
-    loss, grads = loss_and_gradients(
-        model, z, 0.4, 1, squared_error_loss_grad(target, np.full(3, 2.0)))
+    loss, grads, *_ = loss_and_gradients(model, z, 0.4, 1, target, np.full(3, 2.0))
     assert loss == 0.0
     for g in grads.values():
         np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -565,13 +567,17 @@ def check_against_finite_differences(hidden, chained):
     cond = rng.integers(0, 2, size=batch)
     target = rng.normal(size=(batch, 1))
     w = rng.uniform(0.5, 2.0, size=batch)
-    chain = (z, rng.uniform(0.2, 1.0, size=batch), rng.uniform(0.2, 1.0, size=batch))
-    loss_grad = squared_error_loss_grad(target, w, chain if chained else None)
+    alpha, sigma = rng.uniform(0.2, 1.0, size=batch), rng.uniform(0.2, 1.0, size=batch)
+    x_target, x_w = x_form_of_chain(target, w, (z, alpha, sigma)) if chained else (target, w)
 
     def loss_value():
-        return loss_grad(model.forward(z, t, cond))[0]
+        # Chained, the differences are those of the old loss through eps_hat.
+        out = model.forward(z, t, cond)
+        if chained:
+            out = (z - alpha[:, None] * out) / sigma[:, None]
+        return weighted_squared_error(out, target, w)[0]
 
-    _, grads = loss_and_gradients(model, z, t, cond, loss_grad)
+    _, grads, *_ = loss_and_gradients(model, z, t, cond, x_target, x_w)
     numeric = finite_difference_grads(model, loss_value, h=1e-5)
     for name in model.params:
         err = np.abs(grads[name] - numeric[name])

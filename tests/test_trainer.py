@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from snrdistill.data import ToyDataset
+from snrdistill.data import ToyDataset, draw_batch
 from snrdistill.errors import TrainingDivergedError
-from snrdistill.nnet import DenoiserModel, Parameterization
+from snrdistill.nnet import DenoiserModel, Parameterization, weighted_squared_error
 from snrdistill.sampler import eps_to_x
 from snrdistill.schedule import CosineSchedule
 from snrdistill.trainer import TrainConfig, train_base
 from snrdistill.util import child_rng
-from snrdistill.weighting import WeightKind, WeightStrategy
+from snrdistill.weighting import WeightStrategy, strategy_from_name
 
 SCHEDULE = CosineSchedule()
 
@@ -50,7 +50,7 @@ def test_loss_history_is_seed_reproducible_and_finite():
 def test_x_parameterization_trains():
     ds = ToyDataset()
     config = TrainConfig(updates=200, batch_size=64, seed=2, hidden=(16,),
-                         parameterization=Parameterization.X)
+                         parameterization=Parameterization.X, strategy=strategy_from_name("bsa"))
     result = train_base(config, ds, SCHEDULE)
     assert result.model.parameterization is Parameterization.X
     assert result.loss_history[-20:].mean() < result.loss_history[:20].mean()
@@ -86,7 +86,7 @@ def test_non_default_strategy_weights_noise_loss():
     ds = ToyDataset()
     base = TrainConfig(updates=30, batch_size=32, seed=5, hidden=(8,))
     capped = TrainConfig(updates=30, batch_size=32, seed=5, hidden=(8,),
-                         strategy=WeightStrategy(WeightKind.BALANCED_SNR_AWARE))
+                         strategy=strategy_from_name("min-snr"))
     a = train_base(base, ds, SCHEDULE)
     b = train_base(capped, ds, SCHEDULE)
     assert not np.allclose(a.loss_history, b.loss_history)
@@ -101,21 +101,80 @@ def test_weights_use_the_schedule_snr_bit_for_bit(monkeypatch, t_min):
 
     schedule = CosineSchedule(t_min=t_min)
     seen_snr, seen_t = [], []
-    real_weights, real_grads = trainer._noise_space_weights, trainer.loss_and_gradients
+    real_weights, real_grads = WeightStrategy.noise_weight, trainer.loss_and_gradients
 
     def weights(strategy, snr):
         seen_snr.append(snr)
         return real_weights(strategy, snr)
 
-    def grads(model, z, t, cond, loss_grad):
+    def grads(model, z, t, cond, target, w):
         seen_t.append(t)
-        return real_grads(model, z, t, cond, loss_grad)
+        return real_grads(model, z, t, cond, target, w)
 
-    monkeypatch.setattr(trainer, "_noise_space_weights", weights)
+    monkeypatch.setattr(WeightStrategy, "noise_weight", weights)
     monkeypatch.setattr(trainer, "loss_and_gradients", grads)
     config = TrainConfig(updates=40, batch_size=256, seed=1, hidden=(8,), embed_dim=4,
-                         num_frequencies=2, strategy=WeightStrategy(WeightKind.MIN_SNR_GAMMA))
+                         num_frequencies=2, strategy=strategy_from_name("min-snr"))
     train_base(config, ToyDataset(), schedule)
     assert len(seen_snr) == len(seen_t) == 40
     for snr, t in zip(seen_snr, seen_t):
         np.testing.assert_array_equal(snr, schedule.snr(t))
+
+
+@pytest.mark.parametrize("name", ["eps-snr", "trunc-snr", "snr-plus-one"])
+def test_x_parameterization_rejects_uncapped_strategies(name):
+    # The x-space weight of these reaches snr(t_min), about 4e8, and base
+    # training diverged on seeds 1 and 3 at the default batch.
+    with pytest.raises(ValueError, match="finite cap"):
+        TrainConfig(parameterization=Parameterization.X, strategy=strategy_from_name(name))
+
+
+@pytest.mark.parametrize("name", ["trunc-snr", "snr-plus-one", "bsa"])
+def test_epsilon_parameterization_rejects_strategies_that_weight_zero_snr(name):
+    with pytest.raises(ValueError, match="w\\(0\\) = 0"):
+        TrainConfig(strategy=strategy_from_name(name))
+
+
+def eps_hat_chain(model, z_t, t, cond, eps, w, alpha, sigma):
+    """The x-parameterized loss as it was computed before: the noise the
+    latent prediction implies, eps_hat = (z_t - alpha x_hat) / sigma, against
+    eps under the noise-space weight, chained back to the output."""
+    out, backward = model.forward_backward(z_t, t, cond)
+    inv_sigma = (1.0 / sigma)[:, None]
+    alpha_col = alpha[:, None]
+    eps_hat = (z_t - alpha_col * out) * inv_sigma
+    loss, d_eps_hat = weighted_squared_error(eps_hat, eps, w)[:2]
+    return loss, backward((-(d_eps_hat * inv_sigma)) * alpha_col)
+
+
+@pytest.mark.parametrize("name", ["min-snr", "bsa"])
+def test_x_loss_matches_the_eps_hat_chain(monkeypatch, name):
+    from snrdistill import trainer
+
+    ds = ToyDataset()
+    config = TrainConfig(updates=3, batch_size=128, seed=3, hidden=(16, 8),
+                         parameterization=Parameterization.X, strategy=strategy_from_name(name))
+    calls = []
+    real = trainer.loss_and_gradients
+
+    def capture(model, z, t, cond, target, w):
+        result = real(model, z, t, cond, target, w)
+        calls.append((model.copy_with(), z, t, cond, target, w, result))
+        return result
+
+    monkeypatch.setattr(trainer, "loss_and_gradients", capture)
+    train_base(config, ds, SCHEDULE)
+    rng = child_rng(config.seed, "train-batches")
+    for model, z_t, t, cond, target, w, (loss, grads, _, _) in calls:
+        _, z0 = draw_batch(ds, config.batch_size, rng)
+        assert np.array_equal(t, rng.uniform(SCHEDULE.t_min, 1.0, size=config.batch_size))
+        eps = rng.standard_normal(z0.shape)
+        assert np.array_equal(target, z0)
+        alpha, sigma = SCHEDULE.alpha_sigma(t)
+        snr = SCHEDULE.snr(t)
+        assert np.array_equal(w, config.strategy.weight(snr))
+        old_w = config.strategy.weight(snr) / np.maximum(snr, 1e-12)
+        ref_loss, ref_grads = eps_hat_chain(model, z_t, t, cond, eps, old_w, alpha, sigma)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for k, g in grads.items():
+            assert np.max(np.abs(g - ref_grads[k])) <= 1e-12 * np.max(np.abs(ref_grads[k])), k
