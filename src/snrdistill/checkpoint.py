@@ -34,11 +34,9 @@ class Checkpoint:
     embed_dim: int
     num_frequencies: int
     hidden: tuple[int, ...]
-    schedule_kind: str
     t_min: float
     params: dict[str, Array]
     provenance: dict[str, str] = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
 
 def checkpoint_from_model(model: DenoiserModel, schedule: CosineSchedule,
@@ -50,7 +48,6 @@ def checkpoint_from_model(model: DenoiserModel, schedule: CosineSchedule,
         embed_dim=model.embed_dim,
         num_frequencies=model.num_frequencies,
         hidden=model.hidden,
-        schedule_kind=schedule.kind,
         t_min=schedule.t_min,
         params={k: v.copy() for k, v in model.params.items()},
         provenance={k: str(v) for k, v in (provenance or {}).items()},
@@ -67,20 +64,18 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[DenoiserModel, CosineSchedu
         parameterization=ckpt.parameterization,
         params={k: v.copy() for k, v in ckpt.params.items()},
     )
-    if ckpt.schedule_kind != "cosine":
-        raise CheckpointFormatError(f"unknown schedule kind {ckpt.schedule_kind!r}", 0)
     return model, CosineSchedule(t_min=ckpt.t_min)
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    lines = [f"{MAGIC} v{ckpt.version}"]
+    lines = [f"{MAGIC} v{FORMAT_VERSION}"]
     lines.append(f"model.parameterization = {ckpt.parameterization.value}")
     lines.append(f"model.latent_dim = {ckpt.latent_dim}")
     lines.append(f"model.num_classes = {ckpt.num_classes}")
     lines.append(f"model.embed_dim = {ckpt.embed_dim}")
     lines.append(f"model.num_frequencies = {ckpt.num_frequencies}")
     lines.append(f"model.hidden = {','.join(str(h) for h in ckpt.hidden)}")
-    lines.append(f"schedule.kind = {ckpt.schedule_kind}")
+    lines.append("schedule.kind = cosine")
     lines.append(f"schedule.t_min = {fmt_float(ckpt.t_min)}")
     for key in sorted(ckpt.provenance):
         lines.append(f"provenance.{key} = {ckpt.provenance[key]}")
@@ -168,6 +163,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         parameterization = Parameterization(header["model.parameterization"])
     except ValueError:
         reader.fail(f"unknown parameterization {header['model.parameterization']!r}")
+    if header["schedule.kind"] != "cosine":
+        reader.fail(f"unknown schedule kind {header['schedule.kind']!r}")
     hidden = header["model.hidden"]
     try:
         ckpt = Checkpoint(
@@ -178,11 +175,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             num_frequencies=int(header["model.num_frequencies"]),
             # An empty value is a model with no hidden layer.
             hidden=tuple(int(h) for h in hidden.split(",")) if hidden else (),
-            schedule_kind=header["schedule.kind"],
             t_min=float(header["schedule.t_min"]),
             params={},
             provenance=provenance,
-            version=version,
         )
     except ValueError as exc:
         raise CheckpointFormatError(f"bad header value: {exc}", 0) from exc

@@ -16,14 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
-from .config import default_config, load_config, serialize_config, validate_config
+from .config import load_config, serialize_config, validate_config
 from .distill import progressive_distill
+from .errors import CheckpointFormatError, ConfigError
 from .experiment import (
     build_dataset,
     build_distill_config,
     build_schedule,
     build_train_config,
     evaluate_model,
+    mean_ci95,
     read_metrics,
     reference_fit,
     run_experiment,
@@ -62,8 +64,6 @@ def _cmd_train(args) -> int:
 def _cmd_distill(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.run.seeds[0] if args.seed is None else args.seed
-    if args.strategy is not None:
-        cfg.distill.strategy = args.strategy
     if args.gamma is not None:
         cfg.distill.gamma = args.gamma
     validate_config(cfg)
@@ -72,7 +72,7 @@ def _cmd_distill(args) -> int:
     teacher, schedule = model_from_checkpoint(ckpt)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dconfig = build_distill_config(cfg, cfg.distill.strategy, seed)
+    dconfig = build_distill_config(cfg, args.strategy, seed)
     _, trace = progressive_distill(teacher, dconfig, dataset, schedule,
                                    checkpoint_dir=out_dir, seed=seed)
     for r in trace.rounds:
@@ -118,16 +118,17 @@ def _cmd_eval(args) -> int:
                             seed_tags=(args.seed, "cli-eval", args.steps, rep))
         values.append(fd)
         print(f"rep {rep}: fd = {fmt_float(fd)}")
-    arr = np.asarray(values)
-    sd = arr.std(ddof=1) if arr.size > 1 else 0.0
-    ci95 = 1.96 * sd / np.sqrt(arr.size)
-    print(f"mean = {fmt_float(arr.mean())}  ci95 = {fmt_float(ci95)}  (n = {arr.size})")
+    mean, ci95 = mean_ci95(values)
+    print(f"mean = {fmt_float(mean)}  ci95 = {fmt_float(ci95)}  (n = {len(values)})")
     return 0
 
 
 def _cmd_weights_table(args) -> int:
     schedule = CosineSchedule()
-    strategies = [strategy_from_name(name, args.gamma) for name in STRATEGY_NAMES]
+    try:
+        strategies = [strategy_from_name(name, args.gamma) for name in STRATEGY_NAMES]
+    except ValueError as exc:  # the names are known, so it is gamma's
+        raise ConfigError(f"--gamma: {exc}") from None
     print("t,snr," + ",".join(STRATEGY_NAMES))
     for j in range(1, args.points + 1):
         t = j / args.points
@@ -171,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distill", help="run progressive distillation rounds")
     _add_config_arg(p)
     p.add_argument("--teacher", type=Path, required=True, help="teacher checkpoint")
-    p.add_argument("--strategy", choices=STRATEGY_NAMES, default=None)
+    p.add_argument("--strategy", choices=STRATEGY_NAMES, default="bsa",
+                   help="loss weighting of every round (default: bsa)")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", type=Path, required=True)
@@ -225,8 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. A bad config, flag or checkpoint is a usage
+    error: its message goes to stderr and the exit status is 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, CheckpointFormatError) as exc:
+        print(f"snrdistill: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ class DatasetSection:
     latent_dim: int = 2
     radius: float = 2.0
     stddev: float = 0.15
-    seed: int = 0
 
 
 @dataclass
@@ -35,7 +34,6 @@ class ModelSection:
 
 @dataclass
 class ScheduleSection:
-    kind: str = "cosine"
     t_min: float = 1e-4
 
 
@@ -59,7 +57,6 @@ class DistillSection:
     steps_per_round: int = 4000
     batch_size: int = 256
     lr: float = 1e-3
-    strategy: str = "bsa"
     gamma: float = 5.0  # also the cap of train.strategy
 
 
@@ -172,11 +169,9 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.schedule.kind != "cosine":
-        raise ConfigError(f"unknown schedule kind {cfg.schedule.kind!r}")
     if cfg.train.parameterization not in ("epsilon", "x"):
         raise ConfigError(f"unknown parameterization {cfg.train.parameterization!r}")
-    for name in (cfg.train.strategy, cfg.distill.strategy, *cfg.run.strategies):
+    for name in (cfg.train.strategy, *cfg.run.strategies):
         if name not in STRATEGY_NAMES:
             raise ConfigError(f"unknown weight strategy {name!r}; choose from {STRATEGY_NAMES}")
     try:

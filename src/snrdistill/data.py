@@ -21,7 +21,6 @@ class ToyDataset:
     latent_dim: int = 2
     radius: float = 2.0
     stddev: float = 0.15
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_classes < 1:

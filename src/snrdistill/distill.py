@@ -110,32 +110,32 @@ class DistillTrace:
     rounds: list[RoundRecord] = field(default_factory=list)
 
 
-@dataclass
 class TeacherTargetCache:
     """Round-1 targets z0_tilde by update, for one teacher, grid, seed and batch.
 
-    The first round that uses the cache appends the targets of each
-    look-ahead chunk it computes, so after a plateau stop in mid-chunk the
-    cache also holds the rest of that chunk. A later round reads the cached
-    updates back and extends the list if it runs longer.
+    The first round that uses the cache records its (teacher, n_steps, seed,
+    batch_size) as `key`, and `check` rejects any later round that differs.
+    That round appends the targets of each look-ahead chunk it computes, so
+    after a plateau stop in mid-chunk the cache also holds the rest of that
+    chunk. A later round reads the cached updates back and extends the list
+    if it runs longer.
     The teacher is recorded by identity and must not change in place while
     the cache is in use; the dataset and schedule must stay the same too.
     """
 
-    teacher: object
-    n_steps: int
-    seed: int
-    batch_size: int
-    z0_tilde: list[Array] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.key: tuple | None = None
+        self.z0_tilde: list[Array] = []
 
     def check(self, teacher, n_steps: int, seed: int, batch_size: int) -> None:
-        if (teacher is not self.teacher or n_steps != self.n_steps
-                or seed != self.seed or batch_size != self.batch_size):
+        if self.key is None:
+            self.key = (teacher, n_steps, seed, batch_size)
+        held_teacher, *held = self.key
+        if teacher is not held_teacher or [n_steps, seed, batch_size] != held:
             raise ValueError(
-                f"target cache holds (n_steps, seed, batch_size) = "
-                f"({self.n_steps}, {self.seed}, {self.batch_size}), got "
+                f"target cache holds (n_steps, seed, batch_size) = {tuple(held)}, got "
                 f"({n_steps}, {seed}, {batch_size})"
-                + ("" if teacher is self.teacher else " and another teacher")
+                + ("" if teacher is held_teacher else " and another teacher")
             )
 
 
@@ -150,7 +150,6 @@ class RoundResult:
     final_loss: float
     updates_run: int
     losses: Array
-    sample_log: list[dict] | None = None
 
 
 def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule,
@@ -205,7 +204,7 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
 def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
                    schedule: CosineSchedule, rng: np.random.Generator,
                    targets: TeacherTargetCache | None):
-    """Yields (z_t, t, cond, z0_tilde, snr, w) for each update of a round.
+    """Yields (z_t, t, cond, z0_tilde, w) for each update of a round.
 
     The updates are drawn in chunks of max(1, LOOKAHEAD_ROWS // batch_size),
     with the same rng calls in the same order as one at a time. A chunk's
@@ -227,8 +226,7 @@ def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDat
         t = i / n_steps
         alpha, sigma = schedule.alpha_sigma(t)
         z_t = alpha[:, None] * z0 + sigma[:, None] * eps
-        snr = schedule.snr(t)
-        w = config.strategy.weight(snr)
+        w = config.strategy.weight(schedule.snr(t))
 
         # The cache always covers a prefix of the round that reaches `first`.
         z0_tilde = [] if targets is None else targets.z0_tilde[first: first + count]
@@ -242,12 +240,11 @@ def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDat
             z0_tilde += fresh
         for j, target in enumerate(z0_tilde):
             rows = slice(j * batch, (j + 1) * batch)
-            yield z_t[rows], t[rows], cond[rows], target, snr[rows], w[rows]
+            yield z_t[rows], t[rows], cond[rows], target, w[rows]
 
 
 def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
                   schedule: CosineSchedule, seed: int | None = None,
-                  collect_log: bool = False,
                   targets: TeacherTargetCache | None = None) -> RoundResult:
     """Train one student against two-step teacher targets at grid size 1/N.
 
@@ -281,30 +278,16 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
     state = AdamState.fresh(student.params, lr=config.lr)
 
     losses: list[float] = []
-    sample_log: list[dict] | None = [] if collect_log else None
     prev_window: float | None = None
 
     batches = _round_batches(teacher, config, n_steps, dataset, schedule, rng, targets)
-    for update, (z_t, t, cond, z0_tilde, snr, w) in enumerate(batches):
-        loss, grads, sq_err, weighted = loss_and_gradients(student, z_t, t, cond, z0_tilde, w)
+    for update, (z_t, t, cond, z0_tilde, w) in enumerate(batches):
+        loss, grads, _, weighted = loss_and_gradients(student, z_t, t, cond, z0_tilde, w)
         if not np.isfinite(loss):
             bad = int(np.argmax(~np.isfinite(weighted)))
             raise DistillationDivergedError(t=float(t[bad]), weight=float(w[bad]), loss=loss)
         student.params, state = adam_step(student.params, grads, state)
         losses.append(loss)
-
-        if sample_log is not None:
-            sample_log.append({
-                "t": t,
-                "snr": snr,
-                "weight": w,
-                "sq_err": sq_err,
-                "weighted": weighted,
-                "z_t": z_t,
-                "target": z0_tilde,
-                "cond": cond,
-                "loss": loss,
-            })
 
         if (update + 1) % config.plateau_window == 0:
             window = float(np.mean(losses[-config.plateau_window:]))
@@ -319,7 +302,6 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
         final_loss=losses[-1] if losses else float("nan"),
         updates_run=len(losses),
         losses=np.asarray(losses),
-        sample_log=sample_log,
     )
 
 
@@ -333,7 +315,8 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
     half-steps have spacing 1/(that grid). After each round the student is
     promoted to teacher. When `checkpoint_dir` is given, each round's
     student is saved as round_<k>.ckpt and referenced in the trace.
-    `targets`, a cache for `teacher`, serves round 1 only.
+    `targets`, a cache that is empty or keyed by this run's round 1, serves
+    round 1 only.
     """
     from .checkpoint import checkpoint_from_model, save_checkpoint
 

@@ -23,7 +23,7 @@ import numpy as np
 from .checkpoint import checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
 from .config import RunConfig, serialize_config
 from .data import ToyDataset, reference_population
-from .distill import DistillConfig, TeacherTargetCache, progressive_distill, round_seed
+from .distill import DistillConfig, TeacherTargetCache, progressive_distill
 from .frechet import MomentFit, fit_moments, frechet_distance
 from .nnet import DenoiserModel, Parameterization
 from .sampler import SamplerConfig, SamplerKind, sample
@@ -51,7 +51,7 @@ def build_dataset(cfg: RunConfig) -> ToyDataset:
     d = cfg.dataset
     return ToyDataset(
         num_classes=d.num_classes, latent_dim=d.latent_dim,
-        radius=d.radius, stddev=d.stddev, seed=d.seed,
+        radius=d.radius, stddev=d.stddev,
     )
 
 
@@ -81,7 +81,9 @@ def build_distill_config(cfg: RunConfig, strategy_name: str, seed: int) -> Disti
 
 
 def reference_fit(cfg: RunConfig, dataset: ToyDataset) -> MomentFit:
-    rng = child_rng(cfg.eval.seed, "reference", dataset.seed)
+    # The last tag is a fixed 0: another value would redraw every reference
+    # population, and with it every FD.
+    rng = child_rng(cfg.eval.seed, "reference", 0)
     return fit_moments(reference_population(dataset, cfg.eval.reference_samples, rng))
 
 
@@ -122,9 +124,11 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
     so round 1 draws the same batches for each and the teacher's targets
     for them do not depend on the weighting, which enters only the loss.
     Those targets are computed once per seed, by the first strategy, and
-    read by the rest from a `TeacherTargetCache`. It holds z0_tilde alone,
-    steps_per_round x distill.batch_size x latent_dim doubles (16 MB at the
-    defaults), and is dropped when the seed's strategies are done.
+    read by the rest from a `TeacherTargetCache`, which starts empty and
+    takes its key from the round 1 that `progressive_distill` runs. It holds
+    z0_tilde alone, steps_per_round x distill.batch_size x latent_dim
+    doubles (16 MB at the defaults), and is dropped when the seed's
+    strategies are done.
     """
     out = Path(output_dir if output_dir is not None else cfg.run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -158,10 +162,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
                 _eval_repetitions(teacher, schedule, dataset, ref, cfg, seed,
                                   BASELINE_NAME, steps, rows, metrics_file)
 
-            targets = TeacherTargetCache(
-                teacher, n_steps=cfg.distill.n_start >> 1, seed=round_seed(seed, 1),
-                batch_size=cfg.distill.batch_size,
-            )
+            targets = TeacherTargetCache()
             for strategy in cfg.run.strategies:
                 strat_dir = seed_dir / strategy
                 strat_dir.mkdir(exist_ok=True)
@@ -202,19 +203,19 @@ def _write_trace(path: Path, trace) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def mean_ci95(values) -> tuple[float, float]:
+    """The mean and its normal-approximation 95% half-width, 1.96 * sd / sqrt(n)."""
+    arr = np.asarray(values)
+    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    return float(arr.mean()), float(1.96 * sd / np.sqrt(arr.size))
+
+
 def aggregate(rows: list[MetricRow]) -> dict[tuple[str, int], tuple[float, float, int]]:
     """(strategy, steps) -> (mean, ci95, n) over every seed and repetition."""
     cells: dict[tuple[str, int], list[float]] = {}
     for row in rows:
         cells.setdefault((row.strategy, row.steps), []).append(row.fd)
-    out = {}
-    for key, values in cells.items():
-        arr = np.asarray(values)
-        mean = float(arr.mean())
-        sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        ci95 = 1.96 * sd / np.sqrt(arr.size)
-        out[key] = (mean, float(ci95), int(arr.size))
-    return out
+    return {key: (*mean_ci95(values), len(values)) for key, values in cells.items()}
 
 
 def write_results(rows: list[MetricRow], path: str | Path, cfg: RunConfig) -> None:

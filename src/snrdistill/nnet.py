@@ -105,6 +105,10 @@ FORWARD_BLOCK_ROWS = 256
 # widths a multiple of the 8-double vector, inputs within one 384-deep panel.
 _EXACT_WIDTH_MULTIPLE = 8
 _EXACT_MAX_INPUTS = 384
+# Adam's moment decays and denominator guard, the same for every optimizer.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def expit(a: Array, out: Array | None = None) -> Array:
@@ -493,7 +497,7 @@ def loss_and_gradients(model, z, t, cond, target, w
 
 @dataclass
 class AdamState:
-    """Flat first/second moment accumulators plus hyperparameters.
+    """Flat first/second moment accumulators, step count and learning rate.
 
     `m` and `v` hold every parameter's moments end to end. The state also
     keeps the flat parameter buffer that `adam_step` updates in place, its
@@ -504,9 +508,6 @@ class AdamState:
     m: Array
     v: Array
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr: float = 1e-3
     _views: dict[str, Array] | None = field(default=None, init=False, repr=False)
     _flat: Array | None = field(default=None, init=False, repr=False)
@@ -551,19 +552,19 @@ def adam_step(
     np.concatenate([grads[k].reshape(-1) for k in views], out=g)
 
     t = state.step + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     m, v = state.m, state.v
-    m *= state.beta1
-    np.multiply(g, 1.0 - state.beta1, out=a)
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=a)
     m += a
-    v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=a)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=a)
     a *= g
     v += a
     np.divide(v, bc2, out=a)
     np.sqrt(a, out=a)
-    a += state.eps
+    a += ADAM_EPS
     np.divide(m, bc1, out=b)
     b *= state.lr
     b /= a

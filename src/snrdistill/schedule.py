@@ -38,8 +38,6 @@ class CosineSchedule:
 
     t_min: float = 1e-4
 
-    kind = "cosine"
-
     def alpha_sigma(self, t):
         """(alpha_t, sigma_t); accepts a scalar or an array of times."""
         scalar = np.ndim(t) == 0

@@ -8,6 +8,7 @@ from snrdistill.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
+from snrdistill.cli import main
 from snrdistill.errors import CheckpointFormatError
 from snrdistill.nnet import DenoiserModel, Parameterization
 from snrdistill.schedule import CosineSchedule
@@ -144,3 +145,26 @@ def test_duplicate_and_unknown_params_rejected(tmp_path):
         path.write_text("\n".join(lines[:b0] + block + lines[b0:]) + "\n")
         with pytest.raises(CheckpointFormatError, match=name):
             load_checkpoint(path)
+
+
+def test_schedule_kind_is_written_and_only_cosine_loads(tmp_path):
+    path = tmp_path / "model.ckpt"
+    lines = _save_lines(path, make_model(7))
+    assert lines[0] == "snrdistill checkpoint v1"
+    assert "schedule.kind = cosine" in lines
+    lines[lines.index("schedule.kind = cosine")] = "schedule.kind = linear"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointFormatError, match="unknown schedule kind 'linear'"):
+        load_checkpoint(path)
+
+
+def test_sample_reports_a_damaged_checkpoint_as_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, checkpoint_from_model(make_model(8), CosineSchedule()))
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+    assert main(["sample", "--checkpoint", str(path), "--steps", "4", "--num", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("snrdistill: error: ")
+    assert "byte offset" in captured.err

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from snrdistill.cli import main
+from snrdistill.cli import build_parser, main
 from snrdistill.config import (
     default_config,
     load_config,
@@ -24,7 +26,7 @@ def test_defaults_parse_and_serialize_as_fixed_point():
 def test_every_field_appears_in_serialized_defaults():
     text = serialize_config(default_config())
     for key in ("dataset.num_classes", "model.hidden", "schedule.t_min",
-                "train.updates", "distill.strategy", "distill.gamma",
+                "train.updates", "train.strategy", "distill.gamma",
                 "eval.repetitions", "run.seeds", "run.output_dir"):
         assert any(line.startswith(key + " = ") for line in text.splitlines()), key
 
@@ -33,7 +35,7 @@ def test_overrides_and_comments():
     cfg = parse_config(
         """
         # comment line
-        distill.strategy = min-snr
+        train.strategy = min-snr
         distill.gamma = 7.5
         run.seeds = 5,6
         model.hidden = 32,16
@@ -41,7 +43,7 @@ def test_overrides_and_comments():
         train.updates = 10
         """
     )
-    assert cfg.distill.strategy == "min-snr"
+    assert cfg.train.strategy == "min-snr"
     assert cfg.distill.gamma == 7.5
     assert cfg.run.seeds == (5, 6)
     assert cfg.model.hidden == (32, 16)
@@ -65,7 +67,9 @@ def test_bad_values_rejected():
     with pytest.raises(ConfigError):
         parse_config("distill.gamma = spicy")
     with pytest.raises(ConfigError):
-        parse_config("distill.strategy = nope")
+        parse_config("train.strategy = nope")
+    with pytest.raises(ConfigError):
+        parse_config("run.strategies = bsa,nope")
     with pytest.raises(ConfigError):
         parse_config("train.parameterization = sideways")
     with pytest.raises(ConfigError):
@@ -103,18 +107,44 @@ def test_x_training_accepts_capped_strategies(strategy):
 
 
 @pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
-def test_bad_gamma_is_a_config_error(gamma, tmp_path):
+def test_bad_gamma_is_a_config_error(gamma, tmp_path, capsys):
     with pytest.raises(ConfigError, match="distill.gamma"):
         parse_config(f"distill.gamma = {gamma}")
-    with pytest.raises(ConfigError, match="distill.gamma"):
-        main(["distill", "--teacher", str(tmp_path / "none.ckpt"), "--gamma", gamma,
-              "--out-dir", str(tmp_path / "out")])
+    # A usage error: one line on stderr, exit status 2, nothing written.
+    assert main(["distill", "--teacher", str(tmp_path / "none.ckpt"), "--gamma", gamma,
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("snrdistill: error: distill.gamma: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_weights_table_reports_a_bad_gamma_as_a_usage_error(capsys):
+    assert main(["weights-table", "--gamma", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "snrdistill: error: --gamma: gamma must be a positive real, got 0.0\n")
+
+
+def test_cli_reports_a_bad_config_file_as_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("distill.strategy = bsa\n")
+    assert main(["print-config", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "snrdistill: error: line 1: unknown key 'distill.strategy'\n")
+
+
+def test_distill_strategy_defaults_to_bsa():
+    args = build_parser().parse_args(["distill", "--teacher", "t.ckpt", "--out-dir", "d"])
+    assert args.strategy == "bsa"
 
 
 def test_default_sections_build_the_default_configs():
     cfg = default_config()
     assert build_train_config(cfg, 0) == TrainConfig(seed=0)
-    assert build_distill_config(cfg, cfg.distill.strategy, 0) == DistillConfig(seed=0)
+    assert build_distill_config(cfg, "bsa", 0) == DistillConfig(seed=0)
 
 
 @pytest.mark.parametrize("strategy", ["eps-snr", "min-snr"])
@@ -152,6 +182,27 @@ def test_removed_discrete_schedule_keys_are_rejected(key, capsys):
     printed = capsys.readouterr().out
     assert "schedule.t_min = " in printed
     assert key not in printed
+
+
+@pytest.mark.parametrize("key, value", [
+    ("schedule.kind", "cosine"),  # cosine is the only schedule
+    ("dataset.seed", "0"),        # the dataset draws nothing with it
+    ("distill.strategy", "bsa"),  # runs name theirs in run.strategies or --strategy
+])
+def test_keys_that_set_nothing_are_unknown(key, value, capsys):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"{key} = {value}")
+    assert main(["print-config"]) == 0
+    printed = capsys.readouterr().out
+    assert key not in printed
+    assert len([line for line in printed.splitlines() if " = " in line]) == 26
+
+
+def test_benchmark_experiment_config_parses():
+    path = Path(__file__).resolve().parents[1] / "bench" / "experiment.cfg"
+    cfg = load_config(path)
+    assert cfg.run.strategies == ("trunc-snr", "min-snr", "bsa")
+    assert cfg.run.seeds == (1,)
 
 
 def test_load_config_none_gives_defaults():

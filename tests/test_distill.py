@@ -215,12 +215,16 @@ def test_affine_round_matches_normal_equations():
         strategy=strategy_from_name("bsa"),
         plateau_window=10**9,  # run the full budget
     )
-    result = distill_round(teacher, config, 4, _OneDimDataset(), SCHEDULE,
-                           seed=5, collect_log=True)
+    result = distill_round(teacher, config, 4, _OneDimDataset(), SCHEDULE, seed=5)
+    assert result.updates_run == config.steps_per_round
 
-    z = np.concatenate([rec["z_t"][:, 0] for rec in result.sample_log])
-    target = np.concatenate([rec["target"][:, 0] for rec in result.sample_log])
-    w = np.concatenate([rec["weight"] for rec in result.sample_log])
+    # The round's (z_t, target, weight) draws, replayed from its rng.
+    batches = list(distill._round_batches(teacher, config, 4, _OneDimDataset(), SCHEDULE,
+                                          child_rng(5, "distill-round", 4), None))
+    assert len(batches) == config.steps_per_round
+    z = np.concatenate([z_t[:, 0] for z_t, _, _, _, _ in batches])
+    target = np.concatenate([z0_tilde[:, 0] for _, _, _, z0_tilde, _ in batches])
+    w = np.concatenate([w for _, _, _, _, w in batches])
     a_star, b_star = weighted_least_squares(z, target, w)
 
     a_hat = result.student.params["a"][0]
@@ -238,18 +242,28 @@ class _OneDimDataset:
     latent_dim = 1
     centers = np.array([[1.0], [-1.0]])
     stddev = 0.3
-    seed = 0
 
 
-def test_log_records_apply_weights_bit_for_bit():
+def test_log_records_apply_weights_bit_for_bit(monkeypatch):
+    # Every update's loss weighs its rows by the strategy's weight of the
+    # schedule's snr at their grid times.
+    calls = []
+    real = distill.loss_and_gradients
+
+    def capturing(model, z, t, cond, target, w):
+        out = real(model, z, t, cond, target, w)
+        calls.append((t, w, out))
+        return out
+
+    monkeypatch.setattr(distill, "loss_and_gradients", capturing)
     teacher = random_teacher(7)
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=5, batch_size=16)
-    result = distill_round(teacher, config, 4, small_dataset(), SCHEDULE,
-                           seed=2, collect_log=True)
-    assert len(result.sample_log) == 5
-    for rec in result.sample_log:
-        np.testing.assert_array_equal(rec["weighted"], rec["weight"] * rec["sq_err"])
-        assert rec["loss"] == np.mean(rec["weighted"])
+    result = distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=2)
+    assert len(calls) == 5
+    for (t, w, (loss, _, sq_err, weighted)), recorded in zip(calls, result.losses):
+        assert np.array_equal(w, config.strategy.weight(SCHEDULE.snr(t)))
+        np.testing.assert_array_equal(weighted, w * sq_err)
+        assert loss == np.mean(weighted) == recorded
 
 
 def test_round_losses_are_seed_deterministic():
@@ -340,11 +354,6 @@ def _strategy_config(name, **overrides):
     return DistillConfig(strategy=strategy_from_name(name, 5.0), **kw)
 
 
-def _first_round_cache(teacher, config, seed):
-    return TeacherTargetCache(teacher, n_steps=config.n_start >> 1,
-                              seed=round_seed(seed, 1), batch_size=config.batch_size)
-
-
 def _distill_strategies(tmp_path, tag, teacher, configs, targets):
     """Checkpoint bytes and traces of one progressive run per config."""
     out = []
@@ -358,8 +367,11 @@ def _distill_strategies(tmp_path, tag, teacher, configs, targets):
 
 
 def _assert_cache_changes_nothing(tmp_path, teacher, configs):
-    cache = _first_round_cache(teacher, configs[0], 4)
+    cache = TeacherTargetCache()
     shared = _distill_strategies(tmp_path, "shared", teacher, configs, cache)
+    # progressive_distill keys the cache by round 1's grid and seed.
+    assert cache.key[0] is teacher
+    assert cache.key[1:] == (configs[0].n_start >> 1, round_seed(4, 1), configs[0].batch_size)
     alone = _distill_strategies(tmp_path, "alone", teacher, configs, None)
     for (shared_bytes, shared_trace), (alone_bytes, alone_trace) in zip(shared, alone):
         assert len(shared_bytes) == configs[0].iterations
@@ -405,7 +417,7 @@ def test_cached_updates_skip_the_teacher(monkeypatch):
     monkeypatch.setattr(distill, "teacher_target", counting)
     teacher = random_teacher(2)
     config = _strategy_config("bsa", iterations=1)
-    cache = _first_round_cache(teacher, config, 5)
+    cache = TeacherTargetCache()
     progressive_distill(teacher, config, small_dataset(), SCHEDULE, seed=5, targets=cache)
     # The round's 6 updates fit one look-ahead chunk: one stacked call.
     assert len(calls) == 1
@@ -417,9 +429,13 @@ def test_cached_updates_skip_the_teacher(monkeypatch):
 def test_target_cache_rejects_another_teacher_seed_grid_or_batch():
     teacher = random_teacher(6)
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=2, batch_size=8)
-    cache = TeacherTargetCache(teacher, n_steps=4, seed=9, batch_size=8)
+    cache = TeacherTargetCache()
+    assert cache.key is None
     distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=9, targets=cache)
+    assert cache.key == (teacher, 4, 9, 8)
     assert len(cache.z0_tilde) == 2
+    # The same teacher, grid, seed and batch read the cache back.
+    distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=9, targets=cache)
     same_params = teacher.copy_with()
     for other_teacher, n_steps, seed, batch in [
         (same_params, 4, 9, 8),
@@ -451,7 +467,7 @@ def test_rounds_after_the_first_never_see_the_cache(monkeypatch):
     monkeypatch.setattr(distill, "distill_round", recording)
     teacher = random_teacher(3)
     config = _strategy_config("bsa")
-    cache = _first_round_cache(teacher, config, 8)
+    cache = TeacherTargetCache()
     progressive_distill(teacher, config, small_dataset(), SCHEDULE, seed=8, targets=cache)
     assert seen == [cache, None, None]
     assert len(cache.z0_tilde) == 6
@@ -570,7 +586,7 @@ def test_lookahead_cache_is_filled_read_and_extended_across_strategies(monkeypat
                for (steps, name, window, tol), _ in runs]
     references = [reference_round(teacher, config, 8, dataset, seed=23) for config in configs]
     all_targets = references[-1][2]
-    cache = TeacherTargetCache(teacher, n_steps=8, seed=23, batch_size=256)
+    cache = TeacherTargetCache()
     calls = counting_forward(monkeypatch, teacher)
     for config, reference, (_, (updates, cached, forwards)) in zip(configs, references, runs):
         before = len(calls)
