@@ -43,9 +43,15 @@ def _add_config_arg(parser: argparse.ArgumentParser) -> None:
                         help="run config file; defaults apply when omitted")
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {steps}")
+
+
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.run.seeds[0] if args.seed is None else args.seed
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg)
     schedule = build_schedule(cfg)
     result = train_base(build_train_config(cfg, seed), dataset, schedule)
@@ -83,6 +89,7 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_steps(args.steps)
     ckpt = load_checkpoint(args.checkpoint)
     model, schedule = model_from_checkpoint(ckpt)
     rng = child_rng(args.seed, "cli-sample-conditions")
@@ -105,9 +112,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_steps(args.steps)
     cfg = load_config(args.config)
     if args.repetitions is not None:
         cfg.eval.repetitions = args.repetitions
+    validate_config(cfg)
     ckpt = load_checkpoint(args.checkpoint)
     model, schedule = model_from_checkpoint(ckpt)
     dataset = build_dataset(cfg)

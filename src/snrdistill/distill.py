@@ -9,8 +9,9 @@ clean-latent regression target
 
 the unique latent prediction for which one DDIM step t -> t'' from z_t lands
 exactly on z_t''. The per-sample squared error is weighted by the configured
-SNR strategy. After a round the student becomes the next teacher and the
-step count halves.
+SNR strategy. Every round runs exactly `steps_per_round` updates, so each
+weighting gets the same budget (Salimans & Ho, arXiv:2202.00512). After a
+round the student becomes the next teacher and the step count halves.
 
 A round's draws (batch, grid time, noise) come from its seed alone, and its
 targets from the frozen teacher and those draws; only the loss depends on
@@ -20,17 +21,16 @@ and computes their targets in one teacher call over the stacked K x batch
 rows. The teacher's forward keeps each update's rows a separate slab, so
 the targets are bit-identical to K separate calls, while its hidden layers
 run on every CPU and the per-call costs (validation, time features, the
-schedule, the DDIM arithmetic) are paid once per chunk. A plateau stop in
-mid-chunk discards at most K - 1 computed targets. A trial at 8192 rows
-per chunk was no faster than 4096.
+schedule, the DDIM arithmetic) are paid once per chunk. A trial at 8192
+rows per chunk was no faster than 4096.
 
 Round 1 is also where strategies share work: every strategy distilled from
 one teacher with one seed meets the same round-1 targets, because the
 weighting only enters the loss; later rounds differ, because their teachers
-are the strategies' own students. A `TeacherTargetCache` holds those
-targets for one teacher: update u's z0_tilde, steps_per_round x batch_size
-x latent_dim doubles in all (123 KB at 30 x 256 x 2, 16 MB at the default
-4000 x 256 x 2).
+are the strategies' own students. A `TeacherTargetCache` holds one whole
+round's targets for one teacher: update u's z0_tilde, steps_per_round x
+batch_size x latent_dim doubles in all (123 KB at 30 x 256 x 2, 16 MB at
+the default 4000 x 256 x 2).
 """
 
 from __future__ import annotations
@@ -69,28 +69,26 @@ class DistillConfig:
 
     iterations: int = 3            # K: number of halvings
     n_start: int = 64              # full step count of the initial teacher
-    steps_per_round: int = 4000    # optimizer-update budget per round
+    steps_per_round: int = 4000    # optimizer updates in every round
     batch_size: int = 256
     strategy: WeightStrategy = field(default_factory=lambda: strategy_from_name("bsa"))
     lr: float = 1e-3
     seed: int = 0
-    plateau_window: int = 200      # updates per moving-average window
-    plateau_rel_tol: float = 1e-4  # relative improvement below which we stop
 
     def __post_init__(self):
         check_halvings(self.n_start, self.iterations)
 
 
 def check_halvings(n_start: int, iterations: int) -> None:
-    """Raise ValueError unless every round's student, at n_start / 2^k steps
-    for k = 1..iterations, has the even step count >= 2 `distill_round` needs."""
+    """Raise ValueError unless every round's student, at n_start / 2^k steps for
+    k = 1..iterations, has a whole step count >= 2, as 200 -> 25 in 3 has."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    unit = 2 ** (iterations + 1)
-    if n_start < unit or n_start % unit != 0:
+    unit = 2 ** iterations
+    if n_start % unit != 0 or n_start // unit < 2:
         raise ValueError(
-            f"n_start={n_start} must be a positive multiple of 2^(iterations + 1)={unit}, "
-            f"so that the last student's n_start / 2^iterations steps are even and >= 2"
+            f"n_start={n_start} must be a multiple of 2^iterations={unit}, and "
+            f"n_start / 2^iterations, the last student's steps, must be >= 2"
         )
 
 
@@ -111,14 +109,14 @@ class DistillTrace:
 
 
 class TeacherTargetCache:
-    """Round-1 targets z0_tilde by update, for one teacher, grid, seed and batch.
+    """Round-1 targets z0_tilde by update, for one teacher, grid, seed, batch and budget.
 
-    The first round that uses the cache records its (teacher, n_steps, seed,
-    batch_size) as `key`, and `check` rejects any later round that differs.
-    That round appends the targets of each look-ahead chunk it computes, so
-    after a plateau stop in mid-chunk the cache also holds the rest of that
-    chunk. A later round reads the cached updates back and extends the list
-    if it runs longer.
+    The cache is empty or holds one whole round. A round that meets it empty
+    computes its targets and, once it has completed, stores them with its
+    (teacher, n_steps, seed, batch_size, steps_per_round) as `key`; a round
+    that raises stores nothing. A round that meets it full reads every
+    update's targets from it and never calls the teacher, and `read` rejects
+    a round whose key differs.
     The teacher is recorded by identity and must not change in place while
     the cache is in use; the dataset and schedule must stay the same too.
     """
@@ -127,16 +125,19 @@ class TeacherTargetCache:
         self.key: tuple | None = None
         self.z0_tilde: list[Array] = []
 
-    def check(self, teacher, n_steps: int, seed: int, batch_size: int) -> None:
+    def read(self, teacher, n_steps: int, seed: int, batch_size: int,
+             steps_per_round: int) -> list[Array] | None:
+        """The stored targets of the round these arguments name; None while empty."""
         if self.key is None:
-            self.key = (teacher, n_steps, seed, batch_size)
+            return None
         held_teacher, *held = self.key
-        if teacher is not held_teacher or [n_steps, seed, batch_size] != held:
+        if teacher is not held_teacher or [n_steps, seed, batch_size, steps_per_round] != held:
             raise ValueError(
-                f"target cache holds (n_steps, seed, batch_size) = {tuple(held)}, got "
-                f"({n_steps}, {seed}, {batch_size})"
+                f"target cache holds (n_steps, seed, batch_size, steps_per_round) = "
+                f"{tuple(held)}, got ({n_steps}, {seed}, {batch_size}, {steps_per_round})"
                 + ("" if teacher is held_teacher else " and another teacher")
             )
+        return self.z0_tilde
 
 
 def round_seed(root_seed: int, k: int) -> int:
@@ -203,14 +204,14 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
 
 def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
                    schedule: CosineSchedule, rng: np.random.Generator,
-                   targets: TeacherTargetCache | None):
+                   cached: list[Array] | None):
     """Yields (z_t, t, cond, z0_tilde, w) for each update of a round.
 
     The updates are drawn in chunks of max(1, LOOKAHEAD_ROWS // batch_size),
-    with the same rng calls in the same order as one at a time. A chunk's
-    uncached updates get their targets from one teacher call over their
-    stacked rows, one `batch_size`-row slab per update, and are appended to
-    `targets`.
+    with the same rng calls in the same order as one at a time. Each update
+    reads its targets from `cached`, the round's stored targets, when given;
+    otherwise a chunk's targets come from one teacher call over its stacked
+    rows, one `batch_size`-row slab per update.
     """
     batch = config.batch_size
     lookahead = max(1, LOOKAHEAD_ROWS // batch)
@@ -228,16 +229,11 @@ def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDat
         z_t = alpha[:, None] * z0 + sigma[:, None] * eps
         w = config.strategy.weight(schedule.snr(t))
 
-        # The cache always covers a prefix of the round that reaches `first`.
-        z0_tilde = [] if targets is None else targets.z0_tilde[first: first + count]
-        lo = len(z0_tilde) * batch
-        if lo < len(t):
-            fresh, _ = teacher_target(teacher, z_t[lo:], t[lo:], n_steps, cond[lo:], schedule,
-                                      slab_rows=batch)
-            fresh = [fresh[j: j + batch] for j in range(0, len(fresh), batch)]
-            if targets is not None:
-                targets.z0_tilde.extend(fresh)
-            z0_tilde += fresh
+        if cached is None:
+            fresh, _ = teacher_target(teacher, z_t, t, n_steps, cond, schedule, slab_rows=batch)
+            z0_tilde = [fresh[j: j + batch] for j in range(0, len(fresh), batch)]
+        else:
+            z0_tilde = cached[first: first + count]
         for j, target in enumerate(z0_tilde):
             rows = slice(j * batch, (j + 1) * batch)
             yield z_t[rows], t[rows], cond[rows], target, w[rows]
@@ -258,45 +254,41 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
       `forward_backward(z, t, cond) -> (out, backward)`, where
       `backward(d_out)` returns a dict of gradients mirroring `params`.
     The student starts as a bit-exact parameter copy of the teacher,
-    retagged to predict clean latents, and trains for `steps_per_round`
-    updates or until the windowed mean loss stops improving.
+    retagged to predict clean latents, and trains for exactly
+    `steps_per_round` updates.
 
     The round draws max(1, LOOKAHEAD_ROWS // batch_size) updates ahead and
     computes their targets in one teacher call (see the module docstring),
     which changes no bit: draws and targets do not depend on the student.
-    With `targets`, cached updates read their targets and the others
-    extend the cache; a plateau stop leaves the rest of its chunk's
-    targets there for the next strategy.
+    With `targets` full, every update reads its targets from it; with
+    `targets` empty, the round fills it once it has completed.
     """
-    if n_steps < 2 or n_steps % 2 != 0:
-        raise ValueError(f"student steps must be even and >= 2, got {n_steps}")
+    # At N = 1 an eps teacher would be queried at t = 0.5 for a latent at t = 1.
+    if n_steps < 2:
+        raise ValueError(f"student steps must be >= 2, got {n_steps}")
     seed = config.seed if seed is None else seed
-    if targets is not None:
-        targets.check(teacher, n_steps, seed, config.batch_size)
+    key = (teacher, n_steps, seed, config.batch_size, config.steps_per_round)
+    cached = None if targets is None else targets.read(*key)
     student = teacher.copy_with(parameterization=Parameterization.X)
     rng = child_rng(seed, "distill-round", n_steps)
     state = AdamState.fresh(student.params, lr=config.lr)
 
     losses: list[float] = []
-    prev_window: float | None = None
+    fresh: list[Array] | None = [] if targets is not None and cached is None else None
 
-    batches = _round_batches(teacher, config, n_steps, dataset, schedule, rng, targets)
-    for update, (z_t, t, cond, z0_tilde, w) in enumerate(batches):
+    batches = _round_batches(teacher, config, n_steps, dataset, schedule, rng, cached)
+    for z_t, t, cond, z0_tilde, w in batches:
         loss, grads, _, weighted = loss_and_gradients(student, z_t, t, cond, z0_tilde, w)
         if not np.isfinite(loss):
             bad = int(np.argmax(~np.isfinite(weighted)))
             raise DistillationDivergedError(t=float(t[bad]), weight=float(w[bad]), loss=loss)
         student.params, state = adam_step(student.params, grads, state)
         losses.append(loss)
+        if fresh is not None:
+            fresh.append(z0_tilde)
 
-        if (update + 1) % config.plateau_window == 0:
-            window = float(np.mean(losses[-config.plateau_window:]))
-            if prev_window is not None:
-                improvement = (prev_window - window) / max(abs(prev_window), 1e-30)
-                if improvement < config.plateau_rel_tol:
-                    break
-            prev_window = window
-
+    if fresh is not None:
+        targets.key, targets.z0_tilde = key, fresh
     return RoundResult(
         student=student,
         final_loss=losses[-1] if losses else float("nan"),
@@ -315,7 +307,7 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
     half-steps have spacing 1/(that grid). After each round the student is
     promoted to teacher. When `checkpoint_dir` is given, each round's
     student is saved as round_<k>.ckpt and referenced in the trace.
-    `targets`, a cache that is empty or keyed by this run's round 1, serves
+    `targets`, a cache that is empty or holds this run's round 1, serves
     round 1 only.
     """
     from .checkpoint import checkpoint_from_model, save_checkpoint

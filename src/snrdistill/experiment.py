@@ -120,15 +120,13 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
     Per-strategy failures are logged to errors.log and do not abort the rest
     of the run; whatever metrics were collected stay on disk.
 
-    Every strategy of a seed distills the same teacher with the same seed,
-    so round 1 draws the same batches for each and the teacher's targets
-    for them do not depend on the weighting, which enters only the loss.
-    Those targets are computed once per seed, by the first strategy, and
-    read by the rest from a `TeacherTargetCache`, which starts empty and
-    takes its key from the round 1 that `progressive_distill` runs. It holds
-    z0_tilde alone, steps_per_round x distill.batch_size x latent_dim
-    doubles (16 MB at the defaults), and is dropped when the seed's
-    strategies are done.
+    Every strategy of a seed distills the same teacher with the same seed
+    for the same `steps_per_round` updates, so round 1 draws the same
+    batches for each and the teacher's targets for them do not depend on
+    the weighting, which enters only the loss. The first strategy whose
+    round 1 completes stores them in the seed's `TeacherTargetCache`, and
+    the rest read them: steps_per_round x distill.batch_size x latent_dim
+    doubles, 16 MB at the defaults.
     """
     out = Path(output_dir if output_dir is not None else cfg.run.output_dir)
     out.mkdir(parents=True, exist_ok=True)

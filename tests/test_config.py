@@ -11,7 +11,7 @@ from snrdistill.config import (
 )
 from snrdistill.distill import DistillConfig
 from snrdistill.errors import ConfigError
-from snrdistill.experiment import build_distill_config, build_train_config
+from snrdistill.experiment import build_distill_config, build_train_config, halving_steps
 from snrdistill.trainer import TrainConfig
 
 
@@ -153,10 +153,10 @@ def test_epsilon_training_accepts_strategies_with_zero_weight_at_zero_snr(strate
     assert cfg.train.parameterization == "epsilon"
 
 
-@pytest.mark.parametrize("n_start, iterations", [(8, 3), (12, 2), (16, 4), (0, 1), (8, 0)])
+@pytest.mark.parametrize("n_start, iterations", [(8, 3), (16, 4), (0, 1), (8, 0)])
 def test_halvings_must_leave_an_even_student_of_two_or_more_steps(n_start, iterations):
-    # 8 >> 3 = 1 and 12 >> 2 = 3 would train, evaluate and distill before
-    # the last round found its odd step count.
+    # 8 >> 3 = 1 would train, evaluate and distill before the last round
+    # found its 1-step student.
     with pytest.raises(ConfigError, match="distill"):
         parse_config(f"distill.n_start = {n_start}\ndistill.iterations = {iterations}")
 
@@ -165,6 +165,15 @@ def test_halvings_must_leave_an_even_student_of_two_or_more_steps(n_start, itera
 def test_halvings_that_leave_even_students_are_accepted(n_start, iterations):
     cfg = parse_config(f"distill.n_start = {n_start}\ndistill.iterations = {iterations}")
     assert cfg.distill.n_start >> cfg.distill.iterations >= 2
+
+
+@pytest.mark.parametrize("n_start, iterations, steps", [
+    pytest.param(12, 2, [12, 6, 3], id="12-2"),
+    pytest.param(200, 3, [200, 100, 50, 25], id="200-3"),  # the paper's sequence
+])
+def test_halvings_may_leave_odd_students(n_start, iterations, steps):
+    cfg = parse_config(f"distill.n_start = {n_start}\ndistill.iterations = {iterations}")
+    assert halving_steps(cfg) == steps
 
 
 @pytest.mark.parametrize("key", ["num_samples", "reference_samples"])

@@ -213,7 +213,6 @@ def test_affine_round_matches_normal_equations():
     config = DistillConfig(
         iterations=1, n_start=8, steps_per_round=2000, batch_size=512, lr=2e-2,
         strategy=strategy_from_name("bsa"),
-        plateau_window=10**9,  # run the full budget
     )
     result = distill_round(teacher, config, 4, _OneDimDataset(), SCHEDULE, seed=5)
     assert result.updates_run == config.steps_per_round
@@ -266,6 +265,24 @@ def test_log_records_apply_weights_bit_for_bit(monkeypatch):
         assert loss == np.mean(weighted) == recorded
 
 
+def test_a_flat_loss_runs_the_whole_budget(monkeypatch):
+    # A loss that never improves still runs every one of the round's updates.
+    real = distill.loss_and_gradients
+
+    def flat(*args):
+        _, grads, sq_err, weighted = real(*args)
+        return 0.5, grads, sq_err, weighted
+
+    monkeypatch.setattr(distill, "loss_and_gradients", flat)
+    teacher = AffineModel(0.3, -0.2)
+    config = DistillConfig(iterations=1, n_start=8, steps_per_round=600, batch_size=8, lr=0.0)
+    result = distill_round(teacher, config, 4, _OneDimDataset(), SCHEDULE, seed=6)
+    assert result.updates_run == len(result.losses) == 600
+    assert np.all(result.losses == 0.5)
+    for k in teacher.params:
+        np.testing.assert_array_equal(result.student.params[k], teacher.params[k])
+
+
 def test_round_losses_are_seed_deterministic():
     teacher = random_teacher(9)
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=20, batch_size=16)
@@ -289,7 +306,7 @@ def test_non_finite_loss_aborts_with_diagnostics():
 def test_round_step_count_validation():
     teacher = random_teacher(0)
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=0)
-    for bad in (1, 3, 0):
+    for bad in (1, 0, -2):
         with pytest.raises(ValueError):
             distill_round(teacher, config, bad, small_dataset(), SCHEDULE)
 
@@ -299,12 +316,13 @@ def test_config_requires_divisible_n_start():
         DistillConfig(iterations=3, n_start=100)  # 100 % 8 != 0
     with pytest.raises(ValueError):
         DistillConfig(iterations=0)
-    # the last student, at n_start >> iterations steps, must be even and >= 2
-    with pytest.raises(ValueError, match="even"):
+    # the last student, at n_start >> iterations steps, must have >= 2 steps
+    with pytest.raises(ValueError, match=">= 2"):
         DistillConfig(iterations=3, n_start=8)
-    with pytest.raises(ValueError, match="even"):
-        DistillConfig(iterations=2, n_start=12)
     assert DistillConfig(iterations=2, n_start=8).n_start == 8
+    # but it may have an odd number of them: 12 -> 6 -> 3, 200 -> 100 -> 50 -> 25
+    assert DistillConfig(iterations=2, n_start=12).n_start == 12
+    assert DistillConfig(iterations=3, n_start=200).n_start == 200
 
 
 def test_progressive_trace_halves_steps_exactly():
@@ -329,6 +347,17 @@ def test_progressive_single_iteration_equals_one_round():
     for k in final.params:
         np.testing.assert_array_equal(final.params[k], manual.student.params[k])
     assert trace.rounds[0].final_loss == manual.final_loss
+
+
+def test_progressive_distills_to_an_odd_step_count(tmp_path):
+    from snrdistill.checkpoint import load_checkpoint
+
+    config = DistillConfig(iterations=2, n_start=12, steps_per_round=3, batch_size=8)
+    _, trace = progressive_distill(random_teacher(10), config, small_dataset(), SCHEDULE,
+                                   checkpoint_dir=tmp_path, seed=3)
+    assert [r.student_steps for r in trace.rounds] == [6, 3]
+    assert [load_checkpoint(tmp_path / f"round_{k}.ckpt").provenance["steps"]
+            for k in (1, 2)] == ["6", "3"]
 
 
 def test_progressive_writes_round_checkpoints(tmp_path):
@@ -369,21 +398,18 @@ def _distill_strategies(tmp_path, tag, teacher, configs, targets):
 def _assert_cache_changes_nothing(tmp_path, teacher, configs):
     cache = TeacherTargetCache()
     shared = _distill_strategies(tmp_path, "shared", teacher, configs, cache)
-    # progressive_distill keys the cache by round 1's grid and seed.
+    # progressive_distill keys the cache by round 1's grid, seed, batch and budget.
     assert cache.key[0] is teacher
-    assert cache.key[1:] == (configs[0].n_start >> 1, round_seed(4, 1), configs[0].batch_size)
+    assert cache.key[1:] == (configs[0].n_start >> 1, round_seed(4, 1), configs[0].batch_size,
+                             configs[0].steps_per_round)
     alone = _distill_strategies(tmp_path, "alone", teacher, configs, None)
     for (shared_bytes, shared_trace), (alone_bytes, alone_trace) in zip(shared, alone):
         assert len(shared_bytes) == configs[0].iterations
         assert shared_bytes == alone_bytes
         assert ([r.final_loss for r in shared_trace.rounds]
                 == [r.final_loss for r in alone_trace.rounds])
-    round1 = [trace.rounds[0].updates_run for _, trace in shared]
-    # Targets are computed a whole look-ahead chunk at a time.
-    k = lookahead(configs[0].batch_size)
-    covered = -(-max(round1) // k) * k
-    assert len(cache.z0_tilde) == min(covered, configs[0].steps_per_round)
-    return round1
+    assert len(cache.z0_tilde) == configs[0].steps_per_round
+    return [trace.rounds[0].updates_run for _, trace in shared]
 
 
 def test_shared_target_cache_leaves_every_round_checkpoint_bit_identical(tmp_path):
@@ -392,18 +418,32 @@ def test_shared_target_cache_leaves_every_round_checkpoint_bit_identical(tmp_pat
     assert round1 == [6, 6, 6]
 
 
-@pytest.mark.parametrize("names", [("trunc-snr", "min-snr"), ("min-snr", "trunc-snr")])
-def test_shared_target_cache_is_exact_when_strategies_stop_at_different_updates(
-        tmp_path, monkeypatch, names):
-    # With a 2-update plateau window trunc-snr stops round 1 before min-snr,
-    # and with 4-update look-ahead chunks one of them stops mid-chunk: in the
-    # first order min-snr extends the cache, in the second trunc-snr reads a
-    # prefix of it.
-    monkeypatch.setattr(distill, "LOOKAHEAD_ROWS", 4 * 8)
-    configs = [_strategy_config(name, iterations=2, steps_per_round=40, lr=1e-2,
-                                plateau_window=2) for name in names]
-    round1 = _assert_cache_changes_nothing(tmp_path, random_teacher(1), configs)
-    assert len(set(round1)) == 2
+def test_a_round_that_diverges_leaves_the_cache_empty(tmp_path, monkeypatch):
+    # trunc-snr's round 1 diverges at its 4th of 6 updates, after the teacher
+    # has computed all 6 targets. min-snr, next, must fill the cache itself
+    # and write the bytes it writes without one.
+    real = distill.loss_and_gradients
+    calls = []
+
+    def diverging(*args):
+        loss, grads, sq_err, weighted = real(*args)
+        calls.append(loss)
+        if len(calls) == 4:
+            return float("nan"), grads, sq_err, np.full_like(weighted, np.nan)
+        return loss, grads, sq_err, weighted
+
+    monkeypatch.setattr(distill, "loss_and_gradients", diverging)
+    teacher = random_teacher(1)
+    cache = TeacherTargetCache()
+    with pytest.raises(DistillationDivergedError):
+        _distill_strategies(tmp_path, "diverged", teacher, [_strategy_config("trunc-snr")], cache)
+    assert len(calls) == 4
+    assert cache.key is None and cache.z0_tilde == []
+    configs = [_strategy_config("min-snr")]
+    [(shared, _)] = _distill_strategies(tmp_path, "shared", teacher, configs, cache)
+    [(alone, _)] = _distill_strategies(tmp_path, "alone", teacher, configs, None)
+    assert shared == alone
+    assert len(cache.z0_tilde) == 6
 
 
 def test_cached_updates_skip_the_teacher(monkeypatch):
@@ -432,19 +472,20 @@ def test_target_cache_rejects_another_teacher_seed_grid_or_batch():
     cache = TeacherTargetCache()
     assert cache.key is None
     distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=9, targets=cache)
-    assert cache.key == (teacher, 4, 9, 8)
+    assert cache.key == (teacher, 4, 9, 8, 2)
     assert len(cache.z0_tilde) == 2
-    # The same teacher, grid, seed and batch read the cache back.
+    # The same teacher, grid, seed, batch and budget read the cache back.
     distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=9, targets=cache)
     same_params = teacher.copy_with()
-    for other_teacher, n_steps, seed, batch in [
-        (same_params, 4, 9, 8),
-        (random_teacher(7), 4, 9, 8),
-        (teacher, 4, 10, 8),
-        (teacher, 2, 9, 8),
-        (teacher, 4, 9, 16),
+    for other_teacher, n_steps, seed, batch, steps in [
+        (same_params, 4, 9, 8, 2),
+        (random_teacher(7), 4, 9, 8, 2),
+        (teacher, 4, 10, 8, 2),
+        (teacher, 2, 9, 8, 2),
+        (teacher, 4, 9, 16, 2),
+        (teacher, 4, 9, 8, 3),  # a longer round would read past the cache's end
     ]:
-        other = DistillConfig(iterations=1, n_start=8, steps_per_round=2, batch_size=batch)
+        other = DistillConfig(iterations=1, n_start=8, steps_per_round=steps, batch_size=batch)
         with pytest.raises(ValueError, match="target cache"):
             distill_round(other_teacher, other, n_steps, small_dataset(), SCHEDULE,
                           seed=seed, targets=cache)
@@ -483,8 +524,7 @@ def reference_round(teacher, config, n_steps, dataset, seed):
     rng = child_rng(seed, "distill-round", n_steps)
     state = AdamState.fresh(student.params, lr=config.lr)
     losses, targets = [], []
-    prev_window = None
-    for update in range(config.steps_per_round):
+    for _ in range(config.steps_per_round):
         cond, z0 = draw_batch(dataset, config.batch_size, rng)
         i = rng.integers(1, n_steps + 1, size=config.batch_size)
         t = i / n_steps
@@ -497,13 +537,6 @@ def reference_round(teacher, config, n_steps, dataset, seed):
         loss, grads, *_ = loss_and_gradients(student, z_t, t, cond, z0_tilde, w)
         student.params, state = adam_step(student.params, grads, state)
         losses.append(loss)
-        if (update + 1) % config.plateau_window == 0:
-            window = float(np.mean(losses[-config.plateau_window:]))
-            if prev_window is not None and (
-                    (prev_window - window) / max(abs(prev_window), 1e-30)
-                    < config.plateau_rel_tol):
-                break
-            prev_window = window
     return student, np.asarray(losses), targets
 
 
@@ -553,47 +586,24 @@ def test_lookahead_round_equals_the_per_update_loop(monkeypatch, batch, steps):
     assert calls == [batch] * (2 * math.ceil(steps / lookahead(batch)))
 
 
-def test_lookahead_round_stops_on_a_plateau_in_mid_chunk(monkeypatch):
-    # An infinite tolerance stops the round at the second window, update 6,
-    # 10 updates before the end of its first chunk.
-    teacher = DenoiserModel.init(seed=14, parameterization=Parameterization.X)
-    config = DistillConfig(iterations=1, n_start=16, steps_per_round=40, batch_size=256,
-                           strategy=strategy_from_name("min-snr"), plateau_window=3,
-                           plateau_rel_tol=math.inf)
-    reference = reference_round(teacher, config, 8, ToyDataset(), seed=22)
-    assert len(reference[1]) == 6 < lookahead(256)
-    calls = counting_forward(monkeypatch, teacher)
-    result = distill_round(teacher, config, 8, ToyDataset(), SCHEDULE, seed=22)
-    assert_round_matches_reference(result, reference)
-    assert len(calls) == 2
-
-
-def test_lookahead_cache_is_filled_read_and_extended_across_strategies(monkeypatch):
-    # K = 16. Strategy 1 runs 20 updates, so the cache ends 4 updates into
-    # chunk 2. Strategy 2 reads those 4, computes 12 more, and stops on a
-    # plateau at update 30, leaving updates 30 and 31 in the cache.
-    # Strategy 3 reads 32 and extends the cache to 40.
+def test_lookahead_cache_is_filled_once_then_read_across_strategies(monkeypatch):
+    # K = 16, so the first strategy's 40 updates take 3 chunks, with two
+    # teacher forwards each. The next two read all 40 targets back and never
+    # call the teacher.
     teacher = DenoiserModel.init(seed=15)
     dataset = ToyDataset()
-    runs = [  # steps, strategy, window, tol -> updates, cache length, teacher forwards
-        ((20, "trunc-snr", 10**9, 1e-4), (20, 20, 4)),
-        ((40, "min-snr", 15, math.inf), (30, 32, 2)),
-        ((40, "bsa", 10**9, 1e-4), (40, 40, 2)),
-    ]
-    configs = [DistillConfig(iterations=1, n_start=16, steps_per_round=steps, batch_size=256,
-                             strategy=strategy_from_name(name), plateau_window=window,
-                             plateau_rel_tol=tol)
-               for (steps, name, window, tol), _ in runs]
+    configs = [DistillConfig(iterations=1, n_start=16, steps_per_round=40, batch_size=256,
+                             strategy=strategy_from_name(name))
+               for name in ("trunc-snr", "min-snr", "bsa")]
     references = [reference_round(teacher, config, 8, dataset, seed=23) for config in configs]
-    all_targets = references[-1][2]
     cache = TeacherTargetCache()
     calls = counting_forward(monkeypatch, teacher)
-    for config, reference, (_, (updates, cached, forwards)) in zip(configs, references, runs):
+    for config, reference, forwards in zip(configs, references, (6, 0, 0)):
         before = len(calls)
         result = distill_round(teacher, config, 8, dataset, SCHEDULE, seed=23, targets=cache)
-        assert result.updates_run == updates
+        assert result.updates_run == 40
         assert_round_matches_reference(result, reference)
         assert len(calls) - before == forwards
-        assert len(cache.z0_tilde) == cached
-        for got, want in zip(cache.z0_tilde, all_targets[:cached], strict=True):
+        assert len(cache.z0_tilde) == 40
+        for got, want in zip(cache.z0_tilde, reference[2], strict=True):
             assert np.array_equal(got, want)

@@ -85,9 +85,10 @@ def test_cache_is_built_for_each_seed(monkeypatch, tmp_path):
     monkeypatch.setattr(experiment, "TeacherTargetCache", recording)
     cfg = parse_config(TINY + "run.seeds = 1,2\n")
     experiment.run_experiment(cfg, tmp_path)
-    # Each cache is keyed by its seed's round 1: 4 steps, the round seed, batch 16.
+    # Each cache is keyed by its seed's round 1: 4 steps, the round seed,
+    # batch 16 and 4 updates.
     assert [cache.key[1:] for cache in built] == [
-        (4, round_seed(1, 1), 16), (4, round_seed(2, 1), 16)]
+        (4, round_seed(1, 1), 16, 4), (4, round_seed(2, 1), 16, 4)]
     assert all(len(cache.z0_tilde) == 4 for cache in built)
     assert built[0].key[0] is not built[1].key[0]
     assert not (tmp_path / "errors.log").exists()
