@@ -1,15 +1,20 @@
-"""Checkpoint persistence.
+"""Checkpoint persistence: a `DenoiserModel` and its schedule on disk.
 
 Plain-text format: a version line, `key = value` header lines describing the
 schedule, architecture and training provenance, then one block per parameter
 (`param <name> <shape>` followed by hex-encoded little-endian float64 data,
 64 values per line) and a final `end` line. Hex encoding round-trips every
 bit of the parameters, and the parser reports byte offsets on any damage.
+
+Provenance is free-form `provenance.<key> = <value>` lines, read back as
+strings. A run writes four keys: `round` (0 for the base teacher, k for the
+student of halving round k), `steps` (the model's sampling step count),
+`strategy` (the loss weighting it was trained under) and `seed` (the run's
+training seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,60 +31,22 @@ VALUES_PER_LINE = 64
 Array = np.ndarray
 
 
-@dataclass
-class Checkpoint:
-    parameterization: Parameterization
-    latent_dim: int
-    num_classes: int
-    embed_dim: int
-    num_frequencies: int
-    hidden: tuple[int, ...]
-    t_min: float
-    params: dict[str, Array]
-    provenance: dict[str, str] = field(default_factory=dict)
-
-
-def checkpoint_from_model(model: DenoiserModel, schedule: CosineSchedule,
-                          provenance: dict | None = None) -> Checkpoint:
-    return Checkpoint(
-        parameterization=model.parameterization,
-        latent_dim=model.latent_dim,
-        num_classes=model.num_classes,
-        embed_dim=model.embed_dim,
-        num_frequencies=model.num_frequencies,
-        hidden=model.hidden,
-        t_min=schedule.t_min,
-        params={k: v.copy() for k, v in model.params.items()},
-        provenance={k: str(v) for k, v in (provenance or {}).items()},
-    )
-
-
-def model_from_checkpoint(ckpt: Checkpoint) -> tuple[DenoiserModel, CosineSchedule]:
-    model = DenoiserModel(
-        latent_dim=ckpt.latent_dim,
-        num_classes=ckpt.num_classes,
-        hidden=ckpt.hidden,
-        embed_dim=ckpt.embed_dim,
-        num_frequencies=ckpt.num_frequencies,
-        parameterization=ckpt.parameterization,
-        params={k: v.copy() for k, v in ckpt.params.items()},
-    )
-    return model, CosineSchedule(t_min=ckpt.t_min)
-
-
-def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+def save_checkpoint(path: str | Path, model: DenoiserModel, schedule: CosineSchedule,
+                    provenance: dict | None = None) -> None:
+    """Write `model` and `schedule`, with `provenance` keys in sorted order."""
+    provenance = provenance or {}
     lines = [f"{MAGIC} v{FORMAT_VERSION}"]
-    lines.append(f"model.parameterization = {ckpt.parameterization.value}")
-    lines.append(f"model.latent_dim = {ckpt.latent_dim}")
-    lines.append(f"model.num_classes = {ckpt.num_classes}")
-    lines.append(f"model.embed_dim = {ckpt.embed_dim}")
-    lines.append(f"model.num_frequencies = {ckpt.num_frequencies}")
-    lines.append(f"model.hidden = {','.join(str(h) for h in ckpt.hidden)}")
+    lines.append(f"model.parameterization = {model.parameterization.value}")
+    lines.append(f"model.latent_dim = {model.latent_dim}")
+    lines.append(f"model.num_classes = {model.num_classes}")
+    lines.append(f"model.embed_dim = {model.embed_dim}")
+    lines.append(f"model.num_frequencies = {model.num_frequencies}")
+    lines.append(f"model.hidden = {','.join(str(h) for h in model.hidden)}")
     lines.append("schedule.kind = cosine")
-    lines.append(f"schedule.t_min = {fmt_float(ckpt.t_min)}")
-    for key in sorted(ckpt.provenance):
-        lines.append(f"provenance.{key} = {ckpt.provenance[key]}")
-    for name, value in ckpt.params.items():
+    lines.append(f"schedule.t_min = {fmt_float(schedule.t_min)}")
+    for key in sorted(provenance):
+        lines.append(f"provenance.{key} = {provenance[key]}")
+    for name, value in model.params.items():
         shape = ",".join(str(s) for s in value.shape)
         lines.append(f"param {name} {shape}")
         flat = np.ascontiguousarray(value, dtype="<f8").reshape(-1)
@@ -125,7 +92,12 @@ def _parse_header_value(reader: _Reader, line: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
+def load_checkpoint(path: str | Path) -> tuple[DenoiserModel, CosineSchedule, dict[str, str]]:
+    """The model, schedule and provenance (values as strings) saved at `path`.
+
+    Any damage raises CheckpointFormatError with the byte offset of the line
+    at fault.
+    """
     reader = _Reader(Path(path).read_bytes())
     first = reader.next_line()
     if first is None:
@@ -167,23 +139,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         reader.fail(f"unknown schedule kind {header['schedule.kind']!r}")
     hidden = header["model.hidden"]
     try:
-        ckpt = Checkpoint(
-            parameterization=parameterization,
+        dims = dict(
             latent_dim=int(header["model.latent_dim"]),
             num_classes=int(header["model.num_classes"]),
-            embed_dim=int(header["model.embed_dim"]),
-            num_frequencies=int(header["model.num_frequencies"]),
             # An empty value is a model with no hidden layer.
             hidden=tuple(int(h) for h in hidden.split(",")) if hidden else (),
-            t_min=float(header["schedule.t_min"]),
-            params={},
-            provenance=provenance,
+            embed_dim=int(header["model.embed_dim"]),
+            num_frequencies=int(header["model.num_frequencies"]),
         )
+        schedule = CosineSchedule(t_min=float(header["schedule.t_min"]))
     except ValueError as exc:
         raise CheckpointFormatError(f"bad header value: {exc}", 0) from exc
-    expected = param_shapes(ckpt.latent_dim, ckpt.num_classes, ckpt.hidden,
-                            ckpt.embed_dim, ckpt.num_frequencies)
-    params = ckpt.params
+    expected = param_shapes(**dims)
+    params: dict[str, Array] = {}
 
     while line is not None and line.startswith("param "):
         parts = line.split()
@@ -226,4 +194,5 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     missing = [name for name in expected if name not in params]
     if missing:
         reader.fail(f"params {', '.join(missing)} implied by the header are missing")
-    return ckpt
+    model = DenoiserModel(parameterization=parameterization, params=params, **dims)
+    return model, schedule, provenance

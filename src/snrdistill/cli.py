@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint
 from .config import load_config, serialize_config, validate_config
 from .distill import progressive_distill
 from .errors import CheckpointFormatError, ConfigError
@@ -23,17 +23,16 @@ from .experiment import (
     build_dataset,
     build_distill_config,
     build_schedule,
-    build_train_config,
     evaluate_model,
     mean_ci95,
     read_metrics,
     reference_fit,
     run_experiment,
+    train_teacher,
     write_results,
 )
 from .sampler import SamplerConfig, SamplerKind, sample
 from .schedule import CosineSchedule
-from .trainer import train_base
 from .util import child_rng, fmt_float
 from .weighting import STRATEGY_NAMES, strategy_from_name
 
@@ -43,23 +42,15 @@ def _add_config_arg(parser: argparse.ArgumentParser) -> None:
                         help="run config file; defaults apply when omitted")
 
 
-def _check_steps(steps: int) -> None:
-    if steps < 1:
-        raise ConfigError(f"--steps must be >= 1, got {steps}")
+def _check_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.run.seeds[0] if args.seed is None else args.seed
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    dataset = build_dataset(cfg)
-    schedule = build_schedule(cfg)
-    result = train_base(build_train_config(cfg, seed), dataset, schedule)
-    save_checkpoint(args.out, checkpoint_from_model(
-        result.model, schedule,
-        provenance={"round": 0, "steps": cfg.distill.n_start,
-                    "strategy": cfg.train.strategy, "seed": seed},
-    ))
+    result = train_teacher(cfg, seed, build_dataset(cfg), build_schedule(cfg), args.out)
     final = result.loss_history[-1] if len(result.loss_history) else float("nan")
     print(f"trained {result.model.num_params}-parameter model "
           f"({len(result.loss_history)} updates, final loss {final:.6f})")
@@ -74,8 +65,7 @@ def _cmd_distill(args) -> int:
         cfg.distill.gamma = args.gamma
     validate_config(cfg)
     dataset = build_dataset(cfg)
-    ckpt = load_checkpoint(args.teacher)
-    teacher, schedule = model_from_checkpoint(ckpt)
+    teacher, schedule, _ = load_checkpoint(args.teacher)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dconfig = build_distill_config(cfg, args.strategy, seed)
@@ -89,9 +79,12 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _check_steps(args.steps)
-    ckpt = load_checkpoint(args.checkpoint)
-    model, schedule = model_from_checkpoint(ckpt)
+    _check_at_least("--steps", args.steps, 1)
+    _check_at_least("--num", args.num, 0)
+    model, schedule, _ = load_checkpoint(args.checkpoint)
+    if args.condition is not None and not 0 <= args.condition < model.num_classes:
+        raise ConfigError(f"--condition must lie in [0, {model.num_classes}), "
+                          f"got {args.condition}")
     rng = child_rng(args.seed, "cli-sample-conditions")
     if args.condition is None:
         conds = rng.integers(0, model.num_classes, size=args.num)
@@ -112,13 +105,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_steps(args.steps)
+    _check_at_least("--steps", args.steps, 1)
     cfg = load_config(args.config)
     if args.repetitions is not None:
         cfg.eval.repetitions = args.repetitions
     validate_config(cfg)
-    ckpt = load_checkpoint(args.checkpoint)
-    model, schedule = model_from_checkpoint(ckpt)
+    model, schedule, _ = load_checkpoint(args.checkpoint)
     dataset = build_dataset(cfg)
     ref = reference_fit(cfg, dataset)
     values = []

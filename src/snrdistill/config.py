@@ -188,6 +188,14 @@ def validate_config(cfg: RunConfig) -> None:
         check_halvings(cfg.distill.n_start, cfg.distill.iterations)
     except ValueError as exc:
         raise ConfigError(f"distill: {exc}") from None
+    # A batch of no rows has no loss, and a round of no updates returns its
+    # teacher unchanged as the student.
+    for key, value, low in (("train.batch_size", cfg.train.batch_size, 1),
+                            ("train.updates", cfg.train.updates, 0),
+                            ("distill.batch_size", cfg.distill.batch_size, 1),
+                            ("distill.steps_per_round", cfg.distill.steps_per_round, 1)):
+        if value < low:
+            raise ConfigError(f"{key} must be >= {low}, got {value}")
     if cfg.eval.repetitions < 1:
         raise ConfigError("eval.repetitions must be >= 1")
     # A Frechet moment fit needs two samples for its covariance.

@@ -100,6 +100,7 @@ class RoundRecord:
     final_loss: float
     updates_run: int
     seconds: float
+    student: DenoiserModel = field(repr=False)
     checkpoint: str | None = None
 
 
@@ -305,12 +306,13 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
 
     The teacher's effective grid in round k is n_start / 2^(k-1): its two
     half-steps have spacing 1/(that grid). After each round the student is
-    promoted to teacher. When `checkpoint_dir` is given, each round's
-    student is saved as round_<k>.ckpt and referenced in the trace.
+    promoted to teacher. Each round's record holds its student; when
+    `checkpoint_dir` is given, the student is also saved as round_<k>.ckpt
+    as its round ends, and the record names that file.
     `targets`, a cache that is empty or holds this run's round 1, serves
     round 1 only.
     """
-    from .checkpoint import checkpoint_from_model, save_checkpoint
+    from .checkpoint import save_checkpoint
 
     root_seed = config.seed if seed is None else seed
     trace = DistillTrace()
@@ -327,15 +329,12 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
         ckpt_path = None
         if checkpoint_dir is not None:
             path = Path(checkpoint_dir) / f"round_{k}.ckpt"
-            save_checkpoint(path, checkpoint_from_model(
-                result.student, schedule,
-                provenance={
-                    "round": k,
-                    "steps": student_steps,
-                    "strategy": config.strategy.name,
-                    "seed": root_seed,
-                },
-            ))
+            save_checkpoint(path, result.student, schedule, provenance={
+                "round": k,
+                "steps": student_steps,
+                "strategy": config.strategy.name,
+                "seed": root_seed,
+            })
             ckpt_path = str(path)
         trace.rounds.append(RoundRecord(
             round_index=k,
@@ -344,6 +343,7 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
             final_loss=result.final_loss,
             updates_run=result.updates_run,
             seconds=seconds,
+            student=result.student,
             checkpoint=ckpt_path,
         ))
         current = result.student

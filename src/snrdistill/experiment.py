@@ -9,6 +9,11 @@ sampling seeds and all raw numbers land in metrics.csv; results.csv holds
 the aggregated mean and 95% confidence interval per (strategy, steps) cell.
 Everything is derived from explicit seeds, so identical configs reproduce
 identical CSV bytes.
+
+Students are scored from memory, as each distillation returns them. The
+teacher and every round's student are also written as checkpoints
+(seed_<s>/teacher.ckpt, seed_<s>/<strategy>/round_<k>.ckpt) for inspection
+and resume; the run itself never reads them back.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
+from .checkpoint import save_checkpoint
 from .config import RunConfig, serialize_config
 from .data import ToyDataset, reference_population
 from .distill import DistillConfig, TeacherTargetCache, progressive_distill
@@ -28,7 +33,7 @@ from .frechet import MomentFit, fit_moments, frechet_distance
 from .nnet import DenoiserModel, Parameterization
 from .sampler import SamplerConfig, SamplerKind, sample
 from .schedule import CosineSchedule
-from .trainer import TrainConfig, train_base
+from .trainer import TrainConfig, TrainResult, train_base
 from .util import child_rng, fmt_float
 from .weighting import strategy_from_name
 
@@ -78,6 +83,18 @@ def build_distill_config(cfg: RunConfig, strategy_name: str, seed: int) -> Disti
         strategy=strategy_from_name(strategy_name, d.gamma),
         lr=d.lr, seed=seed,
     )
+
+
+def train_teacher(cfg: RunConfig, seed: int, dataset: ToyDataset, schedule: CosineSchedule,
+                  path: str | Path) -> TrainResult:
+    """Train the base teacher of `seed` and save it to `path` as round 0,
+    creating `path`'s directory first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    result = train_base(build_train_config(cfg, seed), dataset, schedule)
+    save_checkpoint(path, result.model, schedule, provenance={
+        "round": 0, "steps": cfg.distill.n_start, "strategy": cfg.train.strategy, "seed": seed,
+    })
+    return result
 
 
 def reference_fit(cfg: RunConfig, dataset: ToyDataset) -> MomentFit:
@@ -143,15 +160,9 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
         metrics_file.write(METRICS_HEADER + "\n")
         for seed in cfg.run.seeds:
             seed_dir = out / f"seed_{seed}"
-            seed_dir.mkdir(exist_ok=True)
             try:
-                result = train_base(build_train_config(cfg, seed), dataset, schedule)
-                teacher = result.model
-                save_checkpoint(seed_dir / "teacher.ckpt", checkpoint_from_model(
-                    teacher, schedule,
-                    provenance={"round": 0, "steps": cfg.distill.n_start,
-                                "strategy": cfg.train.strategy, "seed": seed},
-                ))
+                teacher = train_teacher(cfg, seed, dataset, schedule,
+                                        seed_dir / "teacher.ckpt").model
             except Exception:
                 errors.append(f"seed {seed}: train_base failed\n{traceback.format_exc()}")
                 continue
@@ -172,8 +183,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
                     )
                     _write_trace(strat_dir / "trace.csv", trace)
                     for record in trace.rounds:
-                        student, _ = model_from_checkpoint(load_checkpoint(record.checkpoint))
-                        _eval_repetitions(student, schedule, dataset, ref, cfg, seed,
+                        _eval_repetitions(record.student, schedule, dataset, ref, cfg, seed,
                                           strategy, record.student_steps, rows, metrics_file)
                 except Exception:
                     errors.append(

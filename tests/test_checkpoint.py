@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from snrdistill.checkpoint import (
-    Checkpoint,
-    checkpoint_from_model,
-    load_checkpoint,
-    model_from_checkpoint,
-    save_checkpoint,
-)
+from snrdistill.checkpoint import load_checkpoint, save_checkpoint
 from snrdistill.cli import main
 from snrdistill.errors import CheckpointFormatError
 from snrdistill.nnet import DenoiserModel, Parameterization
@@ -24,14 +18,13 @@ def test_round_trip_is_bitwise(tmp_path):
     model = make_model(1)
     schedule = CosineSchedule(t_min=2e-4)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, checkpoint_from_model(
-        model, schedule, provenance={"round": 2, "steps": 16, "strategy": "bsa", "seed": 7}))
-    ckpt = load_checkpoint(path)
-    loaded, loaded_schedule = model_from_checkpoint(ckpt)
+    save_checkpoint(path, model, schedule,
+                    provenance={"round": 2, "steps": 16, "strategy": "bsa", "seed": 7})
+    loaded, loaded_schedule, provenance = load_checkpoint(path)
     assert loaded.parameterization is Parameterization.X
     assert loaded.hidden == (5, 4)
     assert loaded_schedule.t_min == 2e-4
-    assert ckpt.provenance == {"round": "2", "steps": "16", "strategy": "bsa", "seed": "7"}
+    assert provenance == {"round": "2", "steps": "16", "strategy": "bsa", "seed": "7"}
     for k, v in model.params.items():
         np.testing.assert_array_equal(loaded.params[k], v)
 
@@ -39,9 +32,9 @@ def test_round_trip_is_bitwise(tmp_path):
 def test_model_without_hidden_layer_round_trips(tmp_path):
     model = DenoiserModel.init(hidden=(), seed=3)
     path = tmp_path / "linear.ckpt"
-    save_checkpoint(path, checkpoint_from_model(model, CosineSchedule()))
+    save_checkpoint(path, model, CosineSchedule())
     assert b"model.hidden = \n" in path.read_bytes()
-    loaded, _ = model_from_checkpoint(load_checkpoint(path))
+    loaded, _, _ = load_checkpoint(path)
     assert loaded.hidden == ()
     assert loaded.params.keys() == model.params.keys()
     for k, v in model.params.items():
@@ -53,15 +46,16 @@ def test_double_round_trip_is_identical_bytes(tmp_path):
     schedule = CosineSchedule()
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
-    save_checkpoint(p1, checkpoint_from_model(model, schedule))
-    save_checkpoint(p2, checkpoint_from_model(model_from_checkpoint(load_checkpoint(p1))[0], schedule))
+    save_checkpoint(p1, model, schedule, provenance={"round": 1, "seed": 3})
+    loaded, loaded_schedule, provenance = load_checkpoint(p1)
+    save_checkpoint(p2, loaded, loaded_schedule, provenance)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_truncated_file_reports_offset(tmp_path):
     model = make_model(3)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, checkpoint_from_model(model, CosineSchedule()))
+    save_checkpoint(path, model, CosineSchedule())
     blob = path.read_bytes()
     truncated = tmp_path / "broken.ckpt"
     truncated.write_bytes(blob[: len(blob) // 2])
@@ -74,7 +68,7 @@ def test_truncated_file_reports_offset(tmp_path):
 def test_corrupt_hex_reports_offset(tmp_path):
     model = make_model(4)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, checkpoint_from_model(model, CosineSchedule()))
+    save_checkpoint(path, model, CosineSchedule())
     lines = path.read_text().splitlines()
     hex_line = next(i for i, l in enumerate(lines) if l.startswith("param")) + 1
     lines[hex_line] = lines[hex_line][:-1] + "zz"
@@ -108,7 +102,7 @@ def test_missing_header_field_rejected(tmp_path):
 
 
 def _save_lines(path, model):
-    save_checkpoint(path, checkpoint_from_model(model, CosineSchedule()))
+    save_checkpoint(path, model, CosineSchedule())
     return path.read_text().splitlines()
 
 
@@ -160,7 +154,7 @@ def test_schedule_kind_is_written_and_only_cosine_loads(tmp_path):
 
 def test_sample_reports_a_damaged_checkpoint_as_a_usage_error(tmp_path, capsys):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, checkpoint_from_model(make_model(8), CosineSchedule()))
+    save_checkpoint(path, make_model(8), CosineSchedule())
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     assert main(["sample", "--checkpoint", str(path), "--steps", "4", "--num", "8"]) == 2

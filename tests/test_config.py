@@ -183,6 +183,19 @@ def test_eval_needs_two_samples_to_fit_a_covariance(key):
     assert getattr(parse_config(f"eval.{key} = 2").eval, key) == 2
 
 
+@pytest.mark.parametrize("key, low", [
+    ("train.batch_size", 1),
+    ("train.updates", 0),
+    ("distill.batch_size", 1),
+    ("distill.steps_per_round", 1),
+])
+def test_budgets_and_batches_that_cannot_run_are_rejected(key, low):
+    with pytest.raises(ConfigError, match=f"{key} must be >= {low}, got {low - 1}"):
+        parse_config(f"{key} = {low - 1}")
+    section, _, name = key.partition(".")
+    assert getattr(getattr(parse_config(f"{key} = {low}"), section), name) == low
+
+
 @pytest.mark.parametrize("key", ["schedule.n_train", "schedule.beta_start", "schedule.beta_end"])
 def test_removed_discrete_schedule_keys_are_rejected(key, capsys):
     with pytest.raises(ConfigError, match=key):

@@ -356,12 +356,12 @@ def test_progressive_distills_to_an_odd_step_count(tmp_path):
     _, trace = progressive_distill(random_teacher(10), config, small_dataset(), SCHEDULE,
                                    checkpoint_dir=tmp_path, seed=3)
     assert [r.student_steps for r in trace.rounds] == [6, 3]
-    assert [load_checkpoint(tmp_path / f"round_{k}.ckpt").provenance["steps"]
+    assert [load_checkpoint(tmp_path / f"round_{k}.ckpt")[2]["steps"]
             for k in (1, 2)] == ["6", "3"]
 
 
 def test_progressive_writes_round_checkpoints(tmp_path):
-    from snrdistill.checkpoint import load_checkpoint, model_from_checkpoint
+    from snrdistill.checkpoint import load_checkpoint
 
     teacher = random_teacher(8)
     config = DistillConfig(iterations=2, n_start=16, steps_per_round=3, batch_size=8)
@@ -369,12 +369,31 @@ def test_progressive_writes_round_checkpoints(tmp_path):
                                        checkpoint_dir=tmp_path, seed=2)
     assert (tmp_path / "round_1.ckpt").exists()
     assert (tmp_path / "round_2.ckpt").exists()
-    loaded, _ = model_from_checkpoint(load_checkpoint(trace.rounds[-1].checkpoint))
-    for k in final.params:
-        np.testing.assert_array_equal(loaded.params[k], final.params[k])
-    ckpt = load_checkpoint(trace.rounds[0].checkpoint)
-    assert ckpt.provenance["round"] == "1"
-    assert ckpt.provenance["steps"] == "8"
+    assert trace.rounds[-1].student is final
+    for record in trace.rounds:
+        loaded, _, provenance = load_checkpoint(record.checkpoint)
+        assert provenance["round"] == str(record.round_index)
+        assert provenance["steps"] == str(record.student_steps)
+        for k in record.student.params:
+            np.testing.assert_array_equal(loaded.params[k], record.student.params[k])
+
+
+def test_a_failed_round_leaves_the_earlier_round_checkpoints(tmp_path, monkeypatch):
+    real = distill.distill_round
+    calls = []
+
+    def failing_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise DistillationDivergedError(t=0.5, weight=1.0, loss=float("nan"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distill, "distill_round", failing_second)
+    config = DistillConfig(iterations=2, n_start=16, steps_per_round=3, batch_size=8)
+    with pytest.raises(DistillationDivergedError):
+        progressive_distill(random_teacher(8), config, small_dataset(), SCHEDULE,
+                            checkpoint_dir=tmp_path, seed=2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["round_1.ckpt"]
 
 
 def _strategy_config(name, **overrides):

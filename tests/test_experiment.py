@@ -1,7 +1,7 @@
 import threading
 from pathlib import Path
 
-from snrdistill import experiment, nnet
+from snrdistill import checkpoint, experiment, nnet
 from snrdistill.cli import main
 from snrdistill.config import parse_config
 from snrdistill.distill import round_seed
@@ -52,6 +52,17 @@ def test_run_experiment_twice_gives_identical_bytes(tmp_path):
     rows = experiment.read_metrics(tmp_path / "a" / "metrics.csv")
     # teacher at 8, 4 and 2 steps, each strategy at 4 and 2 steps; 2 repetitions each
     assert len(rows) == (3 + 2 * 2) * 2
+
+
+def test_students_are_scored_without_reading_a_checkpoint(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", refuse)
+    monkeypatch.setattr(experiment, "load_checkpoint", refuse, raising=False)
+    run_dir = experiment.run_experiment(parse_config(TINY), tmp_path / "run")
+    _outputs(run_dir)
+    assert len(experiment.read_metrics(run_dir / "metrics.csv")) == (3 + 2 * 2) * 2
 
 
 def test_cli_experiment_twice_gives_identical_bytes(tmp_path, capsys):
