@@ -15,6 +15,7 @@ training seed).
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -167,25 +168,22 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserModel, CosineSchedule, di
         if expected.get(name) != shape:
             reader.fail(f"param {name} has shape {shape}, but the header implies "
                         f"{expected.get(name, 'no such param')}")
-        count = int(np.prod(shape)) if shape else 1
-        values = np.empty(count, dtype=np.float64)
-        got = 0
-        while got < count:
+        raw = bytearray()
+        while len(raw) < 8 * math.prod(shape):
             data_line = reader.next_line()
             if data_line is None:
                 reader.fail(f"unexpected end of file inside param {name}")
             try:
-                raw = bytes.fromhex(data_line)
+                chunk = bytes.fromhex(data_line)
             except ValueError:
                 reader.fail(f"bad hex data in param {name}")
-            if len(raw) % 8 != 0:
+            if len(chunk) % 8 != 0:
                 reader.fail(f"hex line in param {name} is not a whole number of float64s")
-            chunk = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-            if got + chunk.size > count:
-                reader.fail(f"too many values in param {name}")
-            values[got:got + chunk.size] = chunk
-            got += chunk.size
-        params[name] = values.reshape(shape)
+            raw += chunk
+        if len(raw) > 8 * math.prod(shape):
+            reader.fail(f"too many values in param {name}")
+        # The model copies it into its own vector, in native byte order.
+        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         line = reader.next_line()
 
     if line != "end":

@@ -93,10 +93,6 @@ def default_config() -> RunConfig:
 def _parse_value(raw: str, current, key: str):
     kind = type(current)
     try:
-        if kind is bool:
-            if raw not in ("true", "false"):
-                raise ValueError(raw)
-            return raw == "true"
         if kind is int:
             return int(raw)
         if kind is float:
@@ -141,8 +137,6 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return fmt_float(value)
     if isinstance(value, tuple):

@@ -251,9 +251,9 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
       and `copy_with(parameterization)`; `forward` must return, for a
       stacked batch, the stacked outputs of one call per `slab_rows`-row
       slab;
-    - the student that `copy_with` returns: `params`, a dict of arrays, and
-      `forward_backward(z, t, cond) -> (out, backward)`, where
-      `backward(d_out)` returns a dict of gradients mirroring `params`.
+    - the student that `copy_with` returns: `flat`, its parameters as one
+      float64 vector, and `forward_backward(z, t, cond) -> (out, backward)`,
+      where `backward(d_out)` returns a flat gradient laid out like `flat`.
     The student starts as a bit-exact parameter copy of the teacher,
     retagged to predict clean latents, and trains for exactly
     `steps_per_round` updates.
@@ -272,18 +272,18 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
     cached = None if targets is None else targets.read(*key)
     student = teacher.copy_with(parameterization=Parameterization.X)
     rng = child_rng(seed, "distill-round", n_steps)
-    state = AdamState.fresh(student.params, lr=config.lr)
+    state = AdamState.fresh(student.flat, lr=config.lr)
 
     losses: list[float] = []
     fresh: list[Array] | None = [] if targets is not None and cached is None else None
 
     batches = _round_batches(teacher, config, n_steps, dataset, schedule, rng, cached)
     for z_t, t, cond, z0_tilde, w in batches:
-        loss, grads, _, weighted = loss_and_gradients(student, z_t, t, cond, z0_tilde, w)
+        loss, grad, _, weighted = loss_and_gradients(student, z_t, t, cond, z0_tilde, w)
         if not np.isfinite(loss):
             bad = int(np.argmax(~np.isfinite(weighted)))
             raise DistillationDivergedError(t=float(t[bad]), weight=float(w[bad]), loss=loss)
-        student.params, state = adam_step(student.params, grads, state)
+        adam_step(student.flat, grad, state)
         losses.append(loss)
         if fresh is not None:
             fresh.append(z0_tilde)
@@ -309,6 +309,8 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
     promoted to teacher. Each round's record holds its student; when
     `checkpoint_dir` is given, the student is also saved as round_<k>.ckpt
     as its round ends, and the record names that file.
+    An exception raised in a round carries the trace of the rounds that
+    completed before it as its `distill_trace` attribute.
     `targets`, a cache that is empty or holds this run's round 1, serves
     round 1 only.
     """
@@ -317,34 +319,38 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
     root_seed = config.seed if seed is None else seed
     trace = DistillTrace()
     current = teacher
-    for k in range(1, config.iterations + 1):
-        teacher_steps = config.n_start >> (k - 1)
-        student_steps = config.n_start >> k
-        started = time.perf_counter()
-        result = distill_round(
-            current, config, student_steps, dataset, schedule,
-            seed=round_seed(root_seed, k), targets=targets if k == 1 else None,
-        )
-        seconds = time.perf_counter() - started
-        ckpt_path = None
-        if checkpoint_dir is not None:
-            path = Path(checkpoint_dir) / f"round_{k}.ckpt"
-            save_checkpoint(path, result.student, schedule, provenance={
-                "round": k,
-                "steps": student_steps,
-                "strategy": config.strategy.name,
-                "seed": root_seed,
-            })
-            ckpt_path = str(path)
-        trace.rounds.append(RoundRecord(
-            round_index=k,
-            teacher_steps=teacher_steps,
-            student_steps=student_steps,
-            final_loss=result.final_loss,
-            updates_run=result.updates_run,
-            seconds=seconds,
-            student=result.student,
-            checkpoint=ckpt_path,
-        ))
-        current = result.student
+    try:
+        for k in range(1, config.iterations + 1):
+            teacher_steps = config.n_start >> (k - 1)
+            student_steps = config.n_start >> k
+            started = time.perf_counter()
+            result = distill_round(
+                current, config, student_steps, dataset, schedule,
+                seed=round_seed(root_seed, k), targets=targets if k == 1 else None,
+            )
+            seconds = time.perf_counter() - started
+            ckpt_path = None
+            if checkpoint_dir is not None:
+                path = Path(checkpoint_dir) / f"round_{k}.ckpt"
+                save_checkpoint(path, result.student, schedule, provenance={
+                    "round": k,
+                    "steps": student_steps,
+                    "strategy": config.strategy.name,
+                    "seed": root_seed,
+                })
+                ckpt_path = str(path)
+            trace.rounds.append(RoundRecord(
+                round_index=k,
+                teacher_steps=teacher_steps,
+                student_steps=student_steps,
+                final_loss=result.final_loss,
+                updates_run=result.updates_run,
+                seconds=seconds,
+                student=result.student,
+                checkpoint=ckpt_path,
+            ))
+            current = result.student
+    except Exception as exc:
+        exc.distill_trace = trace
+        raise
     return current, trace

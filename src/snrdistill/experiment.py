@@ -28,7 +28,7 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .config import RunConfig, serialize_config
 from .data import ToyDataset, reference_population
-from .distill import DistillConfig, TeacherTargetCache, progressive_distill
+from .distill import DistillConfig, DistillTrace, TeacherTargetCache, progressive_distill
 from .frechet import MomentFit, fit_moments, frechet_distance
 from .nnet import DenoiserModel, Parameterization
 from .sampler import SamplerConfig, SamplerKind, sample
@@ -116,13 +116,11 @@ def evaluate_model(model: DenoiserModel, schedule: CosineSchedule, dataset: ToyD
 
 
 def _eval_repetitions(model, schedule, dataset, ref, cfg, seed, strategy, steps,
-                      rows: list[MetricRow], metrics_file) -> None:
+                      metrics_file) -> None:
     for rep in range(cfg.eval.repetitions):
         fd = evaluate_model(model, schedule, dataset, ref, cfg, steps,
                             seed_tags=(seed, strategy, steps, rep))
-        row = MetricRow(seed=seed, strategy=strategy, steps=steps, rep=rep, fd=fd)
-        rows.append(row)
-        metrics_file.write(f"{row.seed},{row.strategy},{row.steps},{row.rep},{fmt_float(row.fd)}\n")
+        metrics_file.write(f"{seed},{strategy},{steps},{rep},{fmt_float(fd)}\n")
         metrics_file.flush()
 
 
@@ -135,7 +133,9 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
     """Execute the full comparison; returns the output directory.
 
     Per-strategy failures are logged to errors.log and do not abort the rest
-    of the run; whatever metrics were collected stay on disk.
+    of the run; whatever metrics were collected stay on disk, including
+    those of the rounds a strategy completed before it failed. results.csv
+    is aggregated from metrics.csv, as `snrdistill report` does.
 
     Every strategy of a seed distills the same teacher with the same seed
     for the same `steps_per_round` updates, so round 1 draws the same
@@ -154,7 +154,6 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
     ref = reference_fit(cfg, dataset)
     steps_list = halving_steps(cfg)
 
-    rows: list[MetricRow] = []
     errors: list[str] = []
     with open(out / "metrics.csv", "w", encoding="ascii", newline="\n") as metrics_file:
         metrics_file.write(METRICS_HEADER + "\n")
@@ -169,7 +168,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
 
             for steps in steps_list:
                 _eval_repetitions(teacher, schedule, dataset, ref, cfg, seed,
-                                  BASELINE_NAME, steps, rows, metrics_file)
+                                  BASELINE_NAME, steps, metrics_file)
 
             targets = TeacherTargetCache()
             for strategy in cfg.run.strategies:
@@ -181,20 +180,23 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
                         teacher, dconfig, dataset, schedule,
                         checkpoint_dir=strat_dir, seed=seed, targets=targets,
                     )
+                except Exception as exc:
+                    errors.append(f"seed {seed}, strategy {strategy}: distillation failed\n"
+                                  f"{traceback.format_exc()}")
+                    trace = getattr(exc, "distill_trace", DistillTrace())
+                try:
                     _write_trace(strat_dir / "trace.csv", trace)
                     for record in trace.rounds:
                         _eval_repetitions(record.student, schedule, dataset, ref, cfg, seed,
-                                          strategy, record.student_steps, rows, metrics_file)
+                                          strategy, record.student_steps, metrics_file)
                 except Exception:
-                    errors.append(
-                        f"seed {seed}, strategy {strategy}: distillation failed\n"
-                        f"{traceback.format_exc()}"
-                    )
+                    errors.append(f"seed {seed}, strategy {strategy}: evaluation failed\n"
+                                  f"{traceback.format_exc()}")
             del targets
 
     if errors:
         (out / "errors.log").write_text("\n".join(errors), encoding="utf-8")
-    write_results(rows, out / "results.csv", cfg)
+    write_results(read_metrics(out / "metrics.csv"), out / "results.csv", cfg)
     return out
 
 

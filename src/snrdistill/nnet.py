@@ -73,9 +73,11 @@ every reduction must not change:
 - The embedding gradient scatter-adds the input gradient's embedding
   columns with np.add.at, in row order, so repeated class ids sum in the
   order they appear.
-`adam_step` keeps each element's grouping in the same way:
+The backward writes each gradient into its view of one vector laid out
+like the model's parameter vector `flat` (`out=`; zeros, then np.add.at).
+`adam_step` updates `flat` in place and keeps each element's grouping:
 m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-p - (lr*m_hat) / (sqrt(v_hat) + eps), over one flat buffer.
+p - (lr*m_hat) / (sqrt(v_hat) + eps).
 
 numpy chooses its `exp` kernel by CPU feature when it is imported (an
 AVX512F kernel where the CPU has one), as OpenBLAS chooses its matmul
@@ -87,6 +89,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import os
 import threading
 from collections.abc import Callable
@@ -171,7 +174,11 @@ def param_shapes(latent_dim: int, num_classes: int, hidden: tuple[int, ...],
 
 @dataclass
 class DenoiserModel:
-    """Conditional denoiser: 2-hidden-layer MLP by default, SiLU activations."""
+    """Conditional denoiser: 2-hidden-layer MLP by default, SiLU activations.
+
+    Construction copies the arrays of `params`, by name, into one new
+    float64 vector `flat` and replaces them with named views of it.
+    """
 
     latent_dim: int
     num_classes: int
@@ -180,6 +187,28 @@ class DenoiserModel:
     num_frequencies: int
     parameterization: Parameterization
     params: dict[str, Array] = field(repr=False)
+    flat: Array = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = self._shapes()
+        got = {name: np.shape(value) for name, value in self.params.items()}
+        if got != shapes:  # a missing, extra or misshapen array
+            raise ValueError(f"params must have the shapes {shapes}, got {got}")
+        self.flat = np.concatenate(
+            [np.reshape(self.params[name], -1) for name in shapes], dtype=np.float64)
+        self.params = self.views(self.flat)
+
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        return param_shapes(self.latent_dim, self.num_classes, self.hidden,
+                            self.embed_dim, self.num_frequencies)
+
+    def views(self, vec: Array) -> dict[str, Array]:
+        """Named views of a parameter-sized vector, in the layout of `flat`."""
+        out, lo = {}, 0
+        for name, shape in self._shapes().items():
+            out[name] = vec[lo: lo + math.prod(shape)].reshape(shape)
+            lo += math.prod(shape)
+        return out
 
     @classmethod
     def init(
@@ -214,7 +243,7 @@ class DenoiserModel:
 
     @property
     def num_params(self) -> int:
-        return sum(v.size for v in self.params.values())
+        return self.flat.size
 
     def copy_with(self, parameterization: Parameterization | None = None) -> "DenoiserModel":
         """Deep copy; optionally retag the output parameterization."""
@@ -225,7 +254,7 @@ class DenoiserModel:
             embed_dim=self.embed_dim,
             num_frequencies=self.num_frequencies,
             parameterization=parameterization or self.parameterization,
-            params={k: v.copy() for k, v in self.params.items()},
+            params=self.params,
         )
 
     def _validate(self, z: Array, t, cond) -> tuple[Array, Array, Array]:
@@ -350,12 +379,13 @@ class DenoiserModel:
                 a *= gate
                 h = a
 
-    def forward_backward(self, z, t, cond) -> tuple[Array, Callable[[Array], dict[str, Array]]]:
+    def forward_backward(self, z, t, cond) -> tuple[Array, Callable[[Array], Array]]:
         """Training pass: the output and the function that maps dL/d(output)
         to the gradient of every parameter.
 
         One full-batch pass that keeps each layer's input and SiLU slope;
-        `backward(d_out)` returns a dict mirroring `params`. It follows the
+        `backward(d_out)` returns the gradient as one new vector laid out
+        like `flat` (read it by name through `views`). It follows the
         op-order rules of the module docstring, so the gradients are
         bit-for-bit those of the reverse-mode graph they replace, and the
         output is bit-identical to `forward`'s.
@@ -386,20 +416,21 @@ class DenoiserModel:
         k = n_hidden
         out = inputs[-1] @ params[f"w{k}"] + params[f"b{k}"]
 
-        def backward(d_out) -> dict[str, Array]:
+        def backward(d_out) -> Array:
             g = np.asarray(d_out, dtype=np.float64)
             if g.shape != out.shape:
                 raise ShapeMismatchError("d_out", 0, out.shape, g.shape)
-            grads: dict[str, Array] = {}
+            grad = np.empty_like(self.flat)
+            grads = self.views(grad)
             for k in range(n_hidden, -1, -1):
-                grads[f"w{k}"] = inputs[k].T @ g
-                grads[f"b{k}"] = g.sum(axis=0)
+                np.matmul(inputs[k].T, g, out=grads[f"w{k}"])
+                g.sum(axis=0, out=grads[f"b{k}"])
                 g = g @ params[f"w{k}"].T
                 if k:
                     g *= slopes[k - 1]
-            grads["embed"] = np.zeros_like(params["embed"])
+            grads["embed"][...] = 0.0
             np.add.at(grads["embed"], cond, g[:, embed_cols])
-            return {name: grads[name] for name in params}
+            return grad
 
         return out, backward
 
@@ -482,13 +513,12 @@ def weighted_squared_error(pred: Array, target: Array, w: Array
     return loss, d_pred, sq_err, weighted
 
 
-def loss_and_gradients(model, z, t, cond, target, w
-                       ) -> tuple[float, dict[str, Array], Array, Array]:
+def loss_and_gradients(model, z, t, cond, target, w) -> tuple[float, Array, Array, Array]:
     """The weighted squared error of the model's output against `target`
     and its gradient in every parameter.
 
-    Returns (loss, gradients, per-row squared error, per-row weighted
-    error); the gradients come back as a dict mirroring `model.params`.
+    Returns (loss, gradient, per-row squared error, per-row weighted
+    error); the gradient is one vector laid out like `model.flat`.
     """
     out, backward = model.forward_backward(z, t, cond)
     loss, d_out, sq_err, weighted = weighted_squared_error(out, target, w)
@@ -499,75 +529,44 @@ def loss_and_gradients(model, z, t, cond, target, w
 class AdamState:
     """Flat first/second moment accumulators, step count and learning rate.
 
-    `m` and `v` hold every parameter's moments end to end. The state also
-    keeps the flat parameter buffer that `adam_step` updates in place, its
-    per-name views, and scratch rows for the gradient and two temporaries,
-    so that a step allocates no parameter-sized array.
+    `m` and `v` are laid out like the parameter vector they update.
     """
 
     m: Array
     v: Array
     step: int = 0
     lr: float = 1e-3
-    _views: dict[str, Array] | None = field(default=None, init=False, repr=False)
-    _flat: Array | None = field(default=None, init=False, repr=False)
-    _work: Array | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def fresh(cls, params: dict[str, Array], lr: float = 1e-3) -> "AdamState":
-        size = sum(p.size for p in params.values())
-        return cls(m=np.zeros(size), v=np.zeros(size), lr=lr)
+    def fresh(cls, params: Array, lr: float = 1e-3) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
-def adam_step(
-    params: dict[str, Array], grads: dict[str, Array], state: AdamState
-) -> tuple[dict[str, Array], AdamState]:
-    """One bias-corrected Adam update over one flat buffer, in place.
+def adam_step(params: Array, grad: Array, state: AdamState) -> None:
+    """One bias-corrected Adam update of the vector `params`, in place.
 
-    Returns the updated params as views of the state's flat buffer, and the
-    state with its step advanced. Params that are the views the previous
-    step returned are updated in place; any other dict is first copied into
-    a new buffer, so arrays the caller owns are never written.
+    `grad`, `state.m` and `state.v` must have the shape of `params`; the
+    state's moments and step advance in place too.
     """
-    size = 0
-    for k, p in params.items():
-        if grads[k].shape != p.shape:
-            raise ShapeMismatchError(f"grad[{k}]", 0, p.shape, grads[k].shape)
-        size += p.size
-    for name, moment in (("m", state.m), ("v", state.v)):
-        if moment.shape != (size,):
-            raise ShapeMismatchError(f"adam {name}", 0, (size,), moment.shape)
-    views = state._views
-    if views is None or len(views) != len(params) or any(
-        params.get(k) is not view for k, view in views.items()
-    ):
-        state._flat = np.concatenate([p.reshape(-1) for p in params.values()])
-        state._work = np.empty((3, size))
-        views, lo = {}, 0
-        for k, p in params.items():
-            views[k] = state._flat[lo: lo + p.size].reshape(p.shape)
-            lo += p.size
-        state._views = views
-    flat, (g, a, b) = state._flat, state._work
-    np.concatenate([grads[k].reshape(-1) for k in views], out=g)
-
+    for name, arr in (("grad", grad), ("adam m", state.m), ("adam v", state.v)):
+        if arr.shape != params.shape:
+            raise ShapeMismatchError(name, 0, params.shape, arr.shape)
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     m, v = state.m, state.v
     m *= ADAM_BETA1
-    np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    a = np.multiply(grad, 1.0 - ADAM_BETA1)
     m += a
     v *= ADAM_BETA2
-    np.multiply(g, 1.0 - ADAM_BETA2, out=a)
-    a *= g
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
+    a *= grad
     v += a
     np.divide(v, bc2, out=a)
     np.sqrt(a, out=a)
     a += ADAM_EPS
-    np.divide(m, bc1, out=b)
+    b = np.divide(m, bc1)
     b *= state.lr
     b /= a
-    flat -= b
+    params -= b
     state.step = t
-    return dict(views), state

@@ -65,7 +65,7 @@ def train_base(config: TrainConfig, dataset: ToyDataset, schedule: CosineSchedul
         seed=int(child_rng(config.seed, "init").integers(0, 2**31 - 1)),
     )
     rng = child_rng(config.seed, "train-batches")
-    state = AdamState.fresh(model.params, lr=config.lr)
+    state = AdamState.fresh(model.flat, lr=config.lr)
     losses = np.zeros(config.updates)
 
     for update in range(config.updates):
@@ -80,10 +80,10 @@ def train_base(config: TrainConfig, dataset: ToyDataset, schedule: CosineSchedul
             target, w = eps, config.strategy.noise_weight(snr)
         else:
             target, w = z0, config.strategy.weight(snr)
-        loss, grads, *_ = loss_and_gradients(model, z_t, t, cond, target, w)
+        loss, grad, *_ = loss_and_gradients(model, z_t, t, cond, target, w)
         if not np.isfinite(loss) or loss > DIVERGENCE_BOUND:
             raise TrainingDivergedError(update=update, loss=loss)
-        model.params, state = adam_step(model.params, grads, state)
+        adam_step(model.flat, grad, state)
         losses[update] = loss
 
     return TrainResult(model=model, loss_history=losses)

@@ -1,7 +1,8 @@
 # Gradients of DenoiserModel's hand-written backward and of the weighted
 # squared error, one operation at a time: the broadcast bias, the matmul,
 # SiLU, the square and the weight, the input concat, the embedding gather
-# and the per-row sum.
+# and the per-row sum. The backward returns one flat gradient, read here by
+# name through the model's views.
 import numpy as np
 import pytest
 
@@ -38,7 +39,7 @@ def test_add_broadcast_bias():
     model = small_model(latent_dim=3)
     z = np.random.default_rng(0).normal(size=(5, 3))
     _, backward = model.forward_backward(z, 0.5, 0)
-    grads = backward(np.ones((5, 3)))
+    grads = model.views(backward(np.ones((5, 3))))
     np.testing.assert_array_equal(grads["b0"], np.full(3, 5.0))
 
 
@@ -51,7 +52,7 @@ def test_matmul_grads_match_finite_differences():
     t = rng.uniform(size=4)
     cond = np.array([0, 1, 2, 3])
     out, backward = model.forward_backward(z, t, cond)
-    grads = backward(2.0 * out)  # d/d(out) of sum(out^2)
+    grads = model.views(backward(2.0 * out))  # d/d(out) of sum(out^2)
 
     def loss(_):
         return np.square(model.forward(z, t, cond)).sum()
@@ -69,7 +70,7 @@ def test_silu_gradient():
     t = rng.uniform(size=5)
     cond = rng.integers(0, 4, size=5)
     out, backward = model.forward_backward(z, t, cond)
-    grads = backward(np.ones_like(out))  # d/d(out) of sum(out)
+    grads = model.views(backward(np.ones_like(out)))  # d/d(out) of sum(out)
 
     def loss(_):
         return model.forward(z, t, cond).sum()
@@ -100,7 +101,7 @@ def test_concat_routes_gradients_to_segments():
     cond = np.array([1, 0])
     d_out = np.arange(6.0).reshape(2, 3)
     _, backward = model.forward_backward(z, t, cond)
-    grads = backward(d_out)
+    grads = model.views(backward(d_out))
     segments = [z, time_features(t, 1), model.params["embed"][cond]]
     rows = np.cumsum([0] + [s.shape[1] for s in segments])
     for seg, lo, hi in zip(segments, rows[:-1], rows[1:]):
@@ -116,7 +117,7 @@ def test_take_rows_scatter_adds_repeated_indices():
     cond = np.array([1, 1, 3])
     _, backward = model.forward_backward(np.zeros((3, 1)), 0.5, cond)
     d_out = np.array([[1.0], [2.0], [-0.5]])
-    grads = backward(d_out)
+    grads = model.views(backward(d_out))
     w_embed = model.params["w0"][-2:, 0]
     expected = np.zeros((4, 2))
     expected[1] = 3.0 * w_embed

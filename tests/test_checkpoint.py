@@ -78,6 +78,22 @@ def test_corrupt_hex_reports_offset(tmp_path):
         load_checkpoint(broken)
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda line: line + "00" * 8, "too many values in param b0"),
+    (lambda line: line[:-2], "hex line in param b0 is not a whole number of float64s"),
+])
+def test_a_bad_value_count_reports_the_offset_of_its_line(tmp_path, damage, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_model(5), CosineSchedule())
+    lines = path.read_text().splitlines(keepends=True)
+    at = lines.index("param b0 5\n") + 1  # b0's 5 values fit one hex line
+    lines[at] = damage(lines[at].rstrip("\n")) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(CheckpointFormatError, match=message) as err:
+        load_checkpoint(path)
+    assert err.value.offset == len("".join(lines[:at]))
+
+
 def test_version_mismatch_is_explicit(tmp_path):
     path = tmp_path / "v9.ckpt"
     path.write_text("snrdistill checkpoint v9\nend\n")

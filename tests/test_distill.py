@@ -38,13 +38,12 @@ class AffineModel:
     num_classes = 8
 
     def __init__(self, a, b, parameterization=Parameterization.X):
-        self.params = {"a": np.array([float(a)]), "b": np.array([float(b)])}
+        self.flat = np.array([a, b], dtype=np.float64)
+        self.params = {"a": self.flat[0:1], "b": self.flat[1:2]}
         self.parameterization = parameterization
 
     def copy_with(self, parameterization=None):
-        out = AffineModel(self.params["a"][0], self.params["b"][0],
-                          parameterization or self.parameterization)
-        return out
+        return AffineModel(*self.flat, parameterization or self.parameterization)
 
     def forward(self, z, t, cond, slab_rows=None):
         z = np.asarray(z, dtype=np.float64)
@@ -55,7 +54,7 @@ class AffineModel:
 
         def backward(d_out):
             # d(a z + b)/da = z and d/db = 1, summed over every element
-            return {"a": np.array([(d_out * z).sum()]), "b": np.array([d_out.sum()])}
+            return np.array([(d_out * z).sum(), d_out.sum()])
 
         return self.forward(z, t, cond), backward
 
@@ -541,7 +540,7 @@ def reference_round(teacher, config, n_steps, dataset, seed):
     """
     student = teacher.copy_with(parameterization=Parameterization.X)
     rng = child_rng(seed, "distill-round", n_steps)
-    state = AdamState.fresh(student.params, lr=config.lr)
+    state = AdamState.fresh(student.flat, lr=config.lr)
     losses, targets = [], []
     for _ in range(config.steps_per_round):
         cond, z0 = draw_batch(dataset, config.batch_size, rng)
@@ -553,8 +552,8 @@ def reference_round(teacher, config, n_steps, dataset, seed):
         z0_tilde, _ = teacher_target(teacher, z_t, t, n_steps, cond, SCHEDULE)
         targets.append(z0_tilde)
         w = config.strategy.weight(SCHEDULE.snr(t))
-        loss, grads, *_ = loss_and_gradients(student, z_t, t, cond, z0_tilde, w)
-        student.params, state = adam_step(student.params, grads, state)
+        loss, grad, *_ = loss_and_gradients(student, z_t, t, cond, z0_tilde, w)
+        adam_step(student.flat, grad, state)
         losses.append(loss)
     return student, np.asarray(losses), targets
 

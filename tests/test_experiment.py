@@ -1,10 +1,11 @@
 import threading
 from pathlib import Path
 
-from snrdistill import checkpoint, experiment, nnet
+from snrdistill import checkpoint, distill, experiment, nnet
 from snrdistill.cli import main
 from snrdistill.config import parse_config
 from snrdistill.distill import round_seed
+from snrdistill.errors import DistillationDivergedError
 
 TINY = """\
 model.hidden = 16,16
@@ -149,3 +150,34 @@ def test_model_without_hidden_layer_runs_every_strategy(tmp_path):
     assert not (run_dir / "errors.log").exists()
     rows = experiment.read_metrics(run_dir / "metrics.csv")
     assert len(rows) == (3 + 2 * 2) * 2
+
+
+def test_rounds_completed_before_a_failing_round_are_scored_and_traced(tmp_path, monkeypatch):
+    real = distill.distill_round
+
+    def failing_last(teacher, config, n_steps, *args, **kwargs):
+        if n_steps == 2:
+            raise DistillationDivergedError(t=0.5, weight=1.0, loss=float("nan"))
+        return real(teacher, config, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(distill, "distill_round", failing_last)
+    run_dir = experiment.run_experiment(parse_config(TINY), tmp_path / "run")
+    errors = (run_dir / "errors.log").read_text(encoding="utf-8")
+    for strategy in ("min-snr", "bsa"):
+        assert f"seed 1, strategy {strategy}: distillation failed" in errors
+        lines = (run_dir / "seed_1" / strategy / "trace.csv").read_text(encoding="utf-8")
+        assert [line.split(",")[0] for line in lines.splitlines()[1:]] == ["1"]
+    rows = experiment.read_metrics(run_dir / "metrics.csv")
+    # The teacher at 8, 4 and 2 steps and each strategy's round-1 student at
+    # 4 steps, 2 repetitions each.
+    assert sorted({(row.strategy, row.steps) for row in rows}) == [
+        ("bsa", 4), ("min-snr", 4), ("teacher-ddim", 2), ("teacher-ddim", 4), ("teacher-ddim", 8)]
+    assert len(rows) == (3 + 2) * 2
+
+
+def test_report_on_a_runs_metrics_rewrites_its_results(tmp_path, capsys):
+    run_dir = _run_cli(tmp_path, "run")
+    out = tmp_path / "report.csv"
+    assert main(["report", "--config", str(run_dir / "config.cfg"),
+                 "--metrics", str(run_dir / "metrics.csv"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (run_dir / "results.csv").read_bytes()

@@ -13,6 +13,7 @@ import pytest
 import scipy.special
 
 from snrdistill import nnet
+from snrdistill.checkpoint import load_checkpoint, save_checkpoint
 from snrdistill.errors import ShapeMismatchError
 from snrdistill.nnet import (
     AdamState,
@@ -356,8 +357,7 @@ def test_forward_is_deterministic_bitwise():
 
 def test_zero_weight_model_outputs_zero():
     model = tiny_model(seed=0)
-    for k in model.params:
-        model.params[k] = np.zeros_like(model.params[k])
+    model.flat[:] = 0.0
     out = model.forward(np.array([[0.7], [-2.0]]), 0.5, 1)
     np.testing.assert_array_equal(out, np.zeros((2, 1)))
 
@@ -366,17 +366,17 @@ def test_forward_hand_computed_single_hidden_layer():
     # 2-layer formula evaluated longhand: out = w1 . silu(x @ w0 + b0) + b1
     # with x = [z, sin(pi t), cos(pi t), e0, e1].
     model = tiny_model(seed=0, hidden=(2,))
-    model.params["embed"] = np.array([[0.5, -1.0], [0.25, 0.75]])
-    model.params["w0"] = np.array([
+    model.params["embed"][...] = np.array([[0.5, -1.0], [0.25, 0.75]])
+    model.params["w0"][...] = np.array([
         [0.1, -0.2],
         [0.3, 0.4],
         [-0.5, 0.6],
         [0.7, -0.8],
         [0.9, 1.0],
     ])
-    model.params["b0"] = np.array([0.05, -0.15])
-    model.params["w1"] = np.array([[1.5], [-2.5]])
-    model.params["b1"] = np.array([0.125])
+    model.params["b0"][...] = np.array([0.05, -0.15])
+    model.params["w1"][...] = np.array([[1.5], [-2.5]])
+    model.params["b1"][...] = np.array([0.125])
 
     z, t, cond = 0.7, 0.25, 1
     feats = [math.sin(math.pi * t), math.cos(math.pi * t)]
@@ -499,10 +499,11 @@ def test_hand_backward_matches_reference_bitwise(batch, hidden, chained):
     chain = (z, rng.uniform(0.1, 1.0, size=batch), rng.uniform(0.1, 1.0, size=batch))
     x_target, x_w = x_form_of_chain(target, w, chain) if chained else (target, w)
     for t in (0.37, rng.uniform(0.0, 1.0, size=batch)):
-        loss, grads, *_ = loss_and_gradients(model, z, t, cond, x_target, x_w)
+        loss, grad, *_ = loss_and_gradients(model, z, t, cond, x_target, x_w)
         ref_loss, ref_grads = reference_loss_and_gradients(model, z, t, cond, x_target, x_w)
         assert loss == ref_loss
-        assert list(grads) == list(model.params)
+        assert grad.shape == model.flat.shape
+        grads = model.views(grad)
         for name, g in grads.items():
             assert np.array_equal(g, ref_grads[name]), name
         if chained:
@@ -541,20 +542,18 @@ def test_constant_loss_gives_zero_gradients():
     model = tiny_model()
     z = np.random.default_rng(0).normal(size=(3, 1))
     target = np.random.default_rng(1).normal(size=(3, 1))
-    loss, grads, *_ = loss_and_gradients(model, z, 0.4, 1, target, np.zeros(3))
+    loss, grad, *_ = loss_and_gradients(model, z, 0.4, 1, target, np.zeros(3))
     assert loss == 0.0
-    for name, g in grads.items():
-        np.testing.assert_array_equal(g, np.zeros_like(model.params[name]))
+    np.testing.assert_array_equal(grad, np.zeros_like(model.flat))
 
 
 def test_loss_at_exact_minimum_gives_zero_gradients():
     model = tiny_model(seed=2)
     z = np.random.default_rng(0).normal(size=(3, 1))
     target = model.forward(z, 0.4, 1)
-    loss, grads, *_ = loss_and_gradients(model, z, 0.4, 1, target, np.full(3, 2.0))
+    loss, grad, *_ = loss_and_gradients(model, z, 0.4, 1, target, np.full(3, 2.0))
     assert loss == 0.0
-    for g in grads.values():
-        np.testing.assert_array_equal(g, np.zeros_like(g))
+    np.testing.assert_array_equal(grad, np.zeros_like(model.flat))
 
 
 def check_against_finite_differences(hidden, chained):
@@ -577,7 +576,8 @@ def check_against_finite_differences(hidden, chained):
             out = (z - alpha[:, None] * out) / sigma[:, None]
         return weighted_squared_error(out, target, w)[0]
 
-    _, grads, *_ = loss_and_gradients(model, z, t, cond, x_target, x_w)
+    _, grad, *_ = loss_and_gradients(model, z, t, cond, x_target, x_w)
+    grads = model.views(grad)
     numeric = finite_difference_grads(model, loss_value, h=1e-5)
     for name in model.params:
         err = np.abs(grads[name] - numeric[name])
@@ -615,70 +615,78 @@ def test_flat_adam_matches_per_array_reference_over_chained_steps():
     ref = {k: p.copy() for k, p in model.params.items()}
     ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
     ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
-    params, state = model.params, AdamState.fresh(model.params, lr=3e-3)
+    state = AdamState.fresh(model.flat, lr=3e-3)
     for step in range(6):
         grads = {k: rng.normal(scale=10.0 ** (step - 3), size=p.shape) for k, p in ref.items()}
-        params, state = adam_step(params, grads, state)
+        adam_step(model.flat, np.concatenate([grads[k].ravel() for k in ref]), state)
         ref, ref_m, ref_v = reference_adam(ref, grads, ref_m, ref_v, step, lr=3e-3)
         assert state.step == step + 1
         for k in ref:
-            assert np.array_equal(params[k], ref[k]), k
+            assert np.array_equal(model.params[k], ref[k]), k
         assert np.array_equal(state.m, np.concatenate([ref_m[k].ravel() for k in ref]))
         assert np.array_equal(state.v, np.concatenate([ref_v[k].ravel() for k in ref]))
 
 
-def test_adam_updates_its_own_views_in_place_and_copies_others():
-    model = tiny_model()
-    caller_params = {k: p.copy() for k, p in model.params.items()}
-    grads = {k: np.ones_like(p) for k, p in model.params.items()}
-    state = AdamState.fresh(model.params, lr=0.1)
-    first, state = adam_step(model.params, grads, state)
-    for k in model.params:  # the caller's arrays are not written
-        np.testing.assert_array_equal(model.params[k], caller_params[k])
-    second, state = adam_step(first, grads, state)
-    assert all(second[k] is first[k] for k in first)
-    # A replaced entry is not one of the state's views, so the next step
-    # starts from a copy that includes it.
-    replaced = dict(second)
-    replaced["b0"] = np.zeros_like(second["b0"])
-    third, state = adam_step(replaced, grads, state)
-    assert third["b0"] is not replaced["b0"]
-    np.testing.assert_array_equal(replaced["b0"], 0.0)
-    assert np.all(third["b0"] < 0.0)
+@pytest.mark.parametrize("build", ["constructor", "init", "copy_with", "load_checkpoint"])
+def test_a_model_copies_the_arrays_it_is_built_from_into_its_flat_vector(build, tmp_path):
+    source = tiny_model(seed=4, hidden=(3,))
+    caller = {k: p.copy() for k, p in source.params.items()}
+    if build == "constructor":
+        model = DenoiserModel(latent_dim=1, num_classes=2, hidden=(3,), embed_dim=2,
+                              num_frequencies=1, parameterization=Parameterization.EPSILON,
+                              params=caller)
+    elif build == "init":
+        model = source
+    elif build == "copy_with":
+        model = source.copy_with()
+    else:
+        save_checkpoint(tmp_path / "m.ckpt", source, CosineSchedule())
+        model, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+    assert model.flat.dtype == np.float64 and model.flat.size == model.num_params
+    assert list(model.params) == list(caller)
+    lo = 0
+    for k, p in model.params.items():  # views of `flat`, in layout order
+        np.testing.assert_array_equal(p, caller[k])
+        assert np.shares_memory(p, model.flat)
+        np.testing.assert_array_equal(p.ravel(), model.flat[lo: lo + p.size])
+        lo += p.size
+    assert lo == model.flat.size
+    state = AdamState.fresh(model.flat, lr=0.1)
+    adam_step(model.flat, np.ones_like(model.flat), state)
+    for k, p in model.params.items():  # the step moves every view ...
+        assert np.all(p < caller[k]), k
+    if build != "init":  # ... and writes neither the caller's arrays nor the source's
+        for k, p in source.params.items():
+            np.testing.assert_array_equal(p, caller[k])
 
 
-def test_adam_reads_gradients_by_name_whatever_the_dict_order():
-    model = tiny_model(hidden=(3,))
-    rng = np.random.default_rng(8)
-    grads = {k: rng.normal(size=p.shape) for k, p in model.params.items()}
-    params, state = adam_step(model.params, grads, AdamState.fresh(model.params, lr=0.1))
-    ref, ref_state = adam_step(model.params, grads, AdamState.fresh(model.params, lr=0.1))
-    # The state's own views, listed in reverse, are still updated in place.
-    reordered = dict(reversed(list(params.items())))
-    params, state = adam_step(reordered, grads, state)
-    ref, ref_state = adam_step(ref, grads, ref_state)
-    for k in ref:
-        assert np.array_equal(params[k], ref[k]), k
+def test_a_model_rejects_missing_extra_and_misshapen_arrays():
+    params = tiny_model().params
+    dims = dict(latent_dim=1, num_classes=2, hidden=(4,), embed_dim=2, num_frequencies=1,
+                parameterization=Parameterization.EPSILON)
+    for bad in ({k: p for k, p in params.items() if k != "b1"},
+                {**params, "w9": np.zeros(1)},
+                {**params, "b0": np.zeros(5)}):
+        with pytest.raises(ValueError, match="params must have the shapes"):
+            DenoiserModel(params=bad, **dims)
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     model = tiny_model()
-    state = AdamState.fresh(model.params, lr=0.1)
-    zero = {k: np.zeros_like(v) for k, v in model.params.items()}
-    new_params, new_state = adam_step(model.params, zero, state)
-    for k in model.params:
-        np.testing.assert_array_equal(new_params[k], model.params[k])
-    assert new_state.step == 1
+    before = model.flat.copy()
+    state = AdamState.fresh(model.flat, lr=0.1)
+    adam_step(model.flat, np.zeros_like(model.flat), state)
+    np.testing.assert_array_equal(model.flat, before)
+    assert state.step == 1
 
 
 def test_adam_identical_calls_identical_results():
-    params = {"p": np.array([0.3, -0.4])}
-    grads = {"p": np.array([0.1, 0.2])}
-    s0 = AdamState.fresh(params, lr=0.01)
-    a_params, a_state = adam_step(params, grads, s0)
-    s1 = AdamState.fresh(params, lr=0.01)
-    b_params, b_state = adam_step(params, grads, s1)
-    np.testing.assert_array_equal(a_params["p"], b_params["p"])
+    grad = np.array([0.1, 0.2])
+    a, b = np.array([0.3, -0.4]), np.array([0.3, -0.4])
+    a_state, b_state = AdamState.fresh(a, lr=0.01), AdamState.fresh(b, lr=0.01)
+    adam_step(a, grad, a_state)
+    adam_step(b, grad, b_state)
+    np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a_state.m, b_state.m)
     np.testing.assert_array_equal(a_state.v, b_state.v)
 
@@ -686,21 +694,18 @@ def test_adam_identical_calls_identical_results():
 def test_adam_first_step_hand_computed():
     # Bias correction makes m_hat = v_hat = 1 on the first unit-gradient
     # step, so the update is exactly lr / (1 + eps).
-    params = {"p": np.array([0.5])}
-    grads = {"p": np.array([1.0])}
-    state = AdamState.fresh(params, lr=0.1)
-    new_params, _ = adam_step(params, grads, state)
+    params = np.array([0.5])
+    adam_step(params, np.array([1.0]), AdamState.fresh(params, lr=0.1))
     expected = 0.5 - 0.1 / (1.0 + 1e-8)
-    assert new_params["p"][0] == pytest.approx(expected, abs=1e-16)
+    assert params[0] == pytest.approx(expected, abs=1e-16)
 
 
 def test_adam_shape_mismatch_rejected():
-    params = {"p": np.zeros(3)}
-    grads = {"p": np.zeros(2)}
+    params = np.zeros(3)
     with pytest.raises(ShapeMismatchError):
-        adam_step(params, grads, AdamState.fresh(params))
+        adam_step(params, np.zeros(2), AdamState.fresh(params))
     with pytest.raises(ShapeMismatchError):
-        adam_step(params, {"p": np.zeros(3)}, AdamState.fresh({"p": np.zeros(4)}))
+        adam_step(params, np.zeros(3), AdamState.fresh(np.zeros(4)))
 
 
 def test_time_features_shape_and_range():
