@@ -8,6 +8,7 @@ run directory always carries the fully resolved settings it actually used.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -190,6 +191,9 @@ def validate_config(cfg: RunConfig) -> None:
                             ("distill.steps_per_round", cfg.distill.steps_per_round, 1)):
         if value < low:
             raise ConfigError(f"{key} must be >= {low}, got {value}")
+    for key, lr in (("train.lr", cfg.train.lr), ("distill.lr", cfg.distill.lr)):
+        if not (math.isfinite(lr) and lr > 0.0):
+            raise ConfigError(f"{key} must be finite and > 0, got {lr}")
     if cfg.eval.repetitions < 1:
         raise ConfigError("eval.repetitions must be >= 1")
     # A Frechet moment fit needs two samples for its covariance.

@@ -18,11 +18,15 @@ targets from the frozen teacher and those draws; only the loss depends on
 the student. So a round draws K = max(1, LOOKAHEAD_ROWS // batch_size)
 updates ahead (16 at batch 256), in the same rng order as one at a time,
 and computes their targets in one teacher call over the stacked K x batch
-rows. The teacher's forward keeps each update's rows a separate slab, so
-the targets are bit-identical to K separate calls, while its hidden layers
-run on every CPU and the per-call costs (validation, time features, the
-schedule, the DDIM arithmetic) are paid once per chunk. A trial at 8192
-rows per chunk was no faster than 4096.
+rows. The teacher's forward runs its rows in 256-row blocks, each through
+every layer on its own, while the blocks run on every CPU and the per-call
+costs (validation, time features, the schedule, the DDIM arithmetic) are
+paid once per chunk. When the batch is a multiple of 256 (the default),
+or a chunk holds one update, each update's targets are bit-identical to a
+call of its own. At other batches a block can hold the rows of two
+updates, so a target may differ from its own call's in the last place; it
+still depends only on the round's draws, not on the number of threads.
+A trial at 8192 rows per chunk was no faster than 4096.
 
 Round 1 is also where strategies share work: every strategy distilled from
 one teacher with one seed meets the same round-1 targets, because the
@@ -77,6 +81,11 @@ class DistillConfig:
 
     def __post_init__(self):
         check_halvings(self.n_start, self.iterations)
+        # A round of no updates would hand back its teacher as the student,
+        # and a batch of no rows has no loss.
+        for name in ("steps_per_round", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def check_halvings(n_start: int, iterations: int) -> None:
@@ -154,8 +163,8 @@ class RoundResult:
     losses: Array
 
 
-def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule,
-                   slab_rows: int | None = None) -> tuple[Array, Array]:
+def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
+                   ) -> tuple[Array, Array]:
     """Two teacher half-steps from z_t, collapsed to a one-step target.
 
     `t` must lie on the student grid {i/N : 1 <= i <= N} (scalar or
@@ -163,9 +172,8 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
     Returns (z0_tilde, z_t''). Noise-parameterized teachers are
     converted to latent predictions with the query time clipped to
     1 - 0.5/N, which keeps the conversion away from its t = 1 singularity.
-    Every step after the teacher's forward is elementwise, so with
-    `slab_rows` (passed on to the forward) the result equals, bit for bit,
-    the stacked results of one call per `slab_rows`-row slab.
+    Every step after the teacher's forward is elementwise, so a row's
+    result depends only on the rows its forward computes it with.
     """
     z_t = np.asarray(z_t, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -182,11 +190,9 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
     t_pp = np.clip(t - 2.0 * half, 0.0, 1.0)
     max_query_t = 1.0 - half
 
-    x1 = predict_x(teacher, z_t, t, cond, schedule, max_query_t=max_query_t,
-                   slab_rows=slab_rows)
+    x1 = predict_x(teacher, z_t, t, cond, schedule, max_query_t=max_query_t)
     z_p = ddim_step(z_t, x1, t, t_p, schedule)
-    x2 = predict_x(teacher, z_p, t_p, cond, schedule, max_query_t=max_query_t,
-                   slab_rows=slab_rows)
+    x2 = predict_x(teacher, z_p, t_p, cond, schedule, max_query_t=max_query_t)
     z_pp = ddim_step(z_p, x2, t_p, t_pp, schedule)
 
     alpha_t, sigma_t = schedule.alpha_sigma(t)
@@ -212,7 +218,7 @@ def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDat
     with the same rng calls in the same order as one at a time. Each update
     reads its targets from `cached`, the round's stored targets, when given;
     otherwise a chunk's targets come from one teacher call over its stacked
-    rows, one `batch_size`-row slab per update.
+    rows.
     """
     batch = config.batch_size
     lookahead = max(1, LOOKAHEAD_ROWS // batch)
@@ -231,7 +237,7 @@ def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDat
         w = config.strategy.weight(schedule.snr(t))
 
         if cached is None:
-            fresh, _ = teacher_target(teacher, z_t, t, n_steps, cond, schedule, slab_rows=batch)
+            fresh, _ = teacher_target(teacher, z_t, t, n_steps, cond, schedule)
             z0_tilde = [fresh[j: j + batch] for j in range(0, len(fresh), batch)]
         else:
             z0_tilde = cached[first: first + count]
@@ -247,10 +253,8 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
 
     The models only need the small surface used here (the test suite
     exercises linear and constant families through the same loop):
-    - the teacher: `parameterization`, `forward(z, t, cond, slab_rows=None)`
-      and `copy_with(parameterization)`; `forward` must return, for a
-      stacked batch, the stacked outputs of one call per `slab_rows`-row
-      slab;
+    - the teacher: `parameterization`, `forward(z, t, cond)` and
+      `copy_with(parameterization)`;
     - the student that `copy_with` returns: `flat`, its parameters as one
       float64 vector, and `forward_backward(z, t, cond) -> (out, backward)`,
       where `backward(d_out)` returns a flat gradient laid out like `flat`.
@@ -259,8 +263,8 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
     `steps_per_round` updates.
 
     The round draws max(1, LOOKAHEAD_ROWS // batch_size) updates ahead and
-    computes their targets in one teacher call (see the module docstring),
-    which changes no bit: draws and targets do not depend on the student.
+    computes their targets in one teacher call (see the module docstring);
+    draws and targets do not depend on the student.
     With `targets` full, every update reads its targets from it; with
     `targets` empty, the round fills it once it has completed.
     """
@@ -292,7 +296,7 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
         targets.key, targets.z0_tilde = key, fresh
     return RoundResult(
         student=student,
-        final_loss=losses[-1] if losses else float("nan"),
+        final_loss=losses[-1],
         updates_run=len(losses),
         losses=np.asarray(losses),
     )

@@ -7,22 +7,18 @@ embedding]. The `parameterization` tag records whether the output is read as
 predicted noise or as the predicted clean latent; the forward pass itself is
 identical for both.
 
-The inference forward runs the hidden layers over blocks of
-FORWARD_BLOCK_ROWS rows. A block of 256 rows keeps one layer's input,
+The inference forward cuts a batch into blocks of FORWARD_BLOCK_ROWS rows,
+and each block runs every layer, the output layer included, into its own
+rows of the result. A block of 256 rows keeps one layer's input,
 pre-activation and gate (about 0.8 MB at width 128) inside a 2 MB L2 cache,
 where a full 4096-row batch would stream 4 MB temporaries through memory;
-batches of up to 256 rows stay one block. The blocked result is
-bit-identical to the full-batch one because each output element of a
-hidden-layer matmul sums its products in the same order whatever the number
-of rows, with three exceptions, measured with OpenBLAS 0.3.31 on AVX-512:
-- A 1-row product goes through numpy's matrix-vector path, whose rounding
-  differs, so a trailing 1-row remainder joins the block before it.
-- The narrow output layer (width = latent_dim) rounds differently when its
-  rows are split, from 4096 rows on, so it stays one matmul per call (per
-  slab, below).
-- A hidden width that is not a multiple of 8, or a hidden layer with more
-  than 384 inputs, sends small blocks through a kernel that rounds
-  differently from the full batch's, so such models run as one block.
+batches of up to 256 rows stay one block. So a call's result is, by
+construction, its blocks' stand-alone results concatenated, whatever the
+model's shape, with one exception: a 1-row product goes through numpy's
+matrix-vector path, whose rounding differs, so a trailing 1-row remainder
+joins the block before it. A call of at most 257 rows is one block, so it
+equals `forward_backward`'s output, and a stack of 256-row batches equals
+one call per batch.
 
 The blocks of one call are dealt, in contiguous chunks, to as many threads
 as the process has CPUs (at most one thread per block); the calling thread
@@ -30,28 +26,15 @@ runs the first chunk, a module-level pool the rest. numpy's matmul and
 elementwise ufuncs release the GIL, so on two CPUs (a 2-vCPU Xeon, one
 BLAS thread) a 4096-row forward takes about 60% of its one-thread time.
 The split cannot change a bit: each block is the same rows computed by the
-same calls as on one thread, into its own rows of the last hidden layer's
-array and into buffers that belong to its chunk alone, so the number of
-threads only decides which thread computes a block. The narrow output layer runs
-after every chunk has finished, as the one matmul above. A call of at most
-257 rows is one block and stays on the calling thread: split into two
-128-row halves on two threads, a 256-row forward measured slower on the
-same machine (1.73 against 1.61 ms), so at that size the hand-off to a
-second thread costs more than it saves. The caller allocates every chunk's
+same calls as on one thread, through buffers that belong to its chunk
+alone, and its output is written by its own thread into its own rows, so
+the number of threads only decides which thread computes a block. A call
+of at most 257 rows stays on the calling thread: split into two 128-row
+halves on two threads, a 256-row forward measured slower on the same
+machine (1.73 against 1.61 ms), so at that size the hand-off to a second
+thread costs more than it saves. The caller allocates every chunk's
 buffers before any chunk starts, so the pool's threads allocate no array
 and open no allocator arena of their own.
-
-`forward(z, t, cond, slab_rows=S)` runs a stack of independent batches as
-one call. Its result equals, bit for bit, the concatenation of stand-alone
-calls on consecutive S-row slabs (the last one may be shorter): each slab is
-cut into blocks exactly as a stand-alone call on it would be, the blocks of
-all slabs are dealt to the threads as above, and after the join the output
-layer runs one matmul per slab. One output matmul over the whole stack
-would not do: over 4096 stacked rows it differs from 16 stand-alone
-256-row calls (by up to 9e-16 on random inputs) while 3840 rows still
-agree, a cut-off of the BLAS kernel. A distill round stacks the teacher
-forwards of 16 updates this way (4096 rows at batch 256), so their hidden
-layers run on every CPU.
 
 Training runs `forward_backward`: one full-batch pass whose backward is
 written out for this network under a weighted squared-error loss. It
@@ -104,10 +87,6 @@ Array = np.ndarray
 
 # Rows per block of the inference forward; see the module docstring.
 FORWARD_BLOCK_ROWS = 256
-# Hidden-layer shapes whose row blocks round exactly like the full batch:
-# widths a multiple of the 8-double vector, inputs within one 384-deep panel.
-_EXACT_WIDTH_MULTIPLE = 8
-_EXACT_MAX_INPUTS = 384
 # Adam's moment decays and denominator guard, the same for every optimizer.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -172,12 +151,28 @@ def param_shapes(latent_dim: int, num_classes: int, hidden: tuple[int, ...],
     return shapes
 
 
+class ParamViews(dict):
+    """Named views of a parameter vector: a dict whose entries cannot be
+    added, replaced or removed, so that they always alias the vector.
+
+    Writing into an entry in place (`views[name][...] = x`) stays allowed.
+    """
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(
+            "parameter views are read-only as a mapping; write into an entry in place")
+
+    __setitem__ = __delitem__ = update = pop = popitem = clear = setdefault = _read_only
+    __ior__ = _read_only
+
+
 @dataclass
 class DenoiserModel:
     """Conditional denoiser: 2-hidden-layer MLP by default, SiLU activations.
 
     Construction copies the arrays of `params`, by name, into one new
-    float64 vector `flat` and replaces them with named views of it.
+    float64 vector `flat` and replaces them with named views of it, a
+    `ParamViews`.
     """
 
     latent_dim: int
@@ -202,13 +197,13 @@ class DenoiserModel:
         return param_shapes(self.latent_dim, self.num_classes, self.hidden,
                             self.embed_dim, self.num_frequencies)
 
-    def views(self, vec: Array) -> dict[str, Array]:
+    def views(self, vec: Array) -> ParamViews:
         """Named views of a parameter-sized vector, in the layout of `flat`."""
-        out, lo = {}, 0
+        out, lo = [], 0
         for name, shape in self._shapes().items():
-            out[name] = vec[lo: lo + math.prod(shape)].reshape(shape)
+            out.append((name, vec[lo: lo + math.prod(shape)].reshape(shape)))
             lo += math.prod(shape)
-        return out
+        return ParamViews(out)
 
     @classmethod
     def init(
@@ -288,50 +283,31 @@ class DenoiserModel:
             )
         return z, t, cond
 
-    def forward(self, z, t, cond, slab_rows: int | None = None) -> Array:
+    def forward(self, z, t, cond) -> Array:
         """Network prediction for a batch, shape (batch, latent_dim).
 
         `t` and `cond` may be scalars (broadcast over the batch) or arrays
         of length batch.
 
-        Inference only, bit-identical to `forward_backward`'s output. The hidden
-        layers run over blocks of FORWARD_BLOCK_ROWS rows, sized so a block's
-        working set stays in L2; batches of up to 256 rows are one block, and
-        so is every batch of a model whose hidden shapes would round blocks
-        differently (see the module docstring). A trailing 1-row remainder
+        Inference only. The rows run in blocks of FORWARD_BLOCK_ROWS, sized
+        so a block's working set stays in L2, and each block runs every
+        layer into its own rows of the result; a trailing 1-row remainder
         is folded into the block before it, since a 1-row matmul takes
-        numpy's matrix-vector path and rounds differently. The blocks are
-        dealt in contiguous chunks to one thread per available CPU, at most
-        one per block: the calling thread runs the first chunk and a shared
-        pool the rest. The last hidden layer writes its block into one
-        full-batch array, and once every chunk has finished the output
-        layer is a single matmul over that array, because splitting the
-        narrow output matmul by rows changes its bits.
-
-        With `slab_rows`, the rows are consecutive slabs of that many rows
-        (the last may be shorter), and the result is bit-identical to one
-        stand-alone call per slab, concatenated: each slab is blocked as on
-        its own and gets its own output matmul. ValueError if it is < 1.
+        numpy's matrix-vector path and rounds differently. So the result is
+        the concatenation of the blocks' stand-alone results, and a call of
+        at most 257 rows is bit-identical to `forward_backward`'s output.
+        The blocks are dealt in contiguous chunks to one thread per
+        available CPU, at most one per block: the calling thread runs the
+        first chunk and a shared pool the rest (see the module docstring).
         """
         z, t, cond = self._validate(z, t, cond)
         batch = z.shape[0]
-        if slab_rows is not None and slab_rows < 1:
-            raise ValueError(f"slab_rows must be >= 1, got {slab_rows}")
-        n_hidden = len(self.hidden)
         in_dim = self.latent_dim + 2 * self.num_frequencies + self.embed_dim
-        exact = max((in_dim, *self.hidden[:-1])) <= _EXACT_MAX_INPUTS and all(
-            width % _EXACT_WIDTH_MULTIPLE == 0 for width in self.hidden
-        )
-        step = slab_rows or max(batch, 1)
-        slabs = [(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
-        # Each slab is cut into blocks as a stand-alone call on it would be.
-        blocks = [(lo + b_lo, lo + b_hi) for lo, hi in slabs
-                  for b_lo, b_hi in _row_blocks(hi - lo, FORWARD_BLOCK_ROWS if exact else hi - lo)]
+        blocks = list(_row_blocks(batch, FORWARD_BLOCK_ROWS))
         workers = min(_available_cpus(), len(blocks))
         # One row of features for a scalar t, broadcast into every block.
         feats = time_features(t, self.num_frequencies)
-        # With no hidden layer the assembled input is the last activation.
-        last = np.empty((batch, self.hidden[-1] if n_hidden else in_dim))
+        out = np.empty((batch, self.latent_dim))
         # Every buffer is allocated here, before any chunk runs, so that the
         # pool's threads allocate no array.
         chunks = []
@@ -339,31 +315,25 @@ class DenoiserModel:
             chunk = blocks[j * len(blocks) // workers: (j + 1) * len(blocks) // workers]
             rows = max(hi - lo for lo, hi in chunk)
             buffers = (
-                np.empty((rows, in_dim)) if n_hidden else None,
-                [np.empty((rows, width)) for width in self.hidden[:-1]],
+                [np.empty((rows, width)) for width in (in_dim, *self.hidden)],
                 np.empty(rows * max(self.hidden, default=0)),
             )
             chunks.append(functools.partial(
-                self._hidden_rows, chunk, buffers, z, feats, cond, last))
+                self._forward_rows, chunk, buffers, z, feats, cond, out))
         _run_chunks(chunks)
-        w, b = self.params[f"w{n_hidden}"], self.params[f"b{n_hidden}"]
-        out = np.empty((batch, w.shape[1]))
-        for lo, hi in slabs:
-            np.matmul(last[lo:hi], w, out=out[lo:hi])
-            out[lo:hi] += b
         return out
 
-    def _hidden_rows(self, blocks, buffers, z, feats, cond, last) -> None:
-        """Writes the last hidden activation of the rows of `blocks` into
-        `last`, one block at a time through the preallocated `buffers`."""
+    def _forward_rows(self, blocks, buffers, z, feats, cond, out) -> None:
+        """Writes the output of the rows of `blocks` into `out`, one block at
+        a time through the preallocated `buffers`."""
         params = self.params
         n_hidden = len(self.hidden)
         time_cols = slice(self.latent_dim, self.latent_dim + 2 * self.num_frequencies)
         embed_cols = slice(time_cols.stop, None)
-        x_buf, act_bufs, gate_buf = buffers
+        act_bufs, gate_buf = buffers
         for lo, hi in blocks:
             m = hi - lo
-            x = x_buf[:m] if n_hidden else last[lo:hi]
+            x = act_bufs[0][:m]
             x[:, : time_cols.start] = z[lo:hi]
             x[:, time_cols] = feats if len(feats) == 1 else feats[lo:hi]
             # The ids are validated, so "clip" changes none; unlike "raise",
@@ -371,13 +341,15 @@ class DenoiserModel:
             np.take(params["embed"], cond[lo:hi], axis=0, out=x[:, embed_cols], mode="clip")
             h = x
             for k in range(n_hidden):
-                a = last[lo:hi] if k == n_hidden - 1 else act_bufs[k][:m]
+                a = act_bufs[k + 1][:m]
                 np.matmul(h, params[f"w{k}"], out=a)
                 a += params[f"b{k}"]
                 gate = gate_buf[: a.size].reshape(a.shape)
                 expit(a, out=gate)
                 a *= gate
                 h = a
+            np.matmul(h, params[f"w{n_hidden}"], out=out[lo:hi])
+            out[lo:hi] += params[f"b{n_hidden}"]
 
     def forward_backward(self, z, t, cond) -> tuple[Array, Callable[[Array], Array]]:
         """Training pass: the output and the function that maps dL/d(output)
@@ -539,6 +511,9 @@ class AdamState:
 
     @classmethod
     def fresh(cls, params: Array, lr: float = 1e-3) -> "AdamState":
+        """Zero moments for `params`; ValueError unless `lr` is finite and > 0."""
+        if not (math.isfinite(lr) and lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {lr}")
         return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 

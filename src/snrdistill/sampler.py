@@ -113,22 +113,21 @@ def ddim_step(z_t, x_hat, t, s, schedule: CosineSchedule, eta: float = 0.0,
 
 
 def predict_x(model: DenoiserModel, z, t, cond, schedule: CosineSchedule,
-              max_query_t: float | None = None, slab_rows: int | None = None) -> Array:
+              max_query_t: float | None = None) -> Array:
     """Query the model for a clean-latent prediction at time t.
 
     Latent-prediction models are queried directly. Noise-prediction models
     are converted via eps_to_x; the conversion is singular at t = 1, so
     callers that own a step grid pass `max_query_t` (typically 1 - 0.5/N) and
-    the query time is clipped to it for the conversion. `slab_rows` goes to
-    `model.forward` (see `DenoiserModel.forward`).
+    the query time is clipped to it for the conversion.
     """
     if model.parameterization is Parameterization.X:
-        return model.forward(z, t, cond, slab_rows=slab_rows)
+        return model.forward(z, t, cond)
     tq = np.asarray(t, dtype=np.float64)
     if max_query_t is not None:
         tq = np.minimum(tq, max_query_t)
     alpha, sigma = schedule.alpha_sigma(tq)
-    eps_pred = model.forward(z, tq, cond, slab_rows=slab_rows)
+    eps_pred = model.forward(z, tq, cond)
     return eps_to_x(z, eps_pred, alpha, sigma)
 
 

@@ -133,15 +133,12 @@ def test_missing_param_rejected(tmp_path):
 
 
 def test_param_shapes_must_match_the_header(tmp_path):
-    # w0, b0 and w1 cut to width 64 make a consistent network, but not the
-    # one that model.hidden = 128,128 describes.
-    model = DenoiserModel.init(hidden=(128, 128), seed=0)
-    model.params["w0"] = model.params["w0"][:, :64]
-    model.params["b0"] = model.params["b0"][:64]
-    model.params["w1"] = model.params["w1"][:64]
+    # A consistent width-64 network, but not the one that
+    # model.hidden = 128,128 describes.
     path = tmp_path / "cut.ckpt"
-    lines = _save_lines(path, model)
-    assert "model.hidden = 128,128" in lines
+    lines = _save_lines(path, DenoiserModel.init(hidden=(64, 64), seed=0))
+    lines[lines.index("model.hidden = 64,64")] = "model.hidden = 128,128"
+    path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointFormatError, match="w0"):
         load_checkpoint(path)
 

@@ -196,6 +196,15 @@ def test_budgets_and_batches_that_cannot_run_are_rejected(key, low):
     assert getattr(getattr(parse_config(f"{key} = {low}"), section), name) == low
 
 
+@pytest.mark.parametrize("key", ["train.lr", "distill.lr"])
+@pytest.mark.parametrize("value", ["0", "-1e-3", "nan", "inf"])
+def test_a_learning_rate_must_be_finite_and_positive(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite and > 0, got {float(value)}"):
+        parse_config(f"{key} = {value}")
+    section, _, name = key.partition(".")
+    assert getattr(getattr(parse_config(f"{key} = 1e-9"), section), name) == 1e-9
+
+
 @pytest.mark.parametrize("key", ["schedule.n_train", "schedule.beta_start", "schedule.beta_end"])
 def test_removed_discrete_schedule_keys_are_rejected(key, capsys):
     with pytest.raises(ConfigError, match=key):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from snrdistill.data import ToyDataset, draw_batch
-from snrdistill import distill
+from snrdistill import distill, nnet
 from snrdistill.distill import (
     DistillConfig,
     RoundResult,
@@ -45,7 +45,7 @@ class AffineModel:
     def copy_with(self, parameterization=None):
         return AffineModel(*self.flat, parameterization or self.parameterization)
 
-    def forward(self, z, t, cond, slab_rows=None):
+    def forward(self, z, t, cond):
         z = np.asarray(z, dtype=np.float64)
         return z * self.params["a"] + self.params["b"]
 
@@ -106,7 +106,7 @@ def test_scalar_target_matches_longhand_two_step_oracle():
         num_classes = 8
         parameterization = Parameterization.EPSILON
 
-        def forward(self, z, t, cond, slab_rows=None):
+        def forward(self, z, t, cond):
             return np.zeros_like(np.asarray(z, dtype=np.float64))
 
     n = 4
@@ -159,17 +159,28 @@ def test_teacher_target_accepts_every_grid_time():
         assert z0_tilde.shape == (n, 1)
 
 
-def test_zero_updates_student_is_bitwise_teacher_copy():
+def test_zero_updates_student_is_bitwise_teacher_copy(monkeypatch):
+    # The student as its first update meets it, before any Adam step.
+    seen = []
+    real = distill.loss_and_gradients
+
+    def first(student, *args):
+        if not seen:
+            seen.append((student, student.flat.copy()))
+        return real(student, *args)
+
+    monkeypatch.setattr(distill, "loss_and_gradients", first)
     teacher = random_teacher(3)
-    config = DistillConfig(iterations=1, n_start=8, steps_per_round=0, batch_size=4)
+    before = teacher.flat.copy()
+    config = DistillConfig(iterations=1, n_start=8, steps_per_round=1, batch_size=4)
     result = distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=0)
-    assert result.student.parameterization is Parameterization.X
-    assert result.updates_run == 0
-    for k in teacher.params:
-        np.testing.assert_array_equal(result.student.params[k], teacher.params[k])
-    # and the copy is independent storage
-    result.student.params["b0"][0] += 1.0
-    assert teacher.params["b0"][0] != result.student.params["b0"][0]
+    student, start = seen[0]
+    assert student is result.student
+    assert student.parameterization is Parameterization.X
+    np.testing.assert_array_equal(start, before)
+    # and the copy is independent storage: its update left the teacher alone
+    assert not np.array_equal(student.flat, before)
+    np.testing.assert_array_equal(teacher.flat, before)
 
 
 def test_reachable_target_drives_loss_to_zero():
@@ -270,11 +281,11 @@ def test_a_flat_loss_runs_the_whole_budget(monkeypatch):
 
     def flat(*args):
         _, grads, sq_err, weighted = real(*args)
-        return 0.5, grads, sq_err, weighted
+        return 0.5, np.zeros_like(grads), sq_err, weighted
 
     monkeypatch.setattr(distill, "loss_and_gradients", flat)
     teacher = AffineModel(0.3, -0.2)
-    config = DistillConfig(iterations=1, n_start=8, steps_per_round=600, batch_size=8, lr=0.0)
+    config = DistillConfig(iterations=1, n_start=8, steps_per_round=600, batch_size=8)
     result = distill_round(teacher, config, 4, _OneDimDataset(), SCHEDULE, seed=6)
     assert result.updates_run == len(result.losses) == 600
     assert np.all(result.losses == 0.5)
@@ -302,9 +313,17 @@ def test_non_finite_loss_aborts_with_diagnostics():
     assert np.isnan(err.value.loss) or np.isinf(err.value.loss)
 
 
+@pytest.mark.parametrize("name", ["steps_per_round", "batch_size"])
+def test_a_round_of_no_updates_or_no_rows_is_rejected(name):
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {bad}"):
+            DistillConfig(**{name: bad})
+    assert getattr(DistillConfig(**{name: 1}), name) == 1
+
+
 def test_round_step_count_validation():
     teacher = random_teacher(0)
-    config = DistillConfig(iterations=1, n_start=8, steps_per_round=0)
+    config = DistillConfig(iterations=1, n_start=8, steps_per_round=1)
     for bad in (1, 0, -2):
         with pytest.raises(ValueError):
             distill_round(teacher, config, bad, small_dataset(), SCHEDULE)
@@ -559,13 +578,13 @@ def reference_round(teacher, config, n_steps, dataset, seed):
 
 
 def counting_forward(monkeypatch, model):
-    """Counts the calls of `model.forward`; returns the list of slab sizes."""
+    """Counts the calls of `model.forward`; returns the list of their row counts."""
     calls = []
     real = model.forward
 
-    def forward(z, t, cond, slab_rows=None):
-        calls.append(slab_rows)
-        return real(z, t, cond, slab_rows=slab_rows)
+    def forward(z, t, cond):
+        calls.append(len(z))
+        return real(z, t, cond)
 
     monkeypatch.setattr(model, "forward", forward)
     return calls
@@ -586,9 +605,17 @@ def lookahead(batch_size):
 def _lookahead_cases():
     k = lookahead(256)
     cases = [(256, steps) for steps in (1, k - 1, k, k + 1, 2 * k + 3)]
-    return cases + [(100, lookahead(100) + 1), (5000, 3)]
+    return cases + [(5000, 3)]
 
 
+def chunk_rows(batch, steps):
+    """The rows of each look-ahead chunk of a round, in order."""
+    k = lookahead(batch)
+    return [batch * min(k, steps - first) for first in range(0, steps, k)]
+
+
+# Batches of 256 fill whole forward blocks, and a 5000-row update is a chunk
+# of its own, so every update's targets are those of a call of its own.
 @pytest.mark.parametrize("batch, steps", _lookahead_cases())
 def test_lookahead_round_equals_the_per_update_loop(monkeypatch, batch, steps):
     assert lookahead(5000) == 1
@@ -600,8 +627,30 @@ def test_lookahead_round_equals_the_per_update_loop(monkeypatch, batch, steps):
     calls = counting_forward(monkeypatch, teacher)
     result = distill_round(teacher, config, 8, dataset, SCHEDULE, seed=21)
     assert_round_matches_reference(result, reference)
-    # Two half-steps per chunk, each over one `batch`-row slab per update.
-    assert calls == [batch] * (2 * math.ceil(steps / lookahead(batch)))
+    # Two half-steps per chunk, each over the chunk's stacked rows.
+    assert calls == [rows for rows in chunk_rows(batch, steps) for _ in range(2)]
+
+
+# At batch 100 a forward block holds the rows of up to four updates, so the
+# targets need not equal per-update calls; they must not depend on the
+# number of threads the teacher's forward runs on.
+def test_a_round_of_unaligned_batches_is_the_same_on_one_thread_and_three(monkeypatch):
+    teacher = DenoiserModel.init(seed=13)
+    config = DistillConfig(iterations=1, n_start=16, steps_per_round=lookahead(100) + 1,
+                           batch_size=100, strategy=strategy_from_name("bsa"))
+    results = []
+    for workers in (1, 3):
+        monkeypatch.setattr(nnet, "_available_cpus", lambda: workers)
+        cache = TeacherTargetCache()
+        calls = counting_forward(monkeypatch, teacher)
+        results.append((distill_round(teacher, config, 8, ToyDataset(), SCHEDULE, seed=21,
+                                      targets=cache), cache.z0_tilde))
+        assert calls == [4000, 4000, 100, 100]
+    (one, one_targets), (three, three_targets) = results
+    assert np.array_equal(one.losses, three.losses)
+    assert np.array_equal(one.student.flat, three.student.flat)
+    for a, b in zip(one_targets, three_targets, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_lookahead_cache_is_filled_once_then_read_across_strategies(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import operator
 import os
 import subprocess
 import sys
@@ -54,7 +55,7 @@ def finite_difference_grads(model, loss_value_fn, h=1e-5):
     return grads
 
 
-def reference_forward(model, z, t, cond):
+def full_batch_forward(model, z, t, cond):
     """Plain full-batch forward: one concat, then silu(h @ w + b) per layer."""
     batch = z.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (batch,))
@@ -70,9 +71,34 @@ def reference_forward(model, z, t, cond):
     return h @ p[f"w{k}"] + p[f"b{k}"]
 
 
-# (100,) is a width whose row blocks would round differently from the full
-# batch, so the forward must leave such a model unblocked.
-@pytest.mark.parametrize("hidden", [(), (4,), (100,), (128, 128)])
+def row_blocks(batch):
+    """(lo, hi) of 256-row blocks, with a trailing 1-row block folded into
+    the one before it."""
+    bounds = [*range(0, batch, 256), batch]
+    if batch > 1 and batch % 256 == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def reference_forward(model, z, t, cond):
+    """The full-batch forward applied to each row block on its own."""
+    batch = z.shape[0]
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (batch,))
+    cond = np.broadcast_to(np.asarray(cond, dtype=np.int64), (batch,))
+    blocks = [full_batch_forward(model, z[lo:hi], t[lo:hi], cond[lo:hi])
+              for lo, hi in row_blocks(batch)]
+    return np.concatenate([np.empty((0, model.latent_dim)), *blocks])
+
+
+# Every model shape is blocked alike: none of these may round its blocks
+# differently from the stand-alone calls. (4,) and (100,) have widths that
+# are not a multiple of the 8-double vector, and (400, 8) feeds its second
+# layer more inputs than one 384-deep BLAS panel holds.
+SHAPES = [(), (4,), (100,), (128, 128), (400, 8)]
+
+
+# The reference is the plain full-batch forward, run on each block's rows.
+@pytest.mark.parametrize("hidden", SHAPES)
 @pytest.mark.parametrize("batch", [0, 1, 2, 255, 256, 257, 258, 513, 4096, 4097])
 def test_blocked_forward_matches_full_batch_reference_bitwise(hidden, batch):
     model = DenoiserModel.init(hidden=hidden, seed=4)
@@ -85,14 +111,15 @@ def test_blocked_forward_matches_full_batch_reference_bitwise(hidden, batch):
             out = model.forward(z, t, cond)
             assert out.shape == (batch, model.latent_dim)
             assert np.array_equal(out, reference_forward(model, z, t, cond))
+            if batch <= 257:  # one block
+                assert np.array_equal(out, full_batch_forward(model, z, t, cond))
 
 
 def test_sample_matches_reference_forward_loop_bitwise(monkeypatch):
     model = DenoiserModel.init(seed=6)
     reference = model.copy_with()
     monkeypatch.setattr(
-        reference, "forward",
-        lambda z, t, cond, slab_rows=None: reference_forward(reference, z, t, cond)
+        reference, "forward", lambda z, t, cond: reference_forward(reference, z, t, cond)
     )
     conds = np.random.default_rng(0).integers(0, model.num_classes, size=4097)
     config = SamplerConfig(steps=4, seed=3)
@@ -117,28 +144,33 @@ def recording_expit(monkeypatch, before=None):
     return calls
 
 
+# The reference is the plain full-batch forward, run on each block's rows,
+# so the result cannot depend on the number of threads.
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("batch", [512, 513, 769, 1024, 4097, 8192])
 def test_split_forward_matches_full_batch_reference_bitwise(monkeypatch, workers, batch):
     monkeypatch.setattr(nnet, "_available_cpus", lambda: workers)
-    model = DenoiserModel.init(seed=7)
     rng = np.random.default_rng(batch)
-    z = rng.normal(size=(batch, model.latent_dim))
-    cond = rng.integers(0, model.num_classes, size=batch)
-    for t in (0.61, rng.uniform(0.0, 1.0, size=batch)):
-        calls = recording_expit(monkeypatch)
-        out = model.forward(z, t, cond)
-        assert np.array_equal(out, reference_forward(model, z, t, cond))
-        # Every row passes each hidden layer once: no chunk overlaps another.
-        assert sum(rows for _, rows in calls) == batch * len(model.hidden)
-        assert (len({thread for thread, _ in calls}) > 1) == (workers > 1)
+    z = rng.normal(size=(batch, 2))
+    cond = rng.integers(0, 8, size=batch)
+    for hidden in SHAPES:
+        model = DenoiserModel.init(hidden=hidden, seed=7)
+        for t in (0.61, rng.uniform(0.0, 1.0, size=batch)):
+            calls = recording_expit(monkeypatch)
+            out = model.forward(z, t, cond)
+            assert np.array_equal(out, reference_forward(model, z, t, cond))
+            # Every row passes each hidden layer once: no chunk overlaps another.
+            assert sum(rows for _, rows in calls) == batch * len(hidden)
+            if hidden:
+                assert (len({thread for thread, _ in calls}) > 1) == (workers > 1)
 
 
-# At 4096 rows and more, one output matmul over the stack rounds differently
-# from one per slab, so these sizes catch a forward that skips the per-slab
-# output. (100,) is unblocked, so each of its slabs is one block.
+# A stack of slabs that start on block boundaries, the last one longer than
+# one row, equals one stand-alone call per slab: 4096 rows are 16 slabs of
+# 256 rows, the stack a distill round's teacher forward runs at its default
+# batch.
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("hidden", [(128, 128), (100,), ()])
+@pytest.mark.parametrize("hidden", [(128, 128), (100,), (), (4,), (400, 8)])
 @pytest.mark.parametrize("batch", [4096, 4100, 8192])
 def test_slab_forward_equals_stand_alone_slab_calls_bitwise(monkeypatch, workers, hidden, batch):
     monkeypatch.setattr(nnet, "_available_cpus", lambda: workers)
@@ -147,25 +179,11 @@ def test_slab_forward_equals_stand_alone_slab_calls_bitwise(monkeypatch, workers
     z = rng.normal(size=(batch, model.latent_dim))
     t = rng.uniform(0.0, 1.0, size=batch)
     cond = rng.integers(0, model.num_classes, size=batch)
-    for slab_rows in (100, 256, 300):
-        out = model.forward(z, t, cond, slab_rows=slab_rows)
-        alone = [model.forward(z[lo: lo + slab_rows], t[lo: lo + slab_rows],
-                               cond[lo: lo + slab_rows]) for lo in range(0, batch, slab_rows)]
+    out = model.forward(z, t, cond)
+    for rows in (256, 512):
+        alone = [model.forward(z[lo: lo + rows], t[lo: lo + rows], cond[lo: lo + rows])
+                 for lo in range(0, batch, rows)]
         assert np.array_equal(out, np.concatenate(alone))
-
-
-def test_slab_rows_of_the_whole_batch_or_more_is_a_plain_call():
-    model = DenoiserModel.init(seed=12)
-    rng = np.random.default_rng(12)
-    z = rng.normal(size=(600, model.latent_dim))
-    cond = rng.integers(0, model.num_classes, size=600)
-    want = model.forward(z, 0.3, cond)
-    for slab_rows in (600, 601, 10**6):
-        assert np.array_equal(model.forward(z, 0.3, cond, slab_rows=slab_rows), want)
-    assert model.forward(z[:0], 0.3, cond[:0], slab_rows=7).shape == (0, model.latent_dim)
-    for bad in (0, -256):
-        with pytest.raises(ValueError, match="slab_rows"):
-            model.forward(z, 0.3, cond, slab_rows=bad)
 
 
 def test_single_block_forward_stays_on_the_calling_thread(monkeypatch):
@@ -516,15 +534,19 @@ def test_hand_backward_matches_reference_bitwise(batch, hidden, chained):
                 assert np.max(np.abs(g - ref_grads[name]), initial=0.0) <= 1e-12 * scale, name
 
 
-@pytest.mark.parametrize("batch", [128, 600])
+# A call of up to 257 rows is one block, and a longer one equals the
+# training pass run on each of its blocks.
+@pytest.mark.parametrize("batch", [1, 2, 128, 257, 600])
 def test_forward_backward_output_matches_forward_bitwise(batch):
-    model = DenoiserModel.init(seed=2)
     rng = np.random.default_rng(batch)
     z = rng.normal(size=(batch, 2))
     t = rng.uniform(size=batch)
     cond = rng.integers(0, 8, size=batch)
-    out, _ = model.forward_backward(z, t, cond)
-    assert np.array_equal(out, model.forward(z, t, cond))
+    for hidden in SHAPES:
+        model = DenoiserModel.init(hidden=hidden, seed=2)
+        out = np.concatenate([model.forward_backward(z[lo:hi], t[lo:hi], cond[lo:hi])[0]
+                              for lo, hi in row_blocks(batch)])
+        assert np.array_equal(out, model.forward(z, t, cond))
 
 
 def test_weighted_squared_error_terms():
@@ -669,6 +691,39 @@ def test_a_model_rejects_missing_extra_and_misshapen_arrays():
                 {**params, "b0": np.zeros(5)}):
         with pytest.raises(ValueError, match="params must have the shapes"):
             DenoiserModel(params=bad, **dims)
+
+
+def test_params_cannot_be_replaced_added_or_removed():
+    model = tiny_model()
+    before = model.flat.copy()
+    names = list(model.params)
+    for change in (
+        lambda p: p.__setitem__("b1", np.zeros(1)),
+        lambda p: p.__setitem__("w9", np.zeros(1)),
+        lambda p: p.__delitem__("b1"),
+        lambda p: p.update(b1=np.zeros(1)),
+        lambda p: p.pop("b1"),
+        lambda p: p.popitem(),
+        lambda p: p.clear(),
+        lambda p: p.setdefault("w9", np.zeros(1)),
+        lambda p: operator.ior(p, {"b1": np.zeros(1)}),
+    ):
+        with pytest.raises(TypeError, match="read-only"):
+            change(model.params)
+    assert isinstance(model.params, dict)
+    assert list(model.params) == names
+    np.testing.assert_array_equal(model.flat, before)
+    # An entry is still a view of `flat`, writable in place.
+    model.params["b1"][...] = 2.5
+    assert model.flat[-1] == 2.5
+    adam_step(model.flat, np.ones_like(model.flat), AdamState.fresh(model.flat, lr=0.1))
+    assert model.params["b1"][0] == model.flat[-1] < 2.5
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+def test_adam_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="lr must be finite and > 0"):
+        AdamState.fresh(np.zeros(3), lr=lr)
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():

@@ -28,7 +28,7 @@ class ConstModel:
         self.num_classes = 8
         self.parameterization = parameterization
 
-    def forward(self, z, t, cond, slab_rows=None):
+    def forward(self, z, t, cond):
         z = np.asarray(z, dtype=np.float64)
         return np.full_like(z, self.value)
 
@@ -195,7 +195,7 @@ class GaussianDenoiser:
         self.s = s
         self.latent_dim = self.mu.size
 
-    def forward(self, z, t, cond, slab_rows=None):
+    def forward(self, z, t, cond):
         a, sigma = SCHEDULE.alpha_sigma(t)
         gain = a * self.s**2 / (a**2 * self.s**2 + sigma**2)
         return self.mu + gain * (np.asarray(z, dtype=np.float64) - a * self.mu)
