@@ -18,14 +18,15 @@ targets from the frozen teacher and those draws; only the loss depends on
 the student. So a round draws K = max(1, LOOKAHEAD_ROWS // batch_size)
 updates ahead (16 at batch 256), in the same rng order as one at a time,
 and computes their targets in one teacher call over the stacked K x batch
-rows. The teacher's forward runs its rows in 256-row blocks, each through
-every layer on its own, while the blocks run on every CPU and the per-call
-costs (validation, time features, the schedule, the DDIM arithmetic) are
-paid once per chunk. When the batch is a multiple of 256 (the default),
-or a chunk holds one update, each update's targets are bit-identical to a
-call of its own. At other batches a block can hold the rows of two
-updates, so a target may differ from its own call's in the last place; it
-still depends only on the round's draws, not on the number of threads.
+rows. The teacher's forward runs each layer's matmul once per 256-row
+block, the blocks run on every CPU, and each thread computes its own
+chunk's time features; the other per-call costs (validation, the schedule,
+the DDIM arithmetic) are paid once per call. When the batch is a multiple
+of 256 (the default), or a chunk holds one update, each update's targets
+are bit-identical to a call of its own. At other batches a block can hold
+the rows of two updates, so a target may differ from its own call's in the
+last place; it still depends only on the round's draws, not on the number
+of threads.
 A trial at 8192 rows per chunk was no faster than 4096.
 
 Round 1 is also where strategies share work: every strategy distilled from

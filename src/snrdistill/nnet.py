@@ -8,33 +8,43 @@ predicted noise or as the predicted clean latent; the forward pass itself is
 identical for both.
 
 The inference forward cuts a batch into blocks of FORWARD_BLOCK_ROWS rows,
-and each block runs every layer, the output layer included, into its own
-rows of the result. A block of 256 rows keeps one layer's input,
-pre-activation and gate (about 0.8 MB at width 128) inside a 2 MB L2 cache,
-where a full 4096-row batch would stream 4 MB temporaries through memory;
-batches of up to 256 rows stay one block. So a call's result is, by
-construction, its blocks' stand-alone results concatenated, whatever the
-model's shape, with one exception: a 1-row product goes through numpy's
-matrix-vector path, whose rounding differs, so a trailing 1-row remainder
-joins the block before it. A call of at most 257 rows is one block, so it
-equals `forward_backward`'s output, and a stack of 256-row batches equals
-one call per batch.
+and each block runs every layer's matmul, the output layer's included, on
+its own rows; batches of up to 256 rows stay one block. The matmul per
+block is the rounding unit. Everything else is elementwise: the input
+assembly, each hidden layer's bias add, gate and SiLU product, and the
+output bias, so their bits do not depend on the rows they run over. So a
+call's result is, by construction, its blocks' stand-alone results
+concatenated, whatever the model's shape, with one exception: a 1-row
+product goes through numpy's matrix-vector path, whose rounding differs,
+so a trailing 1-row remainder joins the block before it. A call of at most
+257 rows is one block, so it equals `forward_backward`'s output, and a
+stack of 256-row batches equals one call per batch.
 
 The blocks of one call are dealt, in contiguous chunks, to as many threads
 as the process has CPUs (at most one thread per block); the calling thread
 runs the first chunk, a module-level pool the rest. numpy's matmul and
-elementwise ufuncs release the GIL, so on two CPUs (a 2-vCPU Xeon, one
-BLAS thread) a 4096-row forward takes about 60% of its one-thread time.
-The split cannot change a bit: each block is the same rows computed by the
-same calls as on one thread, through buffers that belong to its chunk
-alone, and its output is written by its own thread into its own rows, so
-the number of threads only decides which thread computes a block. A call
-of at most 257 rows stays on the calling thread: split into two 128-row
-halves on two threads, a 256-row forward measured slower on the same
-machine (1.73 against 1.61 ms), so at that size the hand-off to a second
-thread costs more than it saves. The caller allocates every chunk's
-buffers before any chunk starts, so the pool's threads allocate no array
-and open no allocator arena of their own.
+elementwise ufuncs release the GIL while they run, but each call takes it
+back on return, and with two threads each hand-off is a wake-up on the
+other CPU: on a 2-vCPU Xeon a loop of expit, copy and multiply on 256 x 128
+arrays ran only 1.45x as fast on two threads, a loop of matmuls 2.0x. So a
+chunk makes few numpy calls. It writes its rows' inputs, time features
+included, once into one chunk-sized array, and it gates its blocks
+GATE_BLOCKS at a time: per hidden layer, one matmul per block into the
+group's rows, then the bias add, gate and SiLU product once over the group,
+whose pre-activation and gate (1 MB at width 128) stay in a 2 MB L2 cache.
+Elementwise calls over a group change no bit, so neither the group size nor
+the number of threads does: each block's rows go through the same matmul
+calls as on one thread, through buffers that belong to its chunk alone, and
+its output is written by its own thread into its own rows. With one BLAS
+thread a 4096-row forward took 9.8-11.1 ms on one CPU and 6.7-7.7 ms on two
+(five processes each), where gating each block alone took 9.1-14.1 and
+9.4-9.7 ms. A call of at most 257 rows stays on the calling thread: split
+into two 128-row halves on two threads, a 256-row forward measured slower
+on the same machine (1.73 against 1.61 ms), so at that size the hand-off to
+a second thread costs more than it saves. The caller allocates every
+chunk's buffers before any chunk starts, so the pool's threads allocate no
+array of their own except numpy's ufunc buffer, at most 64 KB, which each
+broadcast bias add takes.
 
 Training runs `forward_backward`: one full-batch pass whose backward is
 written out for this network under a weighted squared-error loss. It
@@ -87,6 +97,16 @@ Array = np.ndarray
 
 # Rows per block of the inference forward; see the module docstring.
 FORWARD_BLOCK_ROWS = 256
+# Blocks per gate group of the inference forward; see the module docstring.
+# Measured against gating each block alone, its inputs written per block, in
+# two passes of 20 alternating in-process pairs of a 32-step sample of 4096
+# latents (2-vCPU Xeon, 2 MB L2 per core, one BLAS thread): 1 block, with
+# the inputs written once per chunk, ran +5.2% and +3.3% (17 and 14 of 20
+# pairs won); 2 blocks +15.7% and +13.8% (20, 18); 3 blocks +12.5% and
+# +17.0% (20, 19); 4 blocks +14.5% and +10.2% (20, 18); the whole 8-block
+# chunk +6.3% and +6.0% (19, 14), as its 2 MB pre-activation and gate spill
+# L2. 2 and 3 tie within the noise; 2 keeps a group's buffers at 1 MB.
+GATE_BLOCKS = 2
 # Adam's moment decays and denominator guard, the same for every optimizer.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -120,12 +140,31 @@ class Parameterization(enum.Enum):
 def time_features(t, num_frequencies: int) -> Array:
     """Sinusoidal features [sin(pi 2^k t), cos(pi 2^k t)] for k < num_frequencies."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    freqs = np.pi * (2.0 ** np.arange(num_frequencies))
-    angles = t[:, None] * freqs[None, :]
     out = np.empty((t.shape[0], 2 * num_frequencies), dtype=np.float64)
-    out[:, 0::2] = np.sin(angles)
-    out[:, 1::2] = np.cos(angles)
+    _write_time_features(t, _frequencies(num_frequencies), np.empty(out.size), out)
     return out
+
+
+def _frequencies(num_frequencies: int) -> Array:
+    return np.pi * (2.0 ** np.arange(num_frequencies))
+
+
+def _write_time_features(t: Array, freqs: Array, scratch: Array, out: Array) -> None:
+    """Writes the features of the 1-d `t` at `freqs` into the rows of `out`,
+    which may be strided, allocating no array.
+
+    The angles and each wave go through two contiguous runs of the flat
+    `scratch` (at least 2 len(t) len(freqs) doubles), as through the fresh
+    arrays numpy would allocate for them: numpy may choose another sin or
+    cos loop for a strided output.
+    """
+    shape = (t.shape[0], freqs.shape[0])
+    n = math.prod(shape)
+    angles = scratch[:n].reshape(shape)
+    wave = scratch[n: 2 * n].reshape(shape)
+    np.multiply(t[:, None], freqs, out=angles)
+    out[:, 0::2] = np.sin(angles, out=wave)
+    out[:, 1::2] = np.cos(angles, out=wave)
 
 
 def class_ids(cond) -> Array:
@@ -192,6 +231,13 @@ class DenoiserModel:
         self.flat = np.concatenate(
             [np.reshape(self.params[name], -1) for name in shapes], dtype=np.float64)
         self.params = self.views(self.flat)
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the model through its constructor, so a
+        # copy's `params` are views of its own new `flat`; `params` goes as a
+        # plain dict, since a `ParamViews` cannot be filled item by item.
+        return DenoiserModel, (self.latent_dim, self.num_classes, self.hidden, self.embed_dim,
+                               self.num_frequencies, self.parameterization, dict(self.params))
 
     def _shapes(self) -> dict[str, tuple[int, ...]]:
         return param_shapes(self.latent_dim, self.num_classes, self.hidden,
@@ -289,67 +335,108 @@ class DenoiserModel:
         `t` and `cond` may be scalars (broadcast over the batch) or arrays
         of length batch.
 
-        Inference only. The rows run in blocks of FORWARD_BLOCK_ROWS, sized
-        so a block's working set stays in L2, and each block runs every
-        layer into its own rows of the result; a trailing 1-row remainder
+        Inference only. The rows run in blocks of FORWARD_BLOCK_ROWS, and
+        each layer's matmul runs once per block; a trailing 1-row remainder
         is folded into the block before it, since a 1-row matmul takes
-        numpy's matrix-vector path and rounds differently. So the result is
-        the concatenation of the blocks' stand-alone results, and a call of
-        at most 257 rows is bit-identical to `forward_backward`'s output.
-        The blocks are dealt in contiguous chunks to one thread per
-        available CPU, at most one per block: the calling thread runs the
-        first chunk and a shared pool the rest (see the module docstring).
+        numpy's matrix-vector path and rounds differently. All else is
+        elementwise, so the result is the concatenation of the blocks'
+        stand-alone results, and a call of at most 257 rows is
+        bit-identical to `forward_backward`'s output. The blocks are dealt
+        in contiguous chunks to one thread per available CPU, at most one
+        per block: the calling thread runs the first chunk and a shared
+        pool the rest. Each chunk writes its inputs once and gates its
+        blocks GATE_BLOCKS at a time (see the module docstring).
         """
         z, t, cond = self._validate(z, t, cond)
         batch = z.shape[0]
         in_dim = self.latent_dim + 2 * self.num_frequencies + self.embed_dim
+        scratch_dim = max(self.embed_dim, 2 * self.num_frequencies)
+        widest = max(self.hidden, default=0)
         blocks = list(_row_blocks(batch, FORWARD_BLOCK_ROWS))
         workers = min(_available_cpus(), len(blocks))
-        # One row of features for a scalar t, broadcast into every block.
-        feats = time_features(t, self.num_frequencies)
+        freqs = _frequencies(self.num_frequencies)
+        # A scalar t has one row of features, computed here once and
+        # broadcast into every chunk; otherwise each chunk computes its own.
+        feats = time_features(t, self.num_frequencies) if t.ndim == 0 else None
         out = np.empty((batch, self.latent_dim))
-        # Every buffer is allocated here, before any chunk runs, so that the
-        # pool's threads allocate no array.
-        chunks = []
+        plans = []
         for j in range(workers):
             chunk = blocks[j * len(blocks) // workers: (j + 1) * len(blocks) // workers]
-            rows = max(hi - lo for lo, hi in chunk)
-            buffers = (
-                [np.empty((rows, width)) for width in (in_dim, *self.hidden)],
-                np.empty(rows * max(self.hidden, default=0)),
-            )
+            groups = [chunk[i: i + GATE_BLOCKS] for i in range(0, len(chunk), GATE_BLOCKS)]
+            rows = chunk[-1][1] - chunk[0][0]
+            group_rows = max(group[-1][1] - group[0][0] for group in groups)
+            # Doubles of the chunk's x and of its two ping-pong buffers, the
+            # first of which is the input scratch until the first layer.
+            sizes = (rows * in_dim, max(rows * scratch_dim, group_rows * widest),
+                     group_rows * widest)
+            plans.append((groups, sizes))
+        # Every chunk's buffers are views of one workspace, allocated here
+        # before any chunk runs, so that the pool's threads allocate no
+        # array. As one block it stays mapped between calls; as separate
+        # chunk-sized arrays the allocator gave it back and faulted it in
+        # anew on each call (624 minor faults per 4096-row call on one CPU,
+        # which made the call about 12% slower).
+        work = np.empty(sum(sum(sizes) for _, sizes in plans))
+        chunks, lo = [], 0
+        for groups, sizes in plans:
+            buffers = []
+            for n in sizes:
+                buffers.append(work[lo: lo + n])
+                lo += n
             chunks.append(functools.partial(
-                self._forward_rows, chunk, buffers, z, feats, cond, out))
+                self._forward_rows, groups, buffers, z, t, freqs, feats, cond, out))
         _run_chunks(chunks)
         return out
 
-    def _forward_rows(self, blocks, buffers, z, feats, cond, out) -> None:
-        """Writes the output of the rows of `blocks` into `out`, one block at
-        a time through the preallocated `buffers`."""
+    def _forward_rows(self, groups, buffers, z, t, freqs, feats, cond, out) -> None:
+        """Writes the output of the rows of `groups`, lists of contiguous
+        blocks, into `out` through the preallocated `buffers`.
+
+        The chunk's inputs are written once into its `x`: the latents, the
+        time features (the shared row `feats`, or computed here from `t`
+        when `feats` is None) and the embeddings, the last two through the
+        first ping-pong buffer as scratch. Each hidden layer then runs one
+        matmul per block, the rounding unit, into the group's rows of one
+        ping-pong buffer, and the bias, gate and SiLU product once over the
+        group, the gate in the other buffer, whose input the matmuls have
+        consumed. The output matmul runs per block and its bias once over
+        the chunk.
+        """
         params = self.params
         n_hidden = len(self.hidden)
         time_cols = slice(self.latent_dim, self.latent_dim + 2 * self.num_frequencies)
         embed_cols = slice(time_cols.stop, None)
-        act_bufs, gate_buf = buffers
-        for lo, hi in blocks:
-            m = hi - lo
-            x = act_bufs[0][:m]
-            x[:, : time_cols.start] = z[lo:hi]
-            x[:, time_cols] = feats if len(feats) == 1 else feats[lo:hi]
-            # The ids are validated, so "clip" changes none; unlike "raise",
-            # it writes into `out` without a temporary copy.
-            np.take(params["embed"], cond[lo:hi], axis=0, out=x[:, embed_cols], mode="clip")
-            h = x
-            for k in range(n_hidden):
-                a = act_bufs[k + 1][:m]
-                np.matmul(h, params[f"w{k}"], out=a)
+        start, stop = groups[0][0][0], groups[-1][-1][1]
+        x, *act_bufs = buffers
+        x = x.reshape(stop - start, -1)
+        scratch = act_bufs[0]
+        x[:, : time_cols.start] = z[start:stop]
+        # The ids are validated, so "clip" changes none. Unlike "raise", it
+        # writes into a contiguous `out` without a temporary copy; a strided
+        # `out` would get one.
+        embed = scratch[: (stop - start) * self.embed_dim].reshape(stop - start, self.embed_dim)
+        x[:, embed_cols] = np.take(params["embed"], cond[start:stop], axis=0, out=embed,
+                                   mode="clip")
+        if feats is None:
+            _write_time_features(t[start:stop], freqs, scratch, x[:, time_cols])
+        else:
+            x[:, time_cols] = feats
+        for group in groups:
+            lo, hi = group[0][0], group[-1][1]
+            blocks = [slice(b_lo - lo, b_hi - lo) for b_lo, b_hi in group]
+            h = x[lo - start: hi - start]
+            for k, width in enumerate(self.hidden):
+                a = act_bufs[k % 2][: (hi - lo) * width].reshape(hi - lo, width)
+                for rows in blocks:
+                    np.matmul(h[rows], params[f"w{k}"], out=a[rows])
                 a += params[f"b{k}"]
-                gate = gate_buf[: a.size].reshape(a.shape)
+                gate = act_bufs[(k + 1) % 2][: a.size].reshape(a.shape)
                 expit(a, out=gate)
                 a *= gate
                 h = a
-            np.matmul(h, params[f"w{n_hidden}"], out=out[lo:hi])
-            out[lo:hi] += params[f"b{n_hidden}"]
+            for rows in blocks:
+                np.matmul(h[rows], params[f"w{n_hidden}"], out=out[lo:hi][rows])
+        out[start:stop] += params[f"b{n_hidden}"]
 
     def forward_backward(self, z, t, cond) -> tuple[Array, Callable[[Array], Array]]:
         """Training pass: the output and the function that maps dL/d(output)

@@ -1,7 +1,9 @@
+import copy
 import math
 import multiprocessing
 import operator
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -90,6 +92,16 @@ def reference_forward(model, z, t, cond):
     return np.concatenate([np.empty((0, model.latent_dim)), *blocks])
 
 
+def model_with_biases(hidden, seed):
+    """`DenoiserModel.init`'s model with N(0, 1) biases in place of its zero
+    ones, so that a bias added twice or not at all changes the output."""
+    model = DenoiserModel.init(hidden=hidden, seed=seed)
+    rng = np.random.default_rng(seed)
+    for k in range(len(hidden) + 1):
+        model.params[f"b{k}"][...] = rng.normal(size=model.params[f"b{k}"].shape)
+    return model
+
+
 # Every model shape is blocked alike: none of these may round its blocks
 # differently from the stand-alone calls. (4,) and (100,) have widths that
 # are not a multiple of the 8-double vector, and (400, 8) feeds its second
@@ -101,7 +113,7 @@ SHAPES = [(), (4,), (100,), (128, 128), (400, 8)]
 @pytest.mark.parametrize("hidden", SHAPES)
 @pytest.mark.parametrize("batch", [0, 1, 2, 255, 256, 257, 258, 513, 4096, 4097])
 def test_blocked_forward_matches_full_batch_reference_bitwise(hidden, batch):
-    model = DenoiserModel.init(hidden=hidden, seed=4)
+    model = model_with_biases(hidden, seed=4)
     rng = np.random.default_rng(batch)
     z = rng.normal(size=(batch, model.latent_dim))
     t_rows = rng.uniform(0.0, 1.0, size=batch)
@@ -145,22 +157,32 @@ def recording_expit(monkeypatch, before=None):
 
 
 # The reference is the plain full-batch forward, run on each block's rows,
-# so the result cannot depend on the number of threads.
+# so the result cannot depend on the number of threads or on how a chunk's
+# blocks are grouped for the gate. Among these batches, 769, 1300 and 1537
+# give chunks of an odd number of blocks, so a trailing group of one block,
+# and 769, 1537 and 4097 a 1-row fold inside a chunk's last group.
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("batch", [512, 513, 769, 1024, 4097, 8192])
+@pytest.mark.parametrize("batch", [512, 513, 769, 1024, 1300, 1537, 4097, 8192])
 def test_split_forward_matches_full_batch_reference_bitwise(monkeypatch, workers, batch):
     monkeypatch.setattr(nnet, "_available_cpus", lambda: workers)
     rng = np.random.default_rng(batch)
     z = rng.normal(size=(batch, 2))
     cond = rng.integers(0, 8, size=batch)
+    blocks = row_blocks(batch)
+    chunks = min(workers, len(blocks))
+    # Each chunk gates its blocks GATE_BLOCKS at a time.
+    chunk_blocks = [(j + 1) * len(blocks) // chunks - j * len(blocks) // chunks
+                    for j in range(chunks)]
+    groups = sum(math.ceil(n / nnet.GATE_BLOCKS) for n in chunk_blocks)
     for hidden in SHAPES:
-        model = DenoiserModel.init(hidden=hidden, seed=7)
+        model = model_with_biases(hidden, seed=7)
         for t in (0.61, rng.uniform(0.0, 1.0, size=batch)):
             calls = recording_expit(monkeypatch)
             out = model.forward(z, t, cond)
             assert np.array_equal(out, reference_forward(model, z, t, cond))
             # Every row passes each hidden layer once: no chunk overlaps another.
             assert sum(rows for _, rows in calls) == batch * len(hidden)
+            assert len(calls) == groups * len(hidden)
             if hidden:
                 assert (len({thread for thread, _ in calls}) > 1) == (workers > 1)
 
@@ -174,7 +196,7 @@ def test_split_forward_matches_full_batch_reference_bitwise(monkeypatch, workers
 @pytest.mark.parametrize("batch", [4096, 4100, 8192])
 def test_slab_forward_equals_stand_alone_slab_calls_bitwise(monkeypatch, workers, hidden, batch):
     monkeypatch.setattr(nnet, "_available_cpus", lambda: workers)
-    model = DenoiserModel.init(hidden=hidden, seed=11)
+    model = model_with_biases(hidden, seed=11)
     rng = np.random.default_rng(batch)
     z = rng.normal(size=(batch, model.latent_dim))
     t = rng.uniform(0.0, 1.0, size=batch)
@@ -680,6 +702,31 @@ def test_a_model_copies_the_arrays_it_is_built_from_into_its_flat_vector(build, 
     if build != "init":  # ... and writes neither the caller's arrays nor the source's
         for k, p in source.params.items():
             np.testing.assert_array_equal(p, caller[k])
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_or_unpickled_model_owns_its_own_flat_vector(duplicate):
+    model = model_with_biases((16, 8), seed=5)
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(600, model.latent_dim))
+    t = rng.uniform(0.0, 1.0, size=600)
+    cond = rng.integers(0, model.num_classes, size=600)
+    want = model.forward(z, t, cond)
+    dup = duplicate(model)
+    assert dup.parameterization is model.parameterization
+    assert list(dup.params) == list(model.params)
+    for k, p in dup.params.items():
+        assert np.shares_memory(p, dup.flat), k
+    assert not np.shares_memory(dup.flat, model.flat)
+    assert not any(np.shares_memory(p, q) for p in dup.params.values()
+                   for q in (model.flat, *model.params.values()))
+    with pytest.raises(TypeError, match="read-only"):
+        dup.params["b0"] = np.zeros(16)
+    assert np.array_equal(dup.forward(z, t, cond), want)
+    adam_step(dup.flat, np.ones_like(dup.flat), AdamState.fresh(dup.flat, lr=0.1))
+    assert not np.array_equal(dup.forward(z, t, cond), want)
+    assert np.array_equal(model.forward(z, t, cond), want)
 
 
 def test_a_model_rejects_missing_extra_and_misshapen_arrays():
