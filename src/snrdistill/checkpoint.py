@@ -113,6 +113,7 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserModel, CosineSchedule, di
         reader.fail(f"unsupported checkpoint version {version} (expected {FORMAT_VERSION})")
 
     header: dict[str, str] = {}
+    offsets: dict[str, int] = {}  # of each header key's line
     provenance: dict[str, str] = {}
     line = reader.next_line()
     while line is not None and not line.startswith("param ") and line != "end":
@@ -121,6 +122,7 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserModel, CosineSchedule, di
             provenance[key[len("provenance."):]] = value
         else:
             header[key] = value
+            offsets[key] = reader.line_start
         line = reader.next_line()
 
     required = [
@@ -132,25 +134,28 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserModel, CosineSchedule, di
         if key not in header:
             reader.fail(f"missing header field {key}")
 
-    try:
-        parameterization = Parameterization(header["model.parameterization"])
-    except ValueError:
-        reader.fail(f"unknown parameterization {header['model.parameterization']!r}")
+    def parsed(key: str, convert):
+        """`convert` of header `key`'s value; a ValueError names the key's line."""
+        try:
+            return convert(header[key])
+        except ValueError as exc:
+            raise CheckpointFormatError(
+                f"bad header value {key} = {header[key]!r}: {exc}", offsets[key]) from exc
+
+    parameterization = parsed("model.parameterization", Parameterization)
     if header["schedule.kind"] != "cosine":
-        reader.fail(f"unknown schedule kind {header['schedule.kind']!r}")
-    hidden = header["model.hidden"]
-    try:
-        dims = dict(
-            latent_dim=int(header["model.latent_dim"]),
-            num_classes=int(header["model.num_classes"]),
-            # An empty value is a model with no hidden layer.
-            hidden=tuple(int(h) for h in hidden.split(",")) if hidden else (),
-            embed_dim=int(header["model.embed_dim"]),
-            num_frequencies=int(header["model.num_frequencies"]),
-        )
-        schedule = CosineSchedule(t_min=float(header["schedule.t_min"]))
-    except ValueError as exc:
-        raise CheckpointFormatError(f"bad header value: {exc}", 0) from exc
+        raise CheckpointFormatError(f"unknown schedule kind {header['schedule.kind']!r}",
+                                    offsets["schedule.kind"])
+    dims = dict(
+        latent_dim=parsed("model.latent_dim", int),
+        num_classes=parsed("model.num_classes", int),
+        # An empty value is a model with no hidden layer.
+        hidden=parsed("model.hidden",
+                      lambda value: tuple(int(h) for h in value.split(",")) if value else ()),
+        embed_dim=parsed("model.embed_dim", int),
+        num_frequencies=parsed("model.num_frequencies", int),
+    )
+    schedule = CosineSchedule(t_min=parsed("schedule.t_min", float))
     expected = param_shapes(**dims)
     params: dict[str, Array] = {}
 

@@ -47,6 +47,15 @@ def _check_at_least(flag: str, value: int, low: int) -> None:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
 
+def _check_matches_dataset(model, cfg, flag: str) -> None:
+    """A usage error unless the checkpoint's model fits the config's dataset."""
+    for name in ("latent_dim", "num_classes"):
+        have, want = getattr(model, name), getattr(cfg.dataset, name)
+        if have != want:
+            raise ConfigError(f"{flag}: the checkpoint's {name} is {have}, "
+                              f"but the config's dataset.{name} is {want}")
+
+
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.run.seeds[0] if args.seed is None else args.seed
@@ -66,6 +75,7 @@ def _cmd_distill(args) -> int:
     validate_config(cfg)
     dataset = build_dataset(cfg)
     teacher, schedule, _ = load_checkpoint(args.teacher)
+    _check_matches_dataset(teacher, cfg, "--teacher")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dconfig = build_distill_config(cfg, args.strategy, seed)
@@ -111,6 +121,7 @@ def _cmd_eval(args) -> int:
         cfg.eval.repetitions = args.repetitions
     validate_config(cfg)
     model, schedule, _ = load_checkpoint(args.checkpoint)
+    _check_matches_dataset(model, cfg, "--checkpoint")
     dataset = build_dataset(cfg)
     ref = reference_fit(cfg, dataset)
     values = []
@@ -125,6 +136,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_weights_table(args) -> int:
+    _check_at_least("--points", args.points, 1)
     schedule = CosineSchedule()
     try:
         strategies = [strategy_from_name(name, args.gamma) for name in STRATEGY_NAMES]
@@ -141,7 +153,10 @@ def _cmd_weights_table(args) -> int:
 
 def _cmd_report(args) -> int:
     cfg = load_config(args.config)
-    rows = read_metrics(args.metrics)
+    try:
+        rows = read_metrics(args.metrics)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     write_results(rows, args.out, cfg)
     print(f"aggregated {len(rows)} metric rows into {args.out}")
     return 0

@@ -104,14 +104,28 @@ def check_halvings(n_start: int, iterations: int) -> None:
 
 @dataclass
 class RoundRecord:
-    round_index: int
-    teacher_steps: int
+    """One halving round: its student, at `student_steps` steps, and the loss
+    of every update. `distill_round` returns it; `progressive_distill` fills
+    in the round index, the round's seconds and its checkpoint path."""
+
     student_steps: int
-    final_loss: float
-    updates_run: int
-    seconds: float
     student: DenoiserModel = field(repr=False)
+    losses: Array = field(repr=False)
+    round_index: int | None = None
+    seconds: float | None = None
     checkpoint: str | None = None
+
+    @property
+    def teacher_steps(self) -> int:
+        return 2 * self.student_steps
+
+    @property
+    def updates_run(self) -> int:
+        return len(self.losses)
+
+    @property
+    def final_loss(self) -> float:
+        return float(self.losses[-1])
 
 
 @dataclass
@@ -154,14 +168,6 @@ class TeacherTargetCache:
 def round_seed(root_seed: int, k: int) -> int:
     """The seed of round k's draws in a progressive run seeded by `root_seed`."""
     return int(child_rng(root_seed, "round", k).integers(0, 2**31 - 1))
-
-
-@dataclass
-class RoundResult:
-    student: DenoiserModel
-    final_loss: float
-    updates_run: int
-    losses: Array
 
 
 def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
@@ -249,7 +255,7 @@ def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDat
 
 def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
                   schedule: CosineSchedule, seed: int | None = None,
-                  targets: TeacherTargetCache | None = None) -> RoundResult:
+                  targets: TeacherTargetCache | None = None) -> RoundRecord:
     """Train one student against two-step teacher targets at grid size 1/N.
 
     The models only need the small surface used here (the test suite
@@ -295,12 +301,7 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
 
     if fresh is not None:
         targets.key, targets.z0_tilde = key, fresh
-    return RoundResult(
-        student=student,
-        final_loss=losses[-1],
-        updates_run=len(losses),
-        losses=np.asarray(losses),
-    )
+    return RoundRecord(student_steps=n_steps, student=student, losses=np.asarray(losses))
 
 
 def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
@@ -311,14 +312,17 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
 
     The teacher's effective grid in round k is n_start / 2^(k-1): its two
     half-steps have spacing 1/(that grid). After each round the student is
-    promoted to teacher. Each round's record holds its student; when
-    `checkpoint_dir` is given, the student is also saved as round_<k>.ckpt
-    as its round ends, and the record names that file.
+    promoted to teacher. Each round's record holds its student and the
+    loss of every update; when `checkpoint_dir` is given, the student is
+    also saved as round_<k>.ckpt as its round ends, and the record names
+    that file.
     An exception raised in a round carries the trace of the rounds that
     completed before it as its `distill_trace` attribute.
     `targets`, a cache that is empty or holds this run's round 1, serves
     round 1 only.
     """
+    # Looked up per call, so a wrapper installed on checkpoint.save_checkpoint
+    # (the benchmark's tracer installs one) sees every round's save.
     from .checkpoint import save_checkpoint
 
     root_seed = config.seed if seed is None else seed
@@ -326,35 +330,24 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
     current = teacher
     try:
         for k in range(1, config.iterations + 1):
-            teacher_steps = config.n_start >> (k - 1)
-            student_steps = config.n_start >> k
             started = time.perf_counter()
-            result = distill_round(
-                current, config, student_steps, dataset, schedule,
+            record = distill_round(
+                current, config, config.n_start >> k, dataset, schedule,
                 seed=round_seed(root_seed, k), targets=targets if k == 1 else None,
             )
-            seconds = time.perf_counter() - started
-            ckpt_path = None
+            record.round_index = k
+            record.seconds = time.perf_counter() - started
             if checkpoint_dir is not None:
                 path = Path(checkpoint_dir) / f"round_{k}.ckpt"
-                save_checkpoint(path, result.student, schedule, provenance={
+                save_checkpoint(path, record.student, schedule, provenance={
                     "round": k,
-                    "steps": student_steps,
+                    "steps": record.student_steps,
                     "strategy": config.strategy.name,
                     "seed": root_seed,
                 })
-                ckpt_path = str(path)
-            trace.rounds.append(RoundRecord(
-                round_index=k,
-                teacher_steps=teacher_steps,
-                student_steps=student_steps,
-                final_loss=result.final_loss,
-                updates_run=result.updates_run,
-                seconds=seconds,
-                student=result.student,
-                checkpoint=ckpt_path,
-            ))
-            current = result.student
+                record.checkpoint = str(path)
+            trace.rounds.append(record)
+            current = record.student
     except Exception as exc:
         exc.distill_trace = trace
         raise

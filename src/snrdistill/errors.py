@@ -4,15 +4,17 @@ from __future__ import annotations
 
 
 class ShapeMismatchError(ValueError):
-    """An array argument has the wrong size along a named axis."""
+    """An array argument has the wrong size along a named axis, or, with
+    `axis` None, the wrong shape."""
 
-    def __init__(self, argument: str, axis: int, expected, got):
+    def __init__(self, argument: str, axis: int | None, expected, got):
         self.argument = argument
         self.axis = axis
         self.expected = expected
         self.got = got
         super().__init__(
-            f"{argument}: axis {axis} must have size {expected}, got {got}"
+            f"{argument} must have shape {expected}, got shape {got}" if axis is None
+            else f"{argument}: axis {axis} must have size {expected}, got {got}"
         )
 
 

@@ -260,14 +260,20 @@ def write_results(rows: list[MetricRow], path: str | Path, cfg: RunConfig) -> No
 
 
 def read_metrics(path: str | Path) -> list[MetricRow]:
-    rows = []
+    """The rows of a metrics.csv. A bad header or row raises ValueError
+    naming the file and the line number."""
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != METRICS_HEADER:
-        raise ValueError(f"unexpected metrics header in {path}")
-    for line in lines[1:]:
+        raise ValueError(f"{path}, line 1: expected the header {METRICS_HEADER!r}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        seed, strategy, steps, rep, fd = line.split(",")
-        rows.append(MetricRow(seed=int(seed), strategy=strategy, steps=int(steps),
-                              rep=int(rep), fd=float(fd)))
+        try:
+            seed, strategy, steps, rep, fd = line.split(",")
+            rows.append(MetricRow(seed=int(seed), strategy=strategy, steps=int(steps),
+                                  rep=int(rep), fd=float(fd)))
+        except ValueError:
+            raise ValueError(f"{path}, line {number}: expected a row of "
+                             f"{METRICS_HEADER!r}, got {line!r}") from None
     return rows

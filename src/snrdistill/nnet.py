@@ -306,13 +306,13 @@ class DenoiserModel:
         """
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2:
-            raise ShapeMismatchError("z_t", 0, "(batch, latent_dim)", f"{z.ndim}-d array")
+            raise ShapeMismatchError("z_t", None, f"(batch, {self.latent_dim})", z.shape)
         if z.shape[1] != self.latent_dim:
             raise ShapeMismatchError("z_t", 1, self.latent_dim, z.shape[1])
         batch = z.shape[0]
         t = np.asarray(t, dtype=np.float64)
         if t.ndim != 0 and t.shape != (batch,):
-            raise ShapeMismatchError("t", 0, batch, t.shape[0])
+            raise ShapeMismatchError("t", None, f"() or ({batch},)", t.shape)
         # Written so that NaN, which fails every comparison, fails the test.
         if not np.all((t >= -1e-12) & (t <= 1.0 + 1e-12)):
             raise ValueError(f"t must lie in [0, 1], got range [{t.min()}, {t.max()}]")
@@ -321,7 +321,7 @@ class DenoiserModel:
         if cond.ndim == 0:
             cond = np.full(batch, int(cond), dtype=np.int64)
         elif cond.shape != (batch,):
-            raise ShapeMismatchError("condition", 0, batch, cond.shape[0])
+            raise ShapeMismatchError("condition", None, f"() or ({batch},)", cond.shape)
         if np.any(cond < 0) or np.any(cond >= self.num_classes):
             raise ValueError(
                 f"condition ids must lie in [0, {self.num_classes}), "
@@ -478,7 +478,7 @@ class DenoiserModel:
         def backward(d_out) -> Array:
             g = np.asarray(d_out, dtype=np.float64)
             if g.shape != out.shape:
-                raise ShapeMismatchError("d_out", 0, out.shape, g.shape)
+                raise ShapeMismatchError("d_out", None, out.shape, g.shape)
             grad = np.empty_like(self.flat)
             grads = self.views(grad)
             for k in range(n_hidden, -1, -1):
@@ -612,7 +612,7 @@ def adam_step(params: Array, grad: Array, state: AdamState) -> None:
     """
     for name, arr in (("grad", grad), ("adam m", state.m), ("adam v", state.v)):
         if arr.shape != params.shape:
-            raise ShapeMismatchError(name, 0, params.shape, arr.shape)
+            raise ShapeMismatchError(name, None, params.shape, arr.shape)
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,24 @@ def test_a_bad_value_count_reports_the_offset_of_its_line(tmp_path, damage, mess
     with pytest.raises(CheckpointFormatError, match=message) as err:
         load_checkpoint(path)
     assert err.value.offset == len("".join(lines[:at]))
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("model.latent_dim", "x"),
+    ("model.hidden", "8,,8"),
+    ("schedule.t_min", "small"),
+])
+def test_a_bad_header_value_reports_the_offset_of_its_line(tmp_path, key, bad):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_model(5), CosineSchedule())
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(j for j, line in enumerate(lines) if line.startswith(f"{key} = "))
+    lines[at] = f"{key} = {bad}\n"
+    path.write_text("".join(lines))
+    with pytest.raises(CheckpointFormatError,
+                       match=re.escape(f"bad header value {key} = {bad!r}")) as err:
+        load_checkpoint(path)
+    assert err.value.offset == len("".join(lines[:at])) > 0
 
 
 def test_version_mismatch_is_explicit(tmp_path):

@@ -53,3 +53,55 @@ def test_a_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"snrdistill: error: {message}\n"
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_weights_table_with_no_points_is_a_usage_error(capsys, points):
+    assert main(["weights-table", "--points", points]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"snrdistill: error: --points must be >= 1, got {points}\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "distill"])
+@pytest.mark.parametrize("name, value", [("latent_dim", 3), ("num_classes", 12)])
+def test_a_checkpoint_that_does_not_fit_the_dataset_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, command, name, value):
+    # The check comes before any sampling or training.
+    monkeypatch.setattr(experiment, "reference_population", None)
+    monkeypatch.setattr("snrdistill.cli.progressive_distill", None)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, DenoiserModel.init(hidden=(4,), embed_dim=3, num_frequencies=2,
+                                             seed=0), CosineSchedule())
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY + f"dataset.{name} = {value}\n")
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(ckpt), "--steps", "4"]
+        flag = "--checkpoint"
+    else:
+        argv = ["distill", "--teacher", str(ckpt), "--out-dir", str(tmp_path / "out")]
+        flag = "--teacher"
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    held = {"latent_dim": 2, "num_classes": 8}[name]
+    assert captured.err == (f"snrdistill: error: {flag}: the checkpoint's {name} is {held}, "
+                            f"but the config's dataset.{name} is {value}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, line", [
+    pytest.param("seed,strategy,steps,fd\n1,bsa,8,0.1\n", 1, id="bad-header"),
+    pytest.param("seed,strategy,steps,rep,fd\n1,bsa,8,0,0.1\n1,bsa,8,0.2\n", 3,
+                 id="four-fields"),
+    pytest.param("seed,strategy,steps,rep,fd\n1,bsa,eight,0,0.1\n", 2, id="bad-number"),
+])
+def test_report_on_a_malformed_metrics_file_is_a_usage_error(tmp_path, capsys, text, line):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(text)
+    out = tmp_path / "results.csv"
+    assert main(["report", "--metrics", str(metrics), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"snrdistill: error: {metrics}, line {line}: ")
+    assert not out.exists()

@@ -8,7 +8,6 @@ from snrdistill.data import ToyDataset, draw_batch
 from snrdistill import distill, nnet
 from snrdistill.distill import (
     DistillConfig,
-    RoundResult,
     TeacherTargetCache,
     distill_round,
     progressive_distill,
@@ -354,6 +353,23 @@ def test_progressive_trace_halves_steps_exactly():
         assert r.teacher_steps == config.n_start >> (r.round_index - 1)
         assert r.student_steps * 2 == r.teacher_steps
     assert final.parameterization is Parameterization.X
+
+
+def test_every_round_record_keeps_its_loss_curve_and_derives_its_counts():
+    config = DistillConfig(iterations=3, n_start=24, steps_per_round=7, batch_size=8)
+    _, trace = progressive_distill(random_teacher(3), config, small_dataset(), SCHEDULE, seed=2)
+    assert len(trace.rounds) == 3
+    for r in trace.rounds:
+        assert r.updates_run == len(r.losses) == config.steps_per_round
+        assert r.final_loss == r.losses[-1]
+        assert r.teacher_steps == 2 * r.student_steps
+        assert r.seconds >= 0.0
+    # A round on its own is the same record, before progressive_distill
+    # numbers and times it.
+    alone = distill_round(random_teacher(3), config, 12, small_dataset(), SCHEDULE,
+                          seed=round_seed(2, 1))
+    np.testing.assert_array_equal(alone.losses, trace.rounds[0].losses)
+    assert (alone.round_index, alone.seconds, alone.checkpoint) == (None, None, None)
 
 
 def test_progressive_single_iteration_equals_one_round():

@@ -446,6 +446,19 @@ def test_forward_shape_errors_name_the_axis():
         model.forward(np.zeros((3, 1)), 0.5, 7)  # condition id out of range
 
 
+@pytest.mark.parametrize("t, cond, name", [
+    (np.full((4, 1), 0.5), 0, "t"),
+    (0.5, np.zeros((4, 1), dtype=np.int64), "condition"),
+    (np.full(3, 0.5), 0, "t"),
+])
+def test_a_misshapen_time_or_condition_names_both_shapes(t, cond, name):
+    model = tiny_model()
+    got = np.shape(t if name == "t" else cond)
+    with pytest.raises(ShapeMismatchError) as err:
+        model.forward(np.zeros((4, 1)), t, cond)
+    assert str(err.value) == f"{name} must have shape () or (4,), got shape {got}"
+
+
 @pytest.mark.parametrize("t", [float("nan"), np.array([0.5, float("nan"), 0.5])])
 def test_forward_rejects_non_finite_time(t):
     model = tiny_model()
