@@ -155,7 +155,7 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserModel, CosineSchedule, di
         embed_dim=parsed("model.embed_dim", int),
         num_frequencies=parsed("model.num_frequencies", int),
     )
-    schedule = CosineSchedule(t_min=parsed("schedule.t_min", float))
+    schedule = parsed("schedule.t_min", lambda value: CosineSchedule(t_min=float(value)))
     expected = param_shapes(**dims)
     params: dict[str, Array] = {}
 

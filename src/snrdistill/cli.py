@@ -42,6 +42,19 @@ def _add_config_arg(parser: argparse.ArgumentParser) -> None:
                         help="run config file; defaults apply when omitted")
 
 
+def _read_input(flag: str, path, read):
+    """`read(path)`, the input file named by `flag`; a usage error if it
+    does not exist. Each subcommand reads its inputs before it writes."""
+    try:
+        return read(path)
+    except FileNotFoundError:
+        raise ConfigError(f"{flag}: no such file: {path}") from None
+
+
+def _load_config(args):
+    return _read_input("--config", args.config, load_config)
+
+
 def _check_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
@@ -57,7 +70,7 @@ def _check_matches_dataset(model, cfg, flag: str) -> None:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     seed = cfg.run.seeds[0] if args.seed is None else args.seed
     result = train_teacher(cfg, seed, build_dataset(cfg), build_schedule(cfg), args.out)
     final = result.loss_history[-1] if len(result.loss_history) else float("nan")
@@ -68,13 +81,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_distill(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     seed = cfg.run.seeds[0] if args.seed is None else args.seed
     if args.gamma is not None:
         cfg.distill.gamma = args.gamma
     validate_config(cfg)
     dataset = build_dataset(cfg)
-    teacher, schedule, _ = load_checkpoint(args.teacher)
+    teacher, schedule, _ = _read_input("--teacher", args.teacher, load_checkpoint)
     _check_matches_dataset(teacher, cfg, "--teacher")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -91,7 +104,7 @@ def _cmd_distill(args) -> int:
 def _cmd_sample(args) -> int:
     _check_at_least("--steps", args.steps, 1)
     _check_at_least("--num", args.num, 0)
-    model, schedule, _ = load_checkpoint(args.checkpoint)
+    model, schedule, _ = _read_input("--checkpoint", args.checkpoint, load_checkpoint)
     if args.condition is not None and not 0 <= args.condition < model.num_classes:
         raise ConfigError(f"--condition must lie in [0, {model.num_classes}), "
                           f"got {args.condition}")
@@ -116,11 +129,11 @@ def _cmd_sample(args) -> int:
 
 def _cmd_eval(args) -> int:
     _check_at_least("--steps", args.steps, 1)
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     if args.repetitions is not None:
         cfg.eval.repetitions = args.repetitions
     validate_config(cfg)
-    model, schedule, _ = load_checkpoint(args.checkpoint)
+    model, schedule, _ = _read_input("--checkpoint", args.checkpoint, load_checkpoint)
     _check_matches_dataset(model, cfg, "--checkpoint")
     dataset = build_dataset(cfg)
     ref = reference_fit(cfg, dataset)
@@ -152,9 +165,9 @@ def _cmd_weights_table(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     try:
-        rows = read_metrics(args.metrics)
+        rows = _read_input("--metrics", args.metrics, read_metrics)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     write_results(rows, args.out, cfg)
@@ -163,7 +176,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     out = run_experiment(cfg, output_dir=args.out_dir)
     print(f"experiment finished; results in {out / 'results.csv'}")
     print((out / "results.csv").read_text(encoding="ascii"), end="")
@@ -237,14 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("print-config", help="print the fully resolved configuration")
     _add_config_arg(p)
-    p.set_defaults(func=lambda args: (print(serialize_config(load_config(args.config)), end=""), 0)[1])
+    p.set_defaults(func=lambda args: (print(serialize_config(_load_config(args)), end=""), 0)[1])
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand. A bad config, flag or checkpoint is a usage
-    error: its message goes to stderr and the exit status is 2."""
+    """Run one subcommand. A bad config, flag or checkpoint, or a missing
+    input file, is a usage error: its message goes to stderr and the exit
+    status is 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

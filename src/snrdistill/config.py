@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .distill import check_halvings
 from .errors import ConfigError
+from .schedule import CosineSchedule
 from .util import fmt_float
 from .weighting import STRATEGY_NAMES, strategy_from_name
 
@@ -191,6 +192,10 @@ def validate_config(cfg: RunConfig) -> None:
                             ("distill.steps_per_round", cfg.distill.steps_per_round, 1)):
         if value < low:
             raise ConfigError(f"{key} must be >= {low}, got {value}")
+    try:
+        CosineSchedule(t_min=cfg.schedule.t_min)
+    except ValueError as exc:
+        raise ConfigError(f"schedule.t_min: {exc}") from None
     for key, lr in (("train.lr", cfg.train.lr), ("distill.lr", cfg.distill.lr)):
         if not (math.isfinite(lr) and lr > 0.0):
             raise ConfigError(f"{key} must be finite and > 0, got {lr}")

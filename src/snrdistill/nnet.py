@@ -7,7 +7,7 @@ embedding]. The `parameterization` tag records whether the output is read as
 predicted noise or as the predicted clean latent; the forward pass itself is
 identical for both.
 
-The inference forward cuts a batch into blocks of FORWARD_BLOCK_ROWS rows,
+The forward cuts a batch into blocks of FORWARD_BLOCK_ROWS rows,
 and each block runs every layer's matmul, the output layer's included, on
 its own rows; batches of up to 256 rows stay one block. The matmul per
 block is the rounding unit. Everything else is elementwise: the input
@@ -17,8 +17,8 @@ call's result is, by construction, its blocks' stand-alone results
 concatenated, whatever the model's shape, with one exception: a 1-row
 product goes through numpy's matrix-vector path, whose rounding differs,
 so a trailing 1-row remainder joins the block before it. A call of at most
-257 rows is one block, so it equals `forward_backward`'s output, and a
-stack of 256-row batches equals one call per batch.
+257 rows is one block, and a stack of 256-row batches equals one call per
+batch.
 
 The blocks of one call are dealt, in contiguous chunks, to as many threads
 as the process has CPUs (at most one thread per block); the calling thread
@@ -28,7 +28,7 @@ back on return, and with two threads each hand-off is a wake-up on the
 other CPU: on a 2-vCPU Xeon a loop of expit, copy and multiply on 256 x 128
 arrays ran only 1.45x as fast on two threads, a loop of matmuls 2.0x. So a
 chunk makes few numpy calls. It writes its rows' inputs, time features
-included, once into one chunk-sized array, and it gates its blocks
+included, once into one array, and it gates its blocks
 GATE_BLOCKS at a time: per hidden layer, one matmul per block into the
 group's rows, then the bias add, gate and SiLU product once over the group,
 whose pre-activation and gate (1 MB at width 128) stay in a 2 MB L2 cache.
@@ -46,14 +46,24 @@ chunk's buffers before any chunk starts, so the pool's threads allocate no
 array of their own except numpy's ufunc buffer, at most 64 KB, which each
 broadcast bias add takes.
 
-Training runs `forward_backward`: one full-batch pass whose backward is
-written out for this network under a weighted squared-error loss. It
-performs, in the same order and grouping, the operations of the general
-reverse-mode graph it replaced, so the gradients, and with them every
-trained parameter and experiment CSV, stay bit-for-bit the same. Float
-products and sums are commutative but not associative, so an elementwise
-step may run in place or with its operands swapped, but its grouping and
-every reduction must not change:
+Training runs `forward_backward`. Its forward is this blocked, threaded
+pass at every batch size, so its output is `forward`'s bit for bit. It runs
+with `keep`: the first layer's input goes into a full-batch array; each
+hidden layer's pre-activation goes into another, which the SiLU product
+then turns into the layer's output; and the layer's SiLU slope goes into a
+third, written before that product. Its backward is written out for this
+network under a weighted squared-error loss, and its reductions run over
+the full batch. It performs, in the same order and grouping, the operations
+of the general reverse-mode graph it replaced. So up to 257 rows, where the
+forward is one block, the gradients stay bit-for-bit that graph's, and
+with them every trained parameter and experiment CSV at the default batch
+sizes. Over 257 rows each forward matmul runs per block. For the default
+hidden widths (128, 128), and for (4,) and (5, 3), the blocks round as one
+full-batch matmul does; for (100,) and (400, 8) they do not, so there a
+gradient can differ in its last bits from a full-batch pass's. Float products
+and sums are commutative but not associative, so an elementwise step may
+run in place or with its operands swapped, but its grouping and every
+reduction must not change:
 - The loss sum_i w_i |pred_i - target_i|^2 is multiplied by 1.0 / batch,
   never divided by batch; the two round differently unless batch is a
   power of two.
@@ -95,9 +105,9 @@ from .errors import ShapeMismatchError
 
 Array = np.ndarray
 
-# Rows per block of the inference forward; see the module docstring.
+# Rows per block of the forward; see the module docstring.
 FORWARD_BLOCK_ROWS = 256
-# Blocks per gate group of the inference forward; see the module docstring.
+# Blocks per gate group of the forward; see the module docstring.
 # Measured against gating each block alone, its inputs written per block, in
 # two passes of 20 alternating in-process pairs of a 32-step sample of 4096
 # latents (2-vCPU Xeon, 2 MB L2 per core, one BLAS thread): 1 block, with
@@ -113,6 +123,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+@np.errstate(over="ignore")  # cheaper per call than a `with` block
 def expit(a: Array, out: Array | None = None) -> Array:
     """The logistic gate 1 / (1 + exp(-a)), elementwise, written into `out`
     if given and returned.
@@ -126,8 +137,7 @@ def expit(a: Array, out: Array | None = None) -> Array:
     expected and not reported.
     """
     out = np.negative(a, out=out)
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+    np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
 
@@ -145,8 +155,12 @@ def time_features(t, num_frequencies: int) -> Array:
     return out
 
 
+@functools.cache
 def _frequencies(num_frequencies: int) -> Array:
-    return np.pi * (2.0 ** np.arange(num_frequencies))
+    # Shared by every call, so read-only.
+    freqs = np.pi * (2.0 ** np.arange(num_frequencies))
+    freqs.flags.writeable = False
+    return freqs
 
 
 def _write_time_features(t: Array, freqs: Array, scratch: Array, out: Array) -> None:
@@ -314,15 +328,17 @@ class DenoiserModel:
         if t.ndim != 0 and t.shape != (batch,):
             raise ShapeMismatchError("t", None, f"() or ({batch},)", t.shape)
         # Written so that NaN, which fails every comparison, fails the test.
-        if not np.all((t >= -1e-12) & (t <= 1.0 + 1e-12)):
+        # The array methods skip the Python dispatch of np.all, np.any and
+        # np.clip, which cost more than the checks on a small batch.
+        if not ((t >= -1e-12) & (t <= 1.0 + 1e-12)).all():
             raise ValueError(f"t must lie in [0, 1], got range [{t.min()}, {t.max()}]")
-        t = np.clip(t, 0.0, 1.0)
+        t = t.clip(0.0, 1.0)
         cond = class_ids(cond)
         if cond.ndim == 0:
             cond = np.full(batch, int(cond), dtype=np.int64)
         elif cond.shape != (batch,):
             raise ShapeMismatchError("condition", None, f"() or ({batch},)", cond.shape)
-        if np.any(cond < 0) or np.any(cond >= self.num_classes):
+        if ((cond < 0) | (cond >= self.num_classes)).any():
             raise ValueError(
                 f"condition ids must lie in [0, {self.num_classes}), "
                 f"got range [{cond.min()}, {cond.max()}]"
@@ -335,103 +351,114 @@ class DenoiserModel:
         `t` and `cond` may be scalars (broadcast over the batch) or arrays
         of length batch.
 
-        Inference only. The rows run in blocks of FORWARD_BLOCK_ROWS, and
-        each layer's matmul runs once per block; a trailing 1-row remainder
-        is folded into the block before it, since a 1-row matmul takes
-        numpy's matrix-vector path and rounds differently. All else is
-        elementwise, so the result is the concatenation of the blocks'
-        stand-alone results, and a call of at most 257 rows is
-        bit-identical to `forward_backward`'s output. The blocks are dealt
-        in contiguous chunks to one thread per available CPU, at most one
-        per block: the calling thread runs the first chunk and a shared
-        pool the rest. Each chunk writes its inputs once and gates its
-        blocks GATE_BLOCKS at a time (see the module docstring).
+        The rows run in blocks of FORWARD_BLOCK_ROWS, and each layer's
+        matmul runs once per block; a trailing 1-row remainder is folded
+        into the block before it, since a 1-row matmul takes numpy's
+        matrix-vector path and rounds differently. All else is elementwise,
+        so the result is the concatenation of the blocks' stand-alone
+        results. The blocks are dealt in contiguous chunks to one thread per
+        available CPU, at most one per block: the calling thread runs the
+        first chunk and a shared pool the rest. Each chunk writes its inputs
+        once and gates its blocks GATE_BLOCKS at a time (see the module
+        docstring). `forward_backward` runs the same pass, so its output is
+        this one's, bit for bit.
         """
-        z, t, cond = self._validate(z, t, cond)
+        return self._forward(*self._validate(z, t, cond), keep=False)[0]
+
+    def _forward(self, z, t, cond, keep: bool) -> tuple[Array, list[Array], list[Array]]:
+        """The blocked pass of `forward` and `forward_backward`, on validated
+        inputs: the output, then each layer's input and each hidden layer's
+        SiLU slope as full-batch arrays with `keep`, or two empty lists.
+        """
         batch = z.shape[0]
         in_dim = self.latent_dim + 2 * self.num_frequencies + self.embed_dim
+        out = np.empty((batch, self.latent_dim))
+        inputs, slopes = [], []
+        if keep:
+            # Arrays of their own, not views of the workspace below: carved
+            # from it, they made an in-process distill phase fault about
+            # twice as many pages in.
+            inputs = [np.empty((batch, width)) for width in (in_dim, *self.hidden)]
+            slopes = [np.empty((batch, width)) for width in self.hidden]
+        # A call of at most FORWARD_BLOCK_ROWS + 1 rows is one block.
+        cpus = _available_cpus() if batch > FORWARD_BLOCK_ROWS + 1 else 1
         scratch_dim = max(self.embed_dim, 2 * self.num_frequencies)
         widest = max(self.hidden, default=0)
-        blocks = list(_row_blocks(batch, FORWARD_BLOCK_ROWS))
-        workers = min(_available_cpus(), len(blocks))
-        freqs = _frequencies(self.num_frequencies)
+        plan, size = _chunk_plan(batch, cpus, in_dim, scratch_dim, widest, keep)
         # A scalar t has one row of features, computed here once and
         # broadcast into every chunk; otherwise each chunk computes its own.
         feats = time_features(t, self.num_frequencies) if t.ndim == 0 else None
-        out = np.empty((batch, self.latent_dim))
-        plans = []
-        for j in range(workers):
-            chunk = blocks[j * len(blocks) // workers: (j + 1) * len(blocks) // workers]
-            groups = [chunk[i: i + GATE_BLOCKS] for i in range(0, len(chunk), GATE_BLOCKS)]
-            rows = chunk[-1][1] - chunk[0][0]
-            group_rows = max(group[-1][1] - group[0][0] for group in groups)
-            # Doubles of the chunk's x and of its two ping-pong buffers, the
-            # first of which is the input scratch until the first layer.
-            sizes = (rows * in_dim, max(rows * scratch_dim, group_rows * widest),
-                     group_rows * widest)
-            plans.append((groups, sizes))
         # Every chunk's buffers are views of one workspace, allocated here
         # before any chunk runs, so that the pool's threads allocate no
         # array. As one block it stays mapped between calls; as separate
         # chunk-sized arrays the allocator gave it back and faulted it in
         # anew on each call (624 minor faults per 4096-row call on one CPU,
         # which made the call about 12% slower).
-        work = np.empty(sum(sum(sizes) for _, sizes in plans))
-        chunks, lo = [], 0
-        for groups, sizes in plans:
-            buffers = []
-            for n in sizes:
-                buffers.append(work[lo: lo + n])
-                lo += n
-            chunks.append(functools.partial(
-                self._forward_rows, groups, buffers, z, t, freqs, feats, cond, out))
-        _run_chunks(chunks)
-        return out
+        work = np.empty(size)
+        calls = []
+        for edges, bounds in plan:
+            bufs = [work[lo:hi] for lo, hi in bounds]
+            x = inputs[0][edges[0]: edges[-1]] if keep else bufs.pop().reshape(-1, in_dim)
+            calls.append(functools.partial(self._forward_rows, edges, x, bufs, z, t, feats, cond,
+                                           out, inputs, slopes))
+        _run_chunks(calls)
+        return out, inputs, slopes
 
-    def _forward_rows(self, groups, buffers, z, t, freqs, feats, cond, out) -> None:
-        """Writes the output of the rows of `groups`, lists of contiguous
-        blocks, into `out` through the preallocated `buffers`.
+    def _forward_rows(self, edges, x, bufs, z, t, feats, cond, out, inputs, slopes) -> None:
+        """Writes the output of the blocks with row `edges` into `out`,
+        through `x`, their rows of the first layer's input, and the
+        preallocated flat buffers `bufs`.
 
-        The chunk's inputs are written once into its `x`: the latents, the
-        time features (the shared row `feats`, or computed here from `t`
-        when `feats` is None) and the embeddings, the last two through the
-        first ping-pong buffer as scratch. Each hidden layer then runs one
-        matmul per block, the rounding unit, into the group's rows of one
-        ping-pong buffer, and the bias, gate and SiLU product once over the
-        group, the gate in the other buffer, whose input the matmuls have
-        consumed. The output matmul runs per block and its bias once over
-        the chunk.
+        The chunk's inputs are written once into `x`: the latents, the time
+        features (the shared row `feats`, or computed here from `t` when
+        `feats` is None) and the embeddings, the last two through the first
+        buffer as scratch. The blocks then go through the layers GATE_BLOCKS
+        at a time. Each hidden layer runs one matmul per block, the rounding
+        unit, and the bias, gate and SiLU product once over the group. The
+        pre-activation goes into the group's rows of one of the two
+        ping-pong buffers and the gate into the other, whose input the
+        matmuls have consumed; with kept `inputs` and `slopes`, it goes into
+        the layer's kept output and the gate into the one buffer, and the
+        slope is written into the layer's kept slope before the product.
+        The output matmul runs per block and its bias once over the chunk.
         """
         params = self.params
         n_hidden = len(self.hidden)
         time_cols = slice(self.latent_dim, self.latent_dim + 2 * self.num_frequencies)
         embed_cols = slice(time_cols.stop, None)
-        start, stop = groups[0][0][0], groups[-1][-1][1]
-        x, *act_bufs = buffers
-        x = x.reshape(stop - start, -1)
-        scratch = act_bufs[0]
+        start, stop = edges[0], edges[-1]
         x[:, : time_cols.start] = z[start:stop]
         # The ids are validated, so "clip" changes none. Unlike "raise", it
         # writes into a contiguous `out` without a temporary copy; a strided
         # `out` would get one.
-        embed = scratch[: (stop - start) * self.embed_dim].reshape(stop - start, self.embed_dim)
-        x[:, embed_cols] = np.take(params["embed"], cond[start:stop], axis=0, out=embed,
-                                   mode="clip")
+        embed = bufs[0][: (stop - start) * self.embed_dim].reshape(stop - start, self.embed_dim)
+        x[:, embed_cols] = params["embed"].take(cond[start:stop], axis=0, out=embed, mode="clip")
         if feats is None:
-            _write_time_features(t[start:stop], freqs, scratch, x[:, time_cols])
+            freqs = _frequencies(self.num_frequencies)
+            _write_time_features(t[start:stop], freqs, bufs[0], x[:, time_cols])
         else:
             x[:, time_cols] = feats
-        for group in groups:
-            lo, hi = group[0][0], group[-1][1]
-            blocks = [slice(b_lo - lo, b_hi - lo) for b_lo, b_hi in group]
+        for i in range(0, len(edges) - 1, GATE_BLOCKS):
+            group = edges[i: i + GATE_BLOCKS + 1]
+            lo, hi = group[0], group[-1]
+            blocks = [slice(b_lo - lo, b_hi - lo) for b_lo, b_hi in zip(group, group[1:])]
             h = x[lo - start: hi - start]
             for k, width in enumerate(self.hidden):
-                a = act_bufs[k % 2][: (hi - lo) * width].reshape(hi - lo, width)
+                if slopes:
+                    a = inputs[k + 1][lo:hi]
+                    gate = bufs[0][: a.size].reshape(a.shape)
+                else:
+                    a = bufs[k % 2][: (hi - lo) * width].reshape(hi - lo, width)
+                    gate = bufs[(k + 1) % 2][: a.size].reshape(a.shape)
                 for rows in blocks:
                     np.matmul(h[rows], params[f"w{k}"], out=a[rows])
                 a += params[f"b{k}"]
-                gate = act_bufs[(k + 1) % 2][: a.size].reshape(a.shape)
                 expit(a, out=gate)
+                if slopes:  # s * (1 + a * (1 - s)), grouped so
+                    slope = np.subtract(1.0, gate, out=slopes[k][lo:hi])
+                    slope *= a
+                    slope += 1.0
+                    slope *= gate
                 a *= gate
                 h = a
             for rows in blocks:
@@ -442,38 +469,19 @@ class DenoiserModel:
         """Training pass: the output and the function that maps dL/d(output)
         to the gradient of every parameter.
 
-        One full-batch pass that keeps each layer's input and SiLU slope;
+        The output is `forward`'s, from the same blocked pass, which here
+        keeps each layer's full-batch input and SiLU slope;
         `backward(d_out)` returns the gradient as one new vector laid out
-        like `flat` (read it by name through `views`). It follows the
-        op-order rules of the module docstring, so the gradients are
-        bit-for-bit those of the reverse-mode graph they replace, and the
-        output is bit-identical to `forward`'s.
+        like `flat` (read it by name through `views`). The backward's
+        reductions run over the full batch and follow the op-order rules of
+        the module docstring, so the gradients are bit-for-bit those of the
+        reverse-mode graph they replace.
         """
         z, t, cond = self._validate(z, t, cond)
         params = self.params
-        batch = z.shape[0]
         n_hidden = len(self.hidden)
-        time_cols = slice(self.latent_dim, self.latent_dim + 2 * self.num_frequencies)
-        embed_cols = slice(time_cols.stop, None)
-
-        x = np.empty((batch, embed_cols.start + self.embed_dim))
-        x[:, : time_cols.start] = z
-        x[:, time_cols] = time_features(t, self.num_frequencies)
-        np.take(params["embed"], cond, axis=0, out=x[:, embed_cols])
-        inputs = [x]
-        slopes = []
-        for k in range(n_hidden):
-            a = inputs[-1] @ params[f"w{k}"]
-            a += params[f"b{k}"]
-            s = expit(a)
-            inputs.append(a * s)
-            # SiLU slope s * (1 + a * (1 - s)), built in a's buffer.
-            a *= 1.0 - s
-            a += 1.0
-            a *= s
-            slopes.append(a)
-        k = n_hidden
-        out = inputs[-1] @ params[f"w{k}"] + params[f"b{k}"]
+        out, inputs, slopes = self._forward(z, t, cond, keep=True)
+        embed_cols = slice(inputs[0].shape[1] - self.embed_dim, None)
 
         def backward(d_out) -> Array:
             g = np.asarray(d_out, dtype=np.float64)
@@ -494,15 +502,39 @@ class DenoiserModel:
         return out, backward
 
 
-def _row_blocks(batch: int, block_rows: int):
-    """(lo, hi) bounds of `block_rows`-row blocks; never a 1-row tail."""
-    lo = 0
-    while lo < batch:
-        hi = min(lo + block_rows, batch)
-        if batch - hi == 1:
-            hi = batch
-        yield lo, hi
-        lo = hi
+@functools.lru_cache(maxsize=64)
+def _chunk_plan(batch: int, cpus: int, in_dim: int, scratch_dim: int, widest: int, keep: bool):
+    """How the forward of `batch` rows runs on at most `cpus` threads.
+
+    Returns one (edges, bounds) per chunk, the row edges of its blocks and
+    the (lo, hi) of its buffers in the workspace, then the workspace's size
+    in doubles. Chunk j runs blocks [j n / chunks, (j + 1) n / chunks) of n.
+    Its buffers are two ping-pong buffers, the first of which is the input
+    scratch until the first layer, and its x; a gate group has at most
+    GATE_BLOCKS * FORWARD_BLOCK_ROWS + 1 rows. With `keep` the kept arrays
+    take the layers' outputs and x, and the first buffer holds each gate.
+    The plan is cached: made on every call, it took about 2 of the 50 us
+    of an 8-row training pass of a `hidden=(4,)` model.
+    """
+    # Row edges of the blocks; no block starts on the last row of a longer
+    # batch, so a trailing 1-row remainder joins the block before it.
+    edges = [*range(0, batch - 1 if batch > 1 else batch, FORWARD_BLOCK_ROWS), batch]
+    n = len(edges) - 1
+    chunks = min(cpus, n)
+    plan, size = [], 0
+    for j in range(chunks):
+        chunk = edges[j * n // chunks: (j + 1) * n // chunks + 1]
+        rows = chunk[-1] - chunk[0]
+        gate = min(rows, GATE_BLOCKS * FORWARD_BLOCK_ROWS + 1) * widest
+        sizes = [max(rows * scratch_dim, gate)]
+        if not keep:
+            sizes += [gate, rows * in_dim]
+        bounds = []
+        for n_doubles in sizes:
+            bounds.append((size, size + n_doubles))
+            size += n_doubles
+        plan.append((tuple(chunk), tuple(bounds)))
+    return tuple(plan), size
 
 
 def _available_cpus() -> int:
@@ -517,7 +549,7 @@ _pool_lock = threading.Lock()
 
 
 def _forward_pool() -> ThreadPoolExecutor:
-    """The threads that run the inference forward's chunks after the first."""
+    """The threads that run the forward's chunks after the first."""
     global _pool
     with _pool_lock:
         if _pool is None:

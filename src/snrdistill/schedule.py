@@ -33,10 +33,21 @@ class CosineSchedule:
     """Signal/noise levels with alpha^2 + sigma^2 = 1 at every t.
 
     `t_min` is the clip applied when a signal-to-noise ratio is requested,
-    keeping the sigma = 0 endpoint out of the division.
+    keeping the sigma = 0 endpoint out of the division. It must lie in
+    (0, 1) with snr(t_min) finite, which ScheduleRangeError enforces:
+    below about 5e-155, sigma^2 underflows and the ratio overflows.
     """
 
     t_min: float = 1e-4
+
+    def __post_init__(self):
+        # Written so that NaN, which fails every comparison, fails the test.
+        if not 0.0 < self.t_min < 1.0:
+            raise ScheduleRangeError(f"t_min must lie in (0, 1), got {self.t_min}")
+        with np.errstate(divide="ignore", over="ignore"):
+            snr = self.snr(self.t_min)
+        if not np.isfinite(snr):
+            raise ScheduleRangeError(f"t_min = {self.t_min} gives snr(t_min) = {snr}")
 
     def alpha_sigma(self, t):
         """(alpha_t, sigma_t); accepts a scalar or an array of times."""

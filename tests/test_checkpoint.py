@@ -100,6 +100,9 @@ def test_a_bad_value_count_reports_the_offset_of_its_line(tmp_path, damage, mess
     ("model.latent_dim", "x"),
     ("model.hidden", "8,,8"),
     ("schedule.t_min", "small"),
+    ("schedule.t_min", "nan"),
+    ("schedule.t_min", "2.0"),
+    ("schedule.t_min", "1e-300"),
 ])
 def test_a_bad_header_value_reports_the_offset_of_its_line(tmp_path, key, bad):
     path = tmp_path / "model.ckpt"

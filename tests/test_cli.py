@@ -105,3 +105,22 @@ def test_report_on_a_malformed_metrics_file_is_a_usage_error(tmp_path, capsys, t
     assert captured.out == ""
     assert captured.err.startswith(f"snrdistill: error: {metrics}, line {line}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["train", "--out", "{out}/t.ckpt", "--config"], "--config", id="config"),
+    pytest.param(["experiment", "--out-dir", "{out}", "--config"], "--config",
+                 id="experiment-config"),
+    pytest.param(["report", "--out", "{out}/r.csv", "--metrics"], "--metrics", id="report"),
+    pytest.param(["eval", "--steps", "4", "--checkpoint"], "--checkpoint", id="eval"),
+    pytest.param(["sample", "--steps", "2", "--out", "{out}/s.csv", "--checkpoint"],
+                 "--checkpoint", id="sample"),
+    pytest.param(["distill", "--out-dir", "{out}", "--teacher"], "--teacher", id="distill"),
+])
+def test_a_missing_input_file_is_a_usage_error(tmp_path, capsys, argv, flag):
+    out, missing = tmp_path / "out", tmp_path / "nope"
+    assert main([arg.format(out=out) for arg in argv] + [str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"snrdistill: error: {flag}: no such file: {missing}\n"
+    assert not out.exists()

@@ -205,6 +205,12 @@ def test_a_learning_rate_must_be_finite_and_positive(key, value):
     assert getattr(getattr(parse_config(f"{key} = 1e-9"), section), name) == 1e-9
 
 
+@pytest.mark.parametrize("value", ["0", "-1e-4", "1", "2.0", "nan", "inf", "1e-300"])
+def test_a_t_min_outside_the_unit_interval_or_with_an_infinite_snr_is_rejected(value):
+    with pytest.raises(ConfigError, match="^schedule.t_min: "):
+        parse_config(f"schedule.t_min = {value}")
+
+
 @pytest.mark.parametrize("key", ["schedule.n_train", "schedule.beta_start", "schedule.beta_end"])
 def test_removed_discrete_schedule_keys_are_rejected(key, capsys):
     with pytest.raises(ConfigError, match=key):

@@ -569,19 +569,86 @@ def test_hand_backward_matches_reference_bitwise(batch, hidden, chained):
                 assert np.max(np.abs(g - ref_grads[name]), initial=0.0) <= 1e-12 * scale, name
 
 
-# A call of up to 257 rows is one block, and a longer one equals the
-# training pass run on each of its blocks.
-@pytest.mark.parametrize("batch", [1, 2, 128, 257, 600])
+# The training pass runs the forward's blocks, so its output is the
+# forward's at every batch size; over 257 rows, a full-batch pass rounds
+# otherwise for some of these shapes.
+@pytest.mark.parametrize("batch", [1, 2, 128, 257, 600, 1300])
 def test_forward_backward_output_matches_forward_bitwise(batch):
     rng = np.random.default_rng(batch)
     z = rng.normal(size=(batch, 2))
     t = rng.uniform(size=batch)
     cond = rng.integers(0, 8, size=batch)
     for hidden in SHAPES:
-        model = DenoiserModel.init(hidden=hidden, seed=2)
-        out = np.concatenate([model.forward_backward(z[lo:hi], t[lo:hi], cond[lo:hi])[0]
-                              for lo, hi in row_blocks(batch)])
-        assert np.array_equal(out, model.forward(z, t, cond))
+        model = model_with_biases(hidden, seed=2)
+        assert np.array_equal(model.forward_backward(z, t, cond)[0], model.forward(z, t, cond))
+
+
+def training_batch(batch, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(batch, 2)), rng.uniform(size=batch), rng.integers(0, 8, size=batch),
+            rng.normal(size=(batch, 2)), rng.uniform(0.1, 3.0, size=batch))
+
+
+# The blocks of a training call are dealt to threads like an inference
+# call's, and its backward's reductions run over the full batch.
+@pytest.mark.parametrize("batch", [513, 600, 1300])
+def test_training_pass_is_the_same_on_any_number_of_threads(monkeypatch, batch):
+    args = training_batch(batch, seed=batch)
+    for hidden in SHAPES:
+        model = model_with_biases(hidden, seed=3)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nnet, "_available_cpus", lambda: workers)
+            calls = recording_expit(monkeypatch)
+            results.append(loss_and_gradients(model, *args))
+            if hidden:
+                assert (len({thread for thread, _ in calls}) > 1) == (workers > 1)
+        for loss, grad, sq_err, weighted in results[1:]:
+            assert loss == results[0][0]
+            assert np.array_equal(grad, results[0][1])
+            assert np.array_equal(sq_err, results[0][2])
+            assert np.array_equal(weighted, results[0][3])
+
+
+@pytest.mark.parametrize("batch", [100, 600])
+def test_backward_reads_only_its_own_pass(batch):
+    model = model_with_biases((16, 8), seed=4)
+    z, t, cond, target, w = training_batch(batch, seed=1)
+    out, backward = model.forward_backward(z, t, cond)
+    d_out = weighted_squared_error(out, target, w)[1]
+    want = backward(d_out)
+    other = training_batch(batch, seed=2)
+    model.forward_backward(*other[:3])
+    model.forward(*other[:3])
+    assert np.array_equal(backward(d_out), want)
+
+
+def test_a_single_block_training_pass_stays_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 4)
+    submitted = []
+
+    class Pool:
+        def submit(self, fn):
+            submitted.append(fn)
+            raise AssertionError("a pool thread was asked to run a chunk")
+
+    monkeypatch.setattr(nnet, "_forward_pool", Pool)
+    model = DenoiserModel.init(seed=7)
+    for batch in (1, 128, 256, 257):
+        loss_and_gradients(model, *training_batch(batch, seed=batch))
+    assert submitted == []
+
+
+def test_training_does_not_call_the_public_forward(monkeypatch):
+    # A benchmark span on `forward` counts inference calls only.
+    def fail(*args):
+        raise AssertionError("forward was called")
+
+    monkeypatch.setattr(DenoiserModel, "forward", fail)
+    model = DenoiserModel.init(hidden=(8,), seed=1)
+    for batch in (8, 600):
+        loss, grad, *_ = loss_and_gradients(model, *training_batch(batch, seed=batch))
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
 
 def test_weighted_squared_error_terms():

@@ -75,3 +75,16 @@ def test_snr_monotone_non_increasing():
     t = np.linspace(SCHEDULE.t_min, 1.0, 1000)
     snr = SCHEDULE.snr(t)
     assert np.all(np.diff(snr) <= 0)
+
+
+# Below about 5e-155, sigma(t_min)^2 underflows and snr(t_min) overflows.
+@pytest.mark.parametrize("t_min", [0.0, -1e-4, 1.0, 2.0, float("nan"), float("inf"),
+                                   1e-160, 1e-300])
+def test_t_min_must_lie_in_the_open_unit_interval_with_a_finite_snr(t_min):
+    with pytest.raises(ScheduleRangeError, match="t_min"):
+        CosineSchedule(t_min=t_min)
+
+
+@pytest.mark.parametrize("t_min", [1e-150, 1e-4, 0.5, 0.999])
+def test_a_t_min_with_a_finite_snr_is_accepted(t_min):
+    assert math.isfinite(CosineSchedule(t_min=t_min).snr(0.0))
