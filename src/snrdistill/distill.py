@@ -16,10 +16,11 @@ round the student becomes the next teacher and the step count halves.
 A round's draws (batch, grid time, noise) come from its seed alone, and its
 targets from the frozen teacher and those draws; only the loss depends on
 the student. So a round draws K = max(1, LOOKAHEAD_ROWS // batch_size)
-updates ahead (16 at batch 256), in the same rng order as one at a time,
-and computes their targets in one teacher call over the stacked K x batch
-rows. The teacher's forward runs each layer's matmul once per 256-row
-block, the blocks run on every CPU, and each thread computes its own
+updates ahead (16 at batch 256) through `data._draw_stacks`, the helper
+base training draws its batches with, in the same rng order as one at a
+time, and computes their targets in one teacher call over the stacked
+K x batch rows. The teacher's forward runs each layer's matmul once per
+256-row block, the blocks run on every CPU, and each thread computes its own
 chunk's time features; the other per-call costs (validation, the schedule,
 the DDIM arithmetic) are paid once per call. When the batch is a multiple
 of 256 (the default), or a chunk holds one update, each update's targets
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ToyDataset, draw_batch
+from .data import LOOKAHEAD_ROWS, ToyDataset, _draw_stacks
 from .errors import DegenerateTargetError, DistillationDivergedError
 from .nnet import (
     AdamState,
@@ -64,8 +65,6 @@ Array = np.ndarray
 
 DENOMINATOR_FLOOR = 1e-9
 GRID_TOL = 1e-9  # in units of the grid index i = t * N
-# Rows of updates a round draws ahead to stack into one teacher call.
-LOOKAHEAD_ROWS = 4096
 
 
 @dataclass
@@ -221,23 +220,15 @@ def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDat
                    cached: list[Array] | None):
     """Yields (z_t, t, cond, z0_tilde, w) for each update of a round.
 
-    The updates are drawn in chunks of max(1, LOOKAHEAD_ROWS // batch_size),
-    with the same rng calls in the same order as one at a time. Each update
-    reads its targets from `cached`, the round's stored targets, when given;
-    otherwise a chunk's targets come from one teacher call over its stacked
-    rows.
+    The updates are drawn in stacks by `_draw_stacks`, with the same rng
+    calls in the same order as one at a time. Each update reads its targets
+    from `cached`, the round's stored targets, when given; otherwise a
+    stack's targets come from one teacher call over its rows.
     """
     batch = config.batch_size
-    lookahead = max(1, LOOKAHEAD_ROWS // batch)
-    for first in range(0, config.steps_per_round, lookahead):
-        count = min(lookahead, config.steps_per_round - first)
-        draws = []
-        for _ in range(count):
-            cond, z0 = draw_batch(dataset, batch, rng)
-            i = rng.integers(1, n_steps + 1, size=batch)
-            eps = rng.standard_normal(z0.shape)
-            draws.append((cond, z0, i, eps))
-        cond, z0, i, eps = (np.concatenate(parts) for parts in zip(*draws))
+    stacks = _draw_stacks(dataset, batch, config.steps_per_round, rng,
+                          lambda rng, size: rng.integers(1, n_steps + 1, size=size))
+    for first, (cond, z0, i, eps) in stacks:
         t = i / n_steps
         alpha, sigma = schedule.alpha_sigma(t)
         z_t = alpha[:, None] * z0 + sigma[:, None] * eps
@@ -247,7 +238,7 @@ def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDat
             fresh, _ = teacher_target(teacher, z_t, t, n_steps, cond, schedule)
             z0_tilde = [fresh[j: j + batch] for j in range(0, len(fresh), batch)]
         else:
-            z0_tilde = cached[first: first + count]
+            z0_tilde = cached[first: first + len(i) // batch]
         for j, target in enumerate(z0_tilde):
             rows = slice(j * batch, (j + 1) * batch)
             yield z_t[rows], t[rows], cond[rows], target, w[rows]

@@ -5,6 +5,14 @@ from [t_min, 1] so the resulting model can be queried on any step grid later.
 A noise-predicting model regresses eps under the strategy's noise-space
 weight, a clean-latent-predicting one regresses z0 under w(snr) itself: the
 same loss, since |eps - eps_pred|^2 = snr |z0 - x_pred|^2.
+
+Training draws its batches ahead as distillation does, through the shared
+`data._draw_stacks`: K = max(1, LOOKAHEAD_ROWS // batch_size) updates at a
+time (32 at batch 128), with the same rng calls in the same order as one at
+a time. The schedule, z_t and the loss weights are computed once per stack.
+Each of those steps is elementwise, so every update reads rows, and takes a
+loss, gradient and Adam step, bit-identical to those of drawing and
+computing one update at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ToyDataset, draw_batch
+from .data import ToyDataset, _draw_stacks
 from .errors import TrainingDivergedError
 from .nnet import (
     AdamState,
@@ -44,6 +52,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.updates < 0:
             raise ValueError("updates must be >= 0")
+        # A batch of no rows has no loss, and no number of them fills a stack.
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         self.strategy.check_base_training(self.parameterization is Parameterization.EPSILON)
 
 
@@ -67,11 +78,11 @@ def train_base(config: TrainConfig, dataset: ToyDataset, schedule: CosineSchedul
     rng = child_rng(config.seed, "train-batches")
     state = AdamState.fresh(model.flat, lr=config.lr)
     losses = np.zeros(config.updates)
+    batch = config.batch_size
 
-    for update in range(config.updates):
-        cond, z0 = draw_batch(dataset, config.batch_size, rng)
-        t = rng.uniform(schedule.t_min, 1.0, size=config.batch_size)
-        eps = rng.standard_normal(z0.shape)
+    stacks = _draw_stacks(dataset, batch, config.updates, rng,
+                          lambda rng, size: rng.uniform(schedule.t_min, 1.0, size=size))
+    for first, (cond, z0, t, eps) in stacks:
         alpha, sigma = schedule.alpha_sigma(t)
         z_t = alpha[:, None] * z0 + sigma[:, None] * eps
         # schedule.snr(t) bit for bit: t already lies in its [t_min, 1] clip.
@@ -80,10 +91,13 @@ def train_base(config: TrainConfig, dataset: ToyDataset, schedule: CosineSchedul
             target, w = eps, config.strategy.noise_weight(snr)
         else:
             target, w = z0, config.strategy.weight(snr)
-        loss, grad, *_ = loss_and_gradients(model, z_t, t, cond, target, w)
-        if not np.isfinite(loss) or loss > DIVERGENCE_BOUND:
-            raise TrainingDivergedError(update=update, loss=loss)
-        adam_step(model.flat, grad, state)
-        losses[update] = loss
+        for j in range(len(t) // batch):
+            rows = slice(j * batch, (j + 1) * batch)
+            loss, grad, *_ = loss_and_gradients(
+                model, z_t[rows], t[rows], cond[rows], target[rows], w[rows])
+            if not np.isfinite(loss) or loss > DIVERGENCE_BOUND:
+                raise TrainingDivergedError(update=first + j, loss=loss)
+            adam_step(model.flat, grad, state)
+            losses[first + j] = loss
 
     return TrainResult(model=model, loss_history=losses)

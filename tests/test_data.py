@@ -26,6 +26,19 @@ def test_centers_lie_on_circle():
     np.testing.assert_allclose(ds.centers[2], [0.0, 2.0], atol=1e-12)
 
 
+def test_centers_are_computed_once_and_read_only():
+    ds = ToyDataset()
+    assert ds.centers is ds.centers
+    cond, z0 = draw_batch(ds, 64, np.random.default_rng(3))
+    mean, cov = mixture_moments(ds)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.centers[0, 0] = 99.0
+    again_cond, again_z0 = draw_batch(ds, 64, np.random.default_rng(3))
+    again_mean, again_cov = mixture_moments(ds)
+    assert np.array_equal(again_cond, cond) and np.array_equal(again_z0, z0)
+    assert np.array_equal(again_mean, mean) and np.array_equal(again_cov, cov)
+
+
 def test_class_zero_mean_within_lln_bound():
     # law of large numbers: mean of n draws is within 3 s / sqrt(n) of the
     # center (per coordinate) except with ~0.3% probability

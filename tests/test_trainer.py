@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from snrdistill.data import ToyDataset, draw_batch
+from snrdistill.data import LOOKAHEAD_ROWS, ToyDataset, draw_batch
 from snrdistill.errors import TrainingDivergedError
-from snrdistill.nnet import DenoiserModel, Parameterization, weighted_squared_error
+from snrdistill.nnet import (
+    AdamState,
+    DenoiserModel,
+    Parameterization,
+    adam_step,
+    loss_and_gradients,
+    weighted_squared_error,
+)
 from snrdistill.sampler import eps_to_x
 from snrdistill.schedule import CosineSchedule
-from snrdistill.trainer import TrainConfig, train_base
+from snrdistill.trainer import DIVERGENCE_BOUND, TrainConfig, train_base
 from snrdistill.util import child_rng
-from snrdistill.weighting import WeightStrategy, strategy_from_name
+from snrdistill.weighting import strategy_from_name
 
 SCHEDULE = CosineSchedule()
 
@@ -62,6 +69,75 @@ def test_divergence_aborts():
     with pytest.raises(TrainingDivergedError) as err:
         train_base(config, ds, SCHEDULE)
     assert err.value.loss > 1e6 or not np.isfinite(err.value.loss)
+    with pytest.raises(TrainingDivergedError) as reference:
+        reference_train(config, ds, SCHEDULE)
+    assert err.value.update == reference.value.update
+    np.testing.assert_equal(err.value.loss, reference.value.loss)
+
+
+def reference_train(config, dataset, schedule):
+    """train_base one update at a time: draw, noise, weight, Adam step.
+
+    Returns (model, losses): the per-update loop the stacked draws replace.
+    """
+    model = DenoiserModel.init(
+        latent_dim=dataset.latent_dim, num_classes=dataset.num_classes,
+        hidden=config.hidden, embed_dim=config.embed_dim,
+        num_frequencies=config.num_frequencies, parameterization=config.parameterization,
+        seed=int(child_rng(config.seed, "init").integers(0, 2**31 - 1)),
+    )
+    rng = child_rng(config.seed, "train-batches")
+    state = AdamState.fresh(model.flat, lr=config.lr)
+    losses = np.zeros(config.updates)
+    for update in range(config.updates):
+        cond, z0 = draw_batch(dataset, config.batch_size, rng)
+        t = rng.uniform(schedule.t_min, 1.0, size=config.batch_size)
+        eps = rng.standard_normal(z0.shape)
+        alpha, sigma = schedule.alpha_sigma(t)
+        z_t = alpha[:, None] * z0 + sigma[:, None] * eps
+        snr = np.square(alpha) / np.square(sigma)
+        if config.parameterization is Parameterization.EPSILON:
+            target, w = eps, config.strategy.noise_weight(snr)
+        else:
+            target, w = z0, config.strategy.weight(snr)
+        loss, grad, *_ = loss_and_gradients(model, z_t, t, cond, target, w)
+        if not np.isfinite(loss) or loss > DIVERGENCE_BOUND:
+            raise TrainingDivergedError(update=update, loss=loss)
+        adam_step(model.flat, grad, state)
+        losses[update] = loss
+    return model, losses
+
+
+def _stacked_training_cases():
+    cases = []
+    for batch in (128, 100, 300):
+        k = max(1, LOOKAHEAD_ROWS // batch)
+        cases += [(batch, updates) for updates in (1, k - 1, k, k + 1, 2 * k + 3)]
+    # One update per stack, and each training pass deals its rows to threads.
+    return cases + [(5000, 3)]
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "x"])
+@pytest.mark.parametrize("batch, updates", _stacked_training_cases())
+def test_stacked_training_equals_the_per_update_loop(batch, updates, parameterization):
+    assert max(1, LOOKAHEAD_ROWS // 5000) == 1
+    x = parameterization == "x"
+    config = TrainConfig(
+        updates=updates, batch_size=batch, seed=7, hidden=(16, 8), embed_dim=4,
+        num_frequencies=2, parameterization=Parameterization(parameterization),
+        strategy=strategy_from_name("bsa" if x else "min-snr"),
+    )
+    ds = ToyDataset()
+    result = train_base(config, ds, SCHEDULE)
+    model, losses = reference_train(config, ds, SCHEDULE)
+    assert np.array_equal(result.loss_history, losses)
+    assert np.array_equal(result.model.flat, model.flat)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_a_batch_of_no_rows_is_rejected(batch_size):
+    with pytest.raises(ValueError, match="batch_size"):
+        TrainConfig(updates=0, batch_size=batch_size)
 
 
 def test_noise_loss_equivalence_identity():
@@ -95,30 +171,26 @@ def test_non_default_strategy_weights_noise_loss():
 
 @pytest.mark.parametrize("t_min", [1e-4, 0.05])
 def test_weights_use_the_schedule_snr_bit_for_bit(monkeypatch, t_min):
-    # train_base takes snr from the alpha and sigma it already has; for the
-    # times it draws, that must equal schedule.snr(t) exactly.
+    # train_base takes snr from the alpha and sigma it already has, once per
+    # stack of updates; for the times each update draws, its weights must
+    # equal those of schedule.snr(t) exactly.
     from snrdistill import trainer
 
     schedule = CosineSchedule(t_min=t_min)
-    seen_snr, seen_t = [], []
-    real_weights, real_grads = WeightStrategy.noise_weight, trainer.loss_and_gradients
-
-    def weights(strategy, snr):
-        seen_snr.append(snr)
-        return real_weights(strategy, snr)
+    seen = []
+    real = trainer.loss_and_gradients
 
     def grads(model, z, t, cond, target, w):
-        seen_t.append(t)
-        return real_grads(model, z, t, cond, target, w)
+        seen.append((t, w))
+        return real(model, z, t, cond, target, w)
 
-    monkeypatch.setattr(WeightStrategy, "noise_weight", weights)
     monkeypatch.setattr(trainer, "loss_and_gradients", grads)
     config = TrainConfig(updates=40, batch_size=256, seed=1, hidden=(8,), embed_dim=4,
                          num_frequencies=2, strategy=strategy_from_name("min-snr"))
     train_base(config, ToyDataset(), schedule)
-    assert len(seen_snr) == len(seen_t) == 40
-    for snr, t in zip(seen_snr, seen_t):
-        np.testing.assert_array_equal(snr, schedule.snr(t))
+    assert len(seen) == 40
+    for t, w in seen:
+        np.testing.assert_array_equal(w, config.strategy.noise_weight(schedule.snr(t)))
 
 
 @pytest.mark.parametrize("name", ["eps-snr", "trunc-snr", "snr-plus-one"])
