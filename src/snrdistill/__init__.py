@@ -13,14 +13,7 @@ from .nnet import (
     loss_and_gradients,
     weighted_squared_error,
 )
-from .sampler import (
-    SamplerConfig,
-    SamplerKind,
-    ddim_step,
-    eps_to_x,
-    sample,
-    x_to_eps,
-)
+from .sampler import SamplerConfig, ddim_step, eps_to_x, sample
 from .schedule import CosineSchedule
 from .trainer import TrainConfig, TrainResult, train_base
 from .weighting import STRATEGY_NAMES, WeightStrategy, strategy_from_name, weight
@@ -37,7 +30,6 @@ __all__ = [
     "Parameterization",
     "RunConfig",
     "SamplerConfig",
-    "SamplerKind",
     "STRATEGY_NAMES",
     "ToyDataset",
     "TrainConfig",
@@ -64,5 +56,4 @@ __all__ = [
     "train_base",
     "weight",
     "weighted_squared_error",
-    "x_to_eps",
 ]

@@ -31,7 +31,8 @@ from .experiment import (
     train_teacher,
     write_results,
 )
-from .sampler import SamplerConfig, SamplerKind, sample
+from .nnet import Parameterization
+from .sampler import SamplerConfig, sample
 from .schedule import CosineSchedule
 from .util import child_rng, fmt_float
 from .weighting import STRATEGY_NAMES, strategy_from_name
@@ -58,6 +59,14 @@ def _load_config(args):
 def _check_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
+def _check_steps_for(model, steps: int) -> None:
+    """A usage error for one step of a noise-predicting model, which `sample`
+    rejects: it would be queried at t = 1/2 for a pure-noise latent at t = 1."""
+    if steps < 2 and model.parameterization is Parameterization.EPSILON:
+        raise ConfigError(f"--steps must be >= 2 for a noise-predicting checkpoint, "
+                          f"got {steps}")
 
 
 def _check_matches_dataset(model, cfg, flag: str) -> None:
@@ -105,6 +114,7 @@ def _cmd_sample(args) -> int:
     _check_at_least("--steps", args.steps, 1)
     _check_at_least("--num", args.num, 0)
     model, schedule, _ = _read_input("--checkpoint", args.checkpoint, load_checkpoint)
+    _check_steps_for(model, args.steps)
     if args.condition is not None and not 0 <= args.condition < model.num_classes:
         raise ConfigError(f"--condition must lie in [0, {model.num_classes}), "
                           f"got {args.condition}")
@@ -113,7 +123,7 @@ def _cmd_sample(args) -> int:
         conds = rng.integers(0, model.num_classes, size=args.num)
     else:
         conds = np.full(args.num, args.condition, dtype=np.int64)
-    config = SamplerConfig(steps=args.steps, kind=SamplerKind(args.sampler), seed=args.seed)
+    config = SamplerConfig(steps=args.steps, seed=args.seed)
     z = sample(model, conds, config, schedule)
     lines = ["condition," + ",".join(f"z{i}" for i in range(model.latent_dim))]
     for c, row in zip(conds, z):
@@ -135,6 +145,7 @@ def _cmd_eval(args) -> int:
     validate_config(cfg)
     model, schedule, _ = _read_input("--checkpoint", args.checkpoint, load_checkpoint)
     _check_matches_dataset(model, cfg, "--checkpoint")
+    _check_steps_for(model, args.steps)
     dataset = build_dataset(cfg)
     ref = reference_fit(cfg, dataset)
     values = []
@@ -214,10 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=1000)
     p.add_argument("--condition", type=int, default=None,
                    help="fixed class id; random classes when omitted")
-    p.add_argument("--sampler", choices=[k.value for k in SamplerKind], default="ddim",
-                   help="ddim: DDIM with eta = 0, deterministic; ancestral: DDIM with "
-                        "eta = 1, fresh noise at each step; both on the checkpoint's "
-                        "cosine schedule")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-", help="output csv path, or - for stdout")
     p.set_defaults(func=_cmd_sample)

@@ -56,7 +56,7 @@ from .nnet import (
     adam_step,
     loss_and_gradients,
 )
-from .sampler import ddim_step, predict_x
+from .sampler import ddim_path
 from .schedule import CosineSchedule
 from .util import child_rng
 from .weighting import WeightStrategy, strategy_from_name
@@ -175,9 +175,12 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
 
     `t` must lie on the student grid {i/N : 1 <= i <= N} (scalar or
     per-sample array); any other time, NaN included, raises ValueError.
-    Returns (z0_tilde, z_t''). Noise-parameterized teachers are
-    converted to latent predictions with the query time clipped to
-    1 - 0.5/N, which keeps the conversion away from its t = 1 singularity.
+    Returns (z0_tilde, z_t''). The half-steps are the DDIM loop `sample`
+    runs, so a latent-predicting teacher's z_t'' from t = 1 is the first two
+    steps of its own 2N-step `sample` from the same noise. A
+    noise-predicting teacher's is not: its query time is clipped to
+    1 - 0.5/N, the student's grid, which keeps the conversion away from its
+    t = 1 singularity, while its own 2N-step sampler clips to 1 - 0.25/N.
     Every step after the teacher's forward is elementwise, so a row's
     result depends only on the rows its forward computes it with.
     """
@@ -192,14 +195,9 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
         raise ValueError(
             f"t must lie on the grid i/{n_steps} with 1 <= i <= {n_steps}, got {bad}")
     half = 0.5 / n_steps
-    t_p = np.clip(t - half, 0.0, 1.0)
     t_pp = np.clip(t - 2.0 * half, 0.0, 1.0)
-    max_query_t = 1.0 - half
-
-    x1 = predict_x(teacher, z_t, t, cond, schedule, max_query_t=max_query_t)
-    z_p = ddim_step(z_t, x1, t, t_p, schedule)
-    x2 = predict_x(teacher, z_p, t_p, cond, schedule, max_query_t=max_query_t)
-    z_pp = ddim_step(z_p, x2, t_p, t_pp, schedule)
+    z_pp = ddim_path(teacher, z_t, (t, np.clip(t - half, 0.0, 1.0), t_pp), cond, schedule,
+                     max_query_t=1.0 - half)
 
     alpha_t, sigma_t = schedule.alpha_sigma(t)
     alpha_pp, sigma_pp = schedule.alpha_sigma(t_pp)

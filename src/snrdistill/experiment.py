@@ -31,7 +31,7 @@ from .data import ToyDataset, reference_population
 from .distill import DistillConfig, DistillTrace, TeacherTargetCache, progressive_distill
 from .frechet import MomentFit, fit_moments, frechet_distance
 from .nnet import DenoiserModel, Parameterization
-from .sampler import SamplerConfig, SamplerKind, sample
+from .sampler import SamplerConfig, sample
 from .schedule import CosineSchedule
 from .trainer import TrainConfig, TrainResult, train_base
 from .util import child_rng, fmt_float
@@ -110,8 +110,7 @@ def evaluate_model(model: DenoiserModel, schedule: CosineSchedule, dataset: ToyD
     rng = child_rng(cfg.eval.seed, *seed_tags)
     conds = rng.integers(0, dataset.num_classes, size=cfg.eval.num_samples)
     sampler_seed = int(rng.integers(0, 2**63 - 1))
-    z = sample(model, conds, SamplerConfig(steps=steps, kind=SamplerKind.DDIM,
-                                           seed=sampler_seed), schedule)
+    z = sample(model, conds, SamplerConfig(steps=steps, seed=sampler_seed), schedule)
     return frechet_distance(fit_moments(z), ref)
 
 

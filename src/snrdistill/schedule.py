@@ -2,8 +2,7 @@
 
 A variance-preserving cosine schedule, alpha(t) = cos(pi t / 2),
 sigma(t) = sin(pi t / 2) on t in [0, 1], used by the trainer, the distiller
-and both samplers: DDIM and ancestral sampling are the eta = 0 and eta = 1
-cases of one DDIM step on it (see sampler.py).
+and the DDIM sampler (see sampler.py).
 """
 
 from __future__ import annotations

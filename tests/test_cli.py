@@ -55,6 +55,24 @@ def test_a_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     assert captured.err == f"snrdistill: error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_one_step_of_a_noise_predicting_checkpoint_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, command):
+    # The check comes before any sampling or output.
+    monkeypatch.setattr(experiment, "reference_population", None)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, DenoiserModel.init(hidden=(4,), embed_dim=3, num_frequencies=2,
+                                             seed=0), CosineSchedule())
+    out = tmp_path / "s.csv"
+    argv = [command, "--checkpoint", str(ckpt), "--steps", "1"]
+    assert main(argv + (["--out", str(out)] if command == "sample" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("snrdistill: error: --steps must be >= 2 for a "
+                            "noise-predicting checkpoint, got 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_weights_table_with_no_points_is_a_usage_error(capsys, points):
     assert main(["weights-table", "--points", points]) == 2

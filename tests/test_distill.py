@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from snrdistill.data import ToyDataset, draw_batch
-from snrdistill import distill, nnet
+from snrdistill import distill, nnet, sampler
 from snrdistill.distill import (
     DistillConfig,
     TeacherTargetCache,
@@ -22,7 +22,7 @@ from snrdistill.nnet import (
     adam_step,
     loss_and_gradients,
 )
-from snrdistill.sampler import ddim_step
+from snrdistill.sampler import SamplerConfig, ddim_step, sample
 from snrdistill.schedule import CosineSchedule
 from snrdistill.util import child_rng
 from snrdistill.weighting import strategy_from_name
@@ -132,6 +132,32 @@ def test_scalar_target_matches_longhand_two_step_oracle():
     )
     assert z_pp_got[0, 0] == pytest.approx(z_pp, abs=1e-12)
     assert z0_tilde[0, 0] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, tol", [(4, 0.0), (8, 0.0), (3, 1e-12)])
+def test_target_is_the_first_two_steps_of_the_teachers_own_sampler(monkeypatch, n, tol):
+    # From the same noise at t = 1, an x teacher's z_t'' is where its own
+    # 2N-step sample stands after two steps. At N = 3 the target's t'' =
+    # 1 - 2 (0.5/3) and the sampler's 4/6 differ in the last place.
+    teacher = DenoiserModel.init(parameterization=Parameterization.X, seed=5)
+    conds = np.random.default_rng(0).integers(0, teacher.num_classes, size=300)
+    seed = 11
+    z = np.random.default_rng(seed).standard_normal((conds.size, teacher.latent_dim))
+    landed = []
+    step = sampler.ddim_step
+
+    def recording_step(*args, **kwargs):
+        landed.append(step(*args, **kwargs))
+        return landed[-1]
+
+    monkeypatch.setattr(sampler, "ddim_step", recording_step)
+    sample(teacher, conds, SamplerConfig(steps=2 * n, seed=seed), SCHEDULE)
+    assert len(landed) == 2 * n
+    _, z_pp = teacher_target(teacher, z, np.ones(conds.size), n, conds, SCHEDULE)
+    if tol == 0.0:
+        assert np.array_equal(z_pp, landed[1])
+    else:
+        assert np.max(np.abs(z_pp - landed[1])) <= tol
 
 
 def test_teacher_target_rejects_off_grid_times():

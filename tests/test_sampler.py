@@ -5,15 +5,7 @@ import pytest
 
 from snrdistill.errors import SingularTimeError
 from snrdistill.nnet import DenoiserModel, Parameterization
-from snrdistill.sampler import (
-    SamplerConfig,
-    SamplerKind,
-    ddim_step,
-    eps_to_x,
-    predict_x,
-    sample,
-    x_to_eps,
-)
+from snrdistill.sampler import SamplerConfig, ddim_step, eps_to_x, predict_x, sample
 from snrdistill.schedule import CosineSchedule
 
 SCHEDULE = CosineSchedule()
@@ -59,18 +51,6 @@ def test_eps_to_x_singular_alpha_raises():
     z = np.ones((1, 1))
     with pytest.raises(SingularTimeError):
         eps_to_x(z, z, 1e-7, 1.0)
-
-
-def test_x_to_eps_round_trips_with_eps_to_x():
-    rng = np.random.default_rng(1)
-    z = rng.normal(size=(4, 3))
-    eps = rng.normal(size=(4, 3))
-    a, s = SCHEDULE.alpha_sigma(0.37)
-    x = eps_to_x(z, eps, a, s)
-    np.testing.assert_allclose(x_to_eps(z, x, a, s), eps, atol=1e-12)
-    with pytest.raises(SingularTimeError):
-        x_to_eps(z, x, 1.0, 0.0)
-
 
 def test_ddim_step_pure_signal_moves_to_alpha_s():
     x_hat = np.array([[0.4, -1.2]])
@@ -125,11 +105,11 @@ def test_predict_x_converts_epsilon_models():
     z = np.array([[0.8]])
     t = 0.5
     a, _ = SCHEDULE.alpha_sigma(t)
-    out = predict_x(model, z, t, 0, SCHEDULE)
+    out = predict_x(model, z, t, 0, SCHEDULE, max_query_t=1.0)
     assert out[0, 0] == pytest.approx(0.8 / a, abs=1e-14)
     # at t = 1 the conversion needs the clip
     with pytest.raises(SingularTimeError):
-        predict_x(model, z, 1.0, 0, SCHEDULE)
+        predict_x(model, z, 1.0, 0, SCHEDULE, max_query_t=1.0)
     clipped = predict_x(model, z, 1.0, 0, SCHEDULE, max_query_t=0.75)
     a_q, _ = SCHEDULE.alpha_sigma(0.75)
     assert clipped[0, 0] == pytest.approx(0.8 / a_q, abs=1e-14)
@@ -140,6 +120,14 @@ def test_sample_single_step_x_model_is_one_shot_prediction():
     config = SamplerConfig(steps=1, seed=5)
     out = sample(model, np.zeros(4, dtype=np.int64), config, SCHEDULE)
     np.testing.assert_array_equal(out, np.full((4, 2), 0.42))
+
+
+def test_sample_rejects_one_step_of_an_epsilon_model_before_drawing(monkeypatch):
+    # One step would query the model at t = 1/2 for a pure-noise latent at t = 1.
+    model = ConstModel(0.0, parameterization=Parameterization.EPSILON)
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match="steps >= 2, got 1"):
+        sample(model, np.zeros(4, dtype=np.int64), SamplerConfig(steps=1), SCHEDULE)
 
 
 def test_sample_is_seed_deterministic():
@@ -174,16 +162,6 @@ def test_sample_epsilon_model_two_steps_matches_longhand():
                  SamplerConfig(steps=2, seed=seed), SCHEDULE)
     np.testing.assert_allclose(out, z0, atol=1e-12)
 
-
-def test_sample_ancestral_runs_and_is_deterministic():
-    model = ConstModel(0.0, latent_dim=1, parameterization=Parameterization.EPSILON)
-    config = SamplerConfig(steps=10, kind=SamplerKind.ANCESTRAL, seed=2)
-    a = sample(model, np.zeros(5, dtype=np.int64), config, SCHEDULE)
-    b = sample(model, np.zeros(5, dtype=np.int64), config, SCHEDULE)
-    np.testing.assert_array_equal(a, b)
-    assert np.all(np.isfinite(a))
-
-
 class GaussianDenoiser:
     """Exact latent prediction E[x | z_t] for data x ~ N(mu, s^2 I)."""
 
@@ -201,42 +179,17 @@ class GaussianDenoiser:
         return self.mu + gain * (np.asarray(z, dtype=np.float64) - a * self.mu)
 
 
-@pytest.mark.parametrize("kind", list(SamplerKind))
-def test_sample_with_exact_gaussian_denoiser_recovers_the_data(kind):
-    # Given the exact denoiser, both samplers must land on N(mu, s^2 I); a
-    # stochastic step whose noise does not match the schedule shrinks the spread.
+def test_sample_with_exact_gaussian_denoiser_recovers_the_data():
+    # Given the exact denoiser, DDIM must land on N(mu, s^2 I).
     mu, s = np.array([2.0, -1.0]), 0.15
     out = sample(GaussianDenoiser(mu, s), np.zeros(20000, dtype=np.int64),
-                 SamplerConfig(steps=64, kind=kind, seed=4), SCHEDULE)
+                 SamplerConfig(steps=64, seed=4), SCHEDULE)
     np.testing.assert_allclose(out.mean(axis=0), mu, atol=0.02)
     np.testing.assert_allclose(out.std(axis=0), s, rtol=0.2)
 
-
-def test_ancestral_sample_matches_longhand_eta_one_steps():
-    # sigma_eta^2 = (sigma_s^2 / sigma_t^2)(1 - alpha_t^2 / alpha_s^2), and the
-    # step noise comes from the sampler's rng after the start draw.
-    model = GaussianDenoiser([0.5, -0.2], 0.3)
-    n, seed = 4, 9
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((3, 2))
-    for i in range(n, 0, -1):
-        x_hat = model.forward(z, i / n, 0)
-        a_t, s_t = SCHEDULE.alpha_sigma(i / n)
-        a_s, s_s = SCHEDULE.alpha_sigma((i - 1) / n)
-        var = (s_s / s_t) ** 2 * (1.0 - (a_t / a_s) ** 2)
-        eps_hat = (z - a_t * x_hat) / s_t
-        z = (a_s * x_hat + math.sqrt(max(s_s**2 - var, 0.0)) * eps_hat
-             + math.sqrt(var) * rng.standard_normal(z.shape))
-    out = sample(model, np.zeros(3, dtype=np.int64),
-                 SamplerConfig(steps=n, kind=SamplerKind.ANCESTRAL, seed=seed), SCHEDULE)
-    np.testing.assert_allclose(out, z, atol=1e-12)
-
-
 @pytest.mark.parametrize("parameterization", list(Parameterization))
 def test_ddim_sample_keeps_the_deterministic_step_bitwise(parameterization):
-    # 4097 latents run the threaded forward split. eta = 0 must stay the
-    # expression alpha_s x_hat + (sigma_s / sigma_t)(z_t - alpha_t x_hat),
-    # not the eta form with a zero noise term, which rounds differently.
+    # 4097 latents run the threaded forward split.
     model = DenoiserModel.init(seed=0, parameterization=parameterization)
     conds = np.random.default_rng(1).integers(0, model.num_classes, size=4097)
     n, seed = 8, 3
@@ -249,18 +202,6 @@ def test_ddim_sample_keeps_the_deterministic_step_bitwise(parameterization):
         z = a_s * x_hat + (s_s / s_t) * (z - a_t * x_hat)
     out = sample(model, conds, SamplerConfig(steps=n, seed=seed), SCHEDULE)
     assert np.array_equal(out, z)
-
-
-def test_ddim_step_eta_checks():
-    z = np.ones((1, 1))
-    rng = np.random.default_rng(0)
-    for eta in (-0.1, 1.5):
-        with pytest.raises(ValueError, match="eta"):
-            ddim_step(z, z, 0.5, 0.25, SCHEDULE, eta=eta, rng=rng)
-    # the noise variance divides by alpha_s, which is 0 at s = 1
-    with pytest.raises(SingularTimeError):
-        ddim_step(z, z, 1.0, 1.0, SCHEDULE, eta=1.0, rng=rng)
-
 
 def test_sampler_config_validates_steps():
     with pytest.raises(ValueError):
