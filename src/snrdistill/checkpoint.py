@@ -156,7 +156,12 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserModel, CosineSchedule, di
         num_frequencies=parsed("model.num_frequencies", int),
     )
     schedule = parsed("schedule.t_min", lambda value: CosineSchedule(t_min=float(value)))
-    expected = param_shapes(**dims)
+    try:
+        expected = param_shapes(**dims)
+    except ValueError as exc:  # its message starts with the name of the dimension at fault
+        key = "model." + str(exc).split()[0]
+        raise CheckpointFormatError(
+            f"bad header value {key} = {header[key]!r}: {exc}", offsets[key]) from None
     params: dict[str, Array] = {}
 
     while line is not None and line.startswith("param "):

@@ -16,13 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .config import load_config, serialize_config, validate_config
+from .config import build_distill_config, load_config, serialize_config, validate_config
 from .distill import progressive_distill
 from .errors import CheckpointFormatError, ConfigError
 from .experiment import (
-    build_dataset,
-    build_distill_config,
-    build_schedule,
     evaluate_model,
     mean_ci95,
     read_metrics,
@@ -81,7 +78,7 @@ def _check_matches_dataset(model, cfg, flag: str) -> None:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     seed = cfg.run.seeds[0] if args.seed is None else args.seed
-    result = train_teacher(cfg, seed, build_dataset(cfg), build_schedule(cfg), args.out)
+    result = train_teacher(cfg, seed, cfg.dataset, cfg.schedule, args.out)
     final = result.loss_history[-1] if len(result.loss_history) else float("nan")
     print(f"trained {result.model.num_params}-parameter model "
           f"({len(result.loss_history)} updates, final loss {final:.6f})")
@@ -95,13 +92,12 @@ def _cmd_distill(args) -> int:
     if args.gamma is not None:
         cfg.distill.gamma = args.gamma
     validate_config(cfg)
-    dataset = build_dataset(cfg)
     teacher, schedule, _ = _read_input("--teacher", args.teacher, load_checkpoint)
     _check_matches_dataset(teacher, cfg, "--teacher")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dconfig = build_distill_config(cfg, args.strategy, seed)
-    _, trace = progressive_distill(teacher, dconfig, dataset, schedule,
+    _, trace = progressive_distill(teacher, dconfig, cfg.dataset, schedule,
                                    checkpoint_dir=out_dir, seed=seed)
     for r in trace.rounds:
         print(f"round {r.round_index}: {r.teacher_steps}-step teacher -> "
@@ -146,11 +142,10 @@ def _cmd_eval(args) -> int:
     model, schedule, _ = _read_input("--checkpoint", args.checkpoint, load_checkpoint)
     _check_matches_dataset(model, cfg, "--checkpoint")
     _check_steps_for(model, args.steps)
-    dataset = build_dataset(cfg)
-    ref = reference_fit(cfg, dataset)
+    ref = reference_fit(cfg, cfg.dataset)
     values = []
     for rep in range(cfg.eval.repetitions):
-        fd = evaluate_model(model, schedule, dataset, ref, cfg, args.steps,
+        fd = evaluate_model(model, schedule, cfg.dataset, ref, cfg, args.steps,
                             seed_tags=(args.seed, "cli-eval", args.steps, rep))
         values.append(fd)
         print(f"rep {rep}: fd = {fmt_float(fd)}")

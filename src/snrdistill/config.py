@@ -3,6 +3,10 @@
 Every field has a default, unknown keys are rejected, and
 parse -> serialize -> parse is a fixed point, so configs diff cleanly and a
 run directory always carries the fully resolved settings it actually used.
+
+Each section is built once by the class that checks it: `dataset` and
+`schedule` are the run's `ToyDataset` and `CosineSchedule`, and
+`validate_config` builds what the others configure.
 """
 
 from __future__ import annotations
@@ -12,19 +16,14 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .distill import check_halvings
+from .data import ToyDataset
+from .distill import DistillConfig
 from .errors import ConfigError
+from .nnet import Parameterization, param_shapes
 from .schedule import CosineSchedule
+from .trainer import TrainConfig
 from .util import fmt_float
-from .weighting import STRATEGY_NAMES, strategy_from_name
-
-
-@dataclass
-class DatasetSection:
-    num_classes: int = 8
-    latent_dim: int = 2
-    radius: float = 2.0
-    stddev: float = 0.15
+from .weighting import strategy_from_name
 
 
 @dataclass
@@ -35,20 +34,12 @@ class ModelSection:
 
 
 @dataclass
-class ScheduleSection:
-    t_min: float = 1e-4
-
-
-@dataclass
 class TrainSection:
     updates: int = 16000
     batch_size: int = 128
     lr: float = 1e-3
     parameterization: str = "epsilon"
-    # The strategy's point (offset, floor, cap) must keep the loss weight
-    # bounded: epsilon needs w(0) = 0, that is offset = floor = 0 (eps-snr,
-    # min-snr), and x needs a finite cap (min-snr, bsa). The cap of min-snr
-    # and bsa is distill.gamma, as in distillation.
+    # Must keep base training's weight bounded; see WeightStrategy.check_base_training.
     strategy: str = "eps-snr"
 
 
@@ -79,9 +70,9 @@ class RunSection:
 
 @dataclass
 class RunConfig:
-    dataset: DatasetSection = field(default_factory=DatasetSection)
+    dataset: ToyDataset = field(default_factory=ToyDataset)
     model: ModelSection = field(default_factory=ModelSection)
-    schedule: ScheduleSection = field(default_factory=ScheduleSection)
+    schedule: CosineSchedule = field(default_factory=CosineSchedule)
     train: TrainSection = field(default_factory=TrainSection)
     distill: DistillSection = field(default_factory=DistillSection)
     eval: EvalSection = field(default_factory=EvalSection)
@@ -112,8 +103,9 @@ def _parse_value(raw: str, current, key: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse config text; unknown sections or keys raise ConfigError."""
-    cfg = default_config()
+    """Parse config text; unknown keys and settings that cannot be built raise ConfigError."""
+    defaults = default_config()
+    changes: dict[str, dict] = {f.name: {} for f in dataclasses.fields(defaults)}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -126,16 +118,24 @@ def parse_config(text: str) -> RunConfig:
         if "." not in dotted:
             raise ConfigError(f"line {lineno}: key {dotted!r} is missing its section")
         section_name, _, key = dotted.partition(".")
-        if not hasattr(cfg, section_name) or section_name.startswith("_"):
+        if section_name not in changes:
             raise ConfigError(f"line {lineno}: unknown section {section_name!r}")
-        section = getattr(cfg, section_name)
-        field_names = {f.name for f in dataclasses.fields(section)}
-        if key not in field_names:
+        section = getattr(defaults, section_name)
+        if key not in {f.name for f in dataclasses.fields(section)}:
             raise ConfigError(f"line {lineno}: unknown key {dotted!r}")
-        current = getattr(section, key)
-        setattr(section, key, _parse_value(raw_value, current, dotted))
+        changes[section_name][key] = _parse_value(raw_value, getattr(section, key), dotted)
+    cfg = RunConfig(**{name: _build(name, dataclasses.replace, getattr(defaults, name), **values)
+                       for name, values in changes.items()})
     validate_config(cfg)
     return cfg
+
+
+def _build(section: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, its ValueError a ConfigError that starts with `section`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def _format_value(value) -> str:
@@ -164,38 +164,38 @@ def load_config(path: str | Path | None) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+def build_train_config(cfg: RunConfig, seed: int) -> TrainConfig:
+    t = cfg.train
+    return TrainConfig(
+        updates=t.updates, batch_size=t.batch_size, lr=t.lr, seed=seed,
+        parameterization=Parameterization(t.parameterization),
+        strategy=strategy_from_name(t.strategy, cfg.distill.gamma),
+        hidden=cfg.model.hidden, embed_dim=cfg.model.embed_dim,
+        num_frequencies=cfg.model.num_frequencies,
+    )
+
+
+def build_distill_config(cfg: RunConfig, strategy_name: str, seed: int) -> DistillConfig:
+    d = cfg.distill
+    return DistillConfig(
+        iterations=d.iterations, n_start=d.n_start,
+        steps_per_round=d.steps_per_round, batch_size=d.batch_size,
+        strategy=strategy_from_name(strategy_name, d.gamma),
+        lr=d.lr, seed=seed,
+    )
+
+
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.train.parameterization not in ("epsilon", "x"):
-        raise ConfigError(f"unknown parameterization {cfg.train.parameterization!r}")
-    for name in (cfg.train.strategy, *cfg.run.strategies):
-        if name not in STRATEGY_NAMES:
-            raise ConfigError(f"unknown weight strategy {name!r}; choose from {STRATEGY_NAMES}")
-    try:
-        train_strategy = strategy_from_name(cfg.train.strategy, cfg.distill.gamma)
-    except ValueError as exc:  # the names are known, so it is gamma's
-        raise ConfigError(f"distill.gamma: {exc}") from None
-    try:
-        train_strategy.check_base_training(cfg.train.parameterization == "epsilon")
-    except ValueError as exc:
-        raise ConfigError(
-            f"train.strategy = {cfg.train.strategy} under "
-            f"train.parameterization = {cfg.train.parameterization}: {exc}") from None
-    try:
-        check_halvings(cfg.distill.n_start, cfg.distill.iterations)
-    except ValueError as exc:
-        raise ConfigError(f"distill: {exc}") from None
-    # A batch of no rows has no loss, and a round of no updates returns its
-    # teacher unchanged as the student.
-    for key, value, low in (("train.batch_size", cfg.train.batch_size, 1),
-                            ("train.updates", cfg.train.updates, 0),
-                            ("distill.batch_size", cfg.distill.batch_size, 1),
-                            ("distill.steps_per_round", cfg.distill.steps_per_round, 1)):
-        if value < low:
-            raise ConfigError(f"{key} must be >= {low}, got {value}")
-    try:
-        CosineSchedule(t_min=cfg.schedule.t_min)
-    except ValueError as exc:
-        raise ConfigError(f"schedule.t_min: {exc}") from None
+    """ConfigError unless the model's shapes, each strategy's `DistillConfig`
+    and the `TrainConfig` can be built from `cfg`, in that order, so that a bad
+    distill.gamma, which the last two share, is reported under `distill`; and
+    unless the settings that no constructor checks are in range."""
+    _build("model", param_shapes, cfg.dataset.latent_dim, cfg.dataset.num_classes,
+           **dataclasses.asdict(cfg.model))
+    for name in cfg.run.strategies:
+        _build("distill", build_distill_config, cfg, name, 0)
+    _build("train", build_train_config, cfg, 0)
+    # Each optimizer checks its lr only when a run starts it.
     for key, lr in (("train.lr", cfg.train.lr), ("distill.lr", cfg.distill.lr)):
         if not (math.isfinite(lr) and lr > 0.0):
             raise ConfigError(f"{key} must be finite and > 0, got {lr}")
@@ -207,3 +207,9 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"eval.{key} must be >= 2, got {getattr(cfg.eval, key)}")
     if not cfg.run.seeds:
         raise ConfigError("run.seeds must not be empty")
+    # A repeated seed or strategy would run its cells again and pool the
+    # copies into one mean, with too narrow a ci95.
+    for key in ("seeds", "strategies"):
+        values = getattr(cfg.run, key)
+        if len(set(values)) != len(values):
+            raise ConfigError(f"run.{key} must not repeat a value, got {_format_value(values)}")

@@ -26,16 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .config import RunConfig, serialize_config
+from .config import RunConfig, build_distill_config, build_train_config, serialize_config
 from .data import ToyDataset, reference_population
-from .distill import DistillConfig, DistillTrace, TeacherTargetCache, progressive_distill
+from .distill import DistillTrace, TeacherTargetCache, progressive_distill
 from .frechet import MomentFit, fit_moments, frechet_distance
-from .nnet import DenoiserModel, Parameterization
+from .nnet import DenoiserModel
 from .sampler import SamplerConfig, sample
 from .schedule import CosineSchedule
-from .trainer import TrainConfig, TrainResult, train_base
+from .trainer import TrainResult, train_base
 from .util import child_rng, fmt_float
-from .weighting import strategy_from_name
 
 BASELINE_NAME = "teacher-ddim"
 
@@ -52,37 +51,13 @@ class MetricRow:
     fd: float
 
 
+# The benchmark builds its dataset and schedule through these two.
 def build_dataset(cfg: RunConfig) -> ToyDataset:
-    d = cfg.dataset
-    return ToyDataset(
-        num_classes=d.num_classes, latent_dim=d.latent_dim,
-        radius=d.radius, stddev=d.stddev,
-    )
+    return cfg.dataset
 
 
 def build_schedule(cfg: RunConfig) -> CosineSchedule:
-    return CosineSchedule(t_min=cfg.schedule.t_min)
-
-
-def build_train_config(cfg: RunConfig, seed: int) -> TrainConfig:
-    t = cfg.train
-    return TrainConfig(
-        updates=t.updates, batch_size=t.batch_size, lr=t.lr, seed=seed,
-        parameterization=Parameterization(t.parameterization),
-        strategy=strategy_from_name(t.strategy, cfg.distill.gamma),
-        hidden=cfg.model.hidden, embed_dim=cfg.model.embed_dim,
-        num_frequencies=cfg.model.num_frequencies,
-    )
-
-
-def build_distill_config(cfg: RunConfig, strategy_name: str, seed: int) -> DistillConfig:
-    d = cfg.distill
-    return DistillConfig(
-        iterations=d.iterations, n_start=d.n_start,
-        steps_per_round=d.steps_per_round, batch_size=d.batch_size,
-        strategy=strategy_from_name(strategy_name, d.gamma),
-        lr=d.lr, seed=seed,
-    )
+    return cfg.schedule
 
 
 def train_teacher(cfg: RunConfig, seed: int, dataset: ToyDataset, schedule: CosineSchedule,
@@ -148,8 +123,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.cfg").write_text(serialize_config(cfg), encoding="utf-8")
 
-    dataset = build_dataset(cfg)
-    schedule = build_schedule(cfg)
+    dataset, schedule = cfg.dataset, cfg.schedule
     ref = reference_fit(cfg, dataset)
     steps_list = halving_steps(cfg)
 

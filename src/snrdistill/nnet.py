@@ -52,25 +52,25 @@ with `keep`: the first layer's input goes into a full-batch array; each
 hidden layer's pre-activation goes into another, which the SiLU product
 then turns into the layer's output; and the layer's SiLU slope goes into a
 third, written before that product. Its backward is written out for this
-network under a weighted squared-error loss, and its reductions run over
-the full batch. It performs, in the same order and grouping, the operations
-of the general reverse-mode graph it replaced. So up to 257 rows, where the
-forward is one block, the gradients stay bit-for-bit that graph's, and
-with them every trained parameter and experiment CSV at the default batch
-sizes. Over 257 rows each forward matmul runs per block. For the default
-hidden widths (128, 128), and for (4,) and (5, 3), the blocks round as one
-full-batch matmul does; for (100,) and (400, 8) they do not, so there a
-gradient can differ in its last bits from a full-batch pass's. Float products
-and sums are commutative but not associative, so an elementwise step may
-run in place or with its operands swapped, but its grouping and every
-reduction must not change:
+network under a weighted squared-error loss. It performs, in the same order
+and grouping, the operations of the general reverse-mode graph it replaced,
+except that it sums each weight gradient over the forward's blocks. So up
+to 257 rows, where the forward is one block, the gradients stay bit-for-bit
+that graph's, and with them every trained parameter and experiment CSV at
+the default batch sizes. Over 257 rows no BLAS call reduces over more than
+one block, so OpenBLAS splits none over its threads: a 5000-row gradient is
+the same on one BLAS thread and on two, as one full-batch h.T @ g was not.
+Float products and sums are commutative but not associative, so an
+elementwise step may run in place or with its operands swapped, but its
+grouping and every reduction must not change:
 - The loss sum_i w_i |pred_i - target_i|^2 is multiplied by 1.0 / batch,
   never divided by batch; the two round differently unless batch is a
   power of two.
 - dL/d(pred) is (w * (1/batch))[:, None] * (2.0 * diff).
-- Per layer, the bias gradient is g.sum(axis=0), the weight gradient
-  h.T @ g, and the input gradient g @ w.T over the full input width: the
-  same reductions and BLAS calls on the same operand layouts.
+- Per layer, the bias gradient is g.sum(axis=0), the weight gradient the
+  sum of the blocks' h[lo:hi].T @ g[lo:hi] in block order, and the input
+  gradient g @ w.T over the full input width: the same reductions and BLAS
+  calls on the same operand layouts.
 - The SiLU slope is s * (1 + a * (1 - s)) with s = 1 / (1 + exp(-a)),
   in that grouping (`expit`).
 - The embedding gradient scatter-adds the input gradient's embedding
@@ -195,7 +195,14 @@ def class_ids(cond) -> Array:
 def param_shapes(latent_dim: int, num_classes: int, hidden: tuple[int, ...],
                  embed_dim: int, num_frequencies: int) -> dict[str, tuple[int, ...]]:
     """Parameter names and shapes: `embed`, then `w{k}`/`b{k}` over the layer
-    widths [latent_dim + 2 num_frequencies + embed_dim, *hidden, latent_dim]."""
+    widths [latent_dim + 2 num_frequencies + embed_dim, *hidden, latent_dim].
+    ValueError, its message led by the argument's name, for a hidden width < 1
+    or a negative `embed_dim` or `num_frequencies`."""
+    if min(hidden, default=1) < 1:
+        raise ValueError(f"hidden widths must be >= 1, got {hidden}")
+    for name, value in (("embed_dim", embed_dim), ("num_frequencies", num_frequencies)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     dims = [latent_dim + 2 * num_frequencies + embed_dim, *hidden, latent_dim]
     shapes = {"embed": (num_classes, embed_dim)}
     for k in range(len(dims) - 1):
@@ -472,15 +479,15 @@ class DenoiserModel:
         The output is `forward`'s, from the same blocked pass, which here
         keeps each layer's full-batch input and SiLU slope;
         `backward(d_out)` returns the gradient as one new vector laid out
-        like `flat` (read it by name through `views`). The backward's
-        reductions run over the full batch and follow the op-order rules of
-        the module docstring, so the gradients are bit-for-bit those of the
-        reverse-mode graph they replace.
+        like `flat` (read it by name through `views`). The backward follows
+        the op-order rules of the module docstring, so up to 257 rows the
+        gradients are bit-for-bit those of the reverse-mode graph they replace.
         """
         z, t, cond = self._validate(z, t, cond)
         params = self.params
         n_hidden = len(self.hidden)
         out, inputs, slopes = self._forward(z, t, cond, keep=True)
+        edges = _block_edges(z.shape[0])
         embed_cols = slice(inputs[0].shape[1] - self.embed_dim, None)
 
         def backward(d_out) -> Array:
@@ -490,7 +497,9 @@ class DenoiserModel:
             grad = np.empty_like(self.flat)
             grads = self.views(grad)
             for k in range(n_hidden, -1, -1):
-                np.matmul(inputs[k].T, g, out=grads[f"w{k}"])
+                w_grad = np.matmul(inputs[k][:edges[1]].T, g[:edges[1]], out=grads[f"w{k}"])
+                for lo, hi in zip(edges[1:], edges[2:]):
+                    w_grad += inputs[k][lo:hi].T @ g[lo:hi]
                 g.sum(axis=0, out=grads[f"b{k}"])
                 g = g @ params[f"w{k}"].T
                 if k:
@@ -500,6 +509,13 @@ class DenoiserModel:
             return grad
 
         return out, backward
+
+
+def _block_edges(batch: int) -> list[int]:
+    """Row edges of the blocks of a `batch`-row forward and of its weight
+    gradients: FORWARD_BLOCK_ROWS rows each, a trailing 1-row remainder joined
+    to the block before it, and one empty block for no rows."""
+    return [0, *range(FORWARD_BLOCK_ROWS, batch - 1, FORWARD_BLOCK_ROWS), batch]
 
 
 @functools.lru_cache(maxsize=64)
@@ -516,9 +532,7 @@ def _chunk_plan(batch: int, cpus: int, in_dim: int, scratch_dim: int, widest: in
     The plan is cached: made on every call, it took about 2 of the 50 us
     of an 8-row training pass of a `hidden=(4,)` model.
     """
-    # Row edges of the blocks; no block starts on the last row of a longer
-    # batch, so a trailing 1-row remainder joins the block before it.
-    edges = [*range(0, batch - 1 if batch > 1 else batch, FORWARD_BLOCK_ROWS), batch]
+    edges = _block_edges(batch)
     n = len(edges) - 1
     chunks = min(cpus, n)
     plan, size = [], 0

@@ -51,7 +51,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.updates < 0:
-            raise ValueError("updates must be >= 0")
+            raise ValueError(f"updates must be >= 0, got {self.updates}")
         # A batch of no rows has no loss, and no number of them fills a stack.
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")

@@ -99,6 +99,9 @@ def test_a_bad_value_count_reports_the_offset_of_its_line(tmp_path, damage, mess
 @pytest.mark.parametrize("key, bad", [
     ("model.latent_dim", "x"),
     ("model.hidden", "8,,8"),
+    ("model.hidden", "8,0"),
+    ("model.embed_dim", "-1"),
+    ("model.num_frequencies", "-2"),
     ("schedule.t_min", "small"),
     ("schedule.t_min", "nan"),
     ("schedule.t_min", "2.0"),

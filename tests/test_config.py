@@ -9,9 +9,11 @@ from snrdistill.config import (
     parse_config,
     serialize_config,
 )
+from snrdistill.data import ToyDataset
 from snrdistill.distill import DistillConfig
 from snrdistill.errors import ConfigError
 from snrdistill.experiment import build_distill_config, build_train_config, halving_steps
+from snrdistill.schedule import CosineSchedule
 from snrdistill.trainer import TrainConfig
 
 
@@ -81,7 +83,8 @@ def test_bad_values_rejected():
 @pytest.mark.parametrize("strategy", ["trunc-snr", "snr-plus-one", "bsa"])
 def test_epsilon_training_rejects_strategies_that_weight_zero_snr(strategy):
     # w / snr is unbounded at snr -> 0 for these, and base training diverges.
-    with pytest.raises(ConfigError, match="train.parameterization = epsilon"):
+    with pytest.raises(ConfigError, match=rf"^train: {strategy} has w\(0\) = .*; "
+                                          rf"noise prediction needs w\(0\) = 0$"):
         parse_config(f"train.strategy = {strategy}")
     # Under x only a capped one is allowed.
     text = f"train.strategy = {strategy}\ntrain.parameterization = x"
@@ -96,7 +99,8 @@ def test_epsilon_training_rejects_strategies_that_weight_zero_snr(strategy):
 def test_x_training_rejects_strategies_without_a_cap(strategy):
     # The x-space weight reaches snr(t_min), about 4e8, and base training
     # diverged on seeds 1 and 3.
-    with pytest.raises(ConfigError, match="train.parameterization = x"):
+    with pytest.raises(ConfigError, match=f"^train: {strategy} has no cap; clean-latent "
+                                          f"prediction needs a finite cap$"):
         parse_config(f"train.strategy = {strategy}\ntrain.parameterization = x")
 
 
@@ -108,14 +112,15 @@ def test_x_training_accepts_capped_strategies(strategy):
 
 @pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
 def test_bad_gamma_is_a_config_error(gamma, tmp_path, capsys):
-    with pytest.raises(ConfigError, match="distill.gamma"):
+    with pytest.raises(ConfigError, match="^distill: gamma must be a positive real, got "):
         parse_config(f"distill.gamma = {gamma}")
     # A usage error: one line on stderr, exit status 2, nothing written.
     assert main(["distill", "--teacher", str(tmp_path / "none.ckpt"), "--gamma", gamma,
                  "--out-dir", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("snrdistill: error: distill.gamma: ")
+    assert captured.err.startswith(
+        "snrdistill: error: distill: gamma must be a positive real, got ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
@@ -190,10 +195,43 @@ def test_eval_needs_two_samples_to_fit_a_covariance(key):
     ("distill.steps_per_round", 1),
 ])
 def test_budgets_and_batches_that_cannot_run_are_rejected(key, low):
-    with pytest.raises(ConfigError, match=f"{key} must be >= {low}, got {low - 1}"):
-        parse_config(f"{key} = {low - 1}")
     section, _, name = key.partition(".")
+    with pytest.raises(ConfigError, match=f"^{section}: {name} must be >= {low}, got {low - 1}"):
+        parse_config(f"{key} = {low - 1}")
     assert getattr(getattr(parse_config(f"{key} = {low}"), section), name) == low
+
+
+@pytest.mark.parametrize("line, message", [
+    ("dataset.latent_dim = 1", "dataset: latent_dim must be >= 2"),
+    ("dataset.stddev = -1", "dataset: stddev must be >= 0"),
+    ("dataset.num_classes = 0", "dataset: num_classes must be >= 1"),
+    ("model.hidden = 0", r"model: hidden widths must be >= 1, got \(0,\)"),
+    ("model.hidden = 8,0", r"model: hidden widths must be >= 1, got \(8, 0\)"),
+    ("model.embed_dim = -1", "model: embed_dim must be >= 0, got -1"),
+    ("model.num_frequencies = -2", "model: num_frequencies must be >= 0, got -2"),
+    ("run.seeds = 1,1", "run.seeds must not repeat a value, got 1,1"),
+    ("run.strategies = bsa,min-snr,bsa",
+     "run.strategies must not repeat a value, got bsa,min-snr,bsa"),
+])
+def test_a_dataset_model_or_run_that_cannot_be_built_is_a_usage_error(line, message, tmp_path,
+                                                                      capsys):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        parse_config(line)
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("snrdistill: error: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_the_dataset_and_schedule_sections_are_what_the_run_uses():
+    cfg = parse_config("dataset.radius = 3\nschedule.t_min = 2e-4")
+    assert cfg.dataset == ToyDataset(radius=3.0)
+    assert cfg.schedule == CosineSchedule(t_min=2e-4)
 
 
 @pytest.mark.parametrize("key", ["train.lr", "distill.lr"])
@@ -207,7 +245,7 @@ def test_a_learning_rate_must_be_finite_and_positive(key, value):
 
 @pytest.mark.parametrize("value", ["0", "-1e-4", "1", "2.0", "nan", "inf", "1e-300"])
 def test_a_t_min_outside_the_unit_interval_or_with_an_infinite_snr_is_rejected(value):
-    with pytest.raises(ConfigError, match="^schedule.t_min: "):
+    with pytest.raises(ConfigError, match="^schedule: t_min "):
         parse_config(f"schedule.t_min = {value}")
 
 

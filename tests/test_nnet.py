@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import multiprocessing
 import operator
@@ -369,6 +370,31 @@ def test_the_package_imports_without_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_weight_gradients_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long reduction over its threads, so a 5000-row h.T @ g
+    # rounded differently on one thread and on two; per block it does not.
+    src = str(Path(nnet.__file__).parents[1])
+    code = (
+        "import hashlib, numpy as np\n"
+        "from snrdistill.nnet import DenoiserModel, loss_and_gradients\n"
+        "model = DenoiserModel.init(seed=2)\n"
+        "rng = np.random.default_rng(3)\n"
+        "z = rng.normal(size=(5000, model.latent_dim))\n"
+        "cond = rng.integers(0, model.num_classes, size=5000)\n"
+        "grad = loss_and_gradients(model, z, rng.uniform(size=5000), cond, rng.normal(\n"
+        "    size=z.shape), rng.uniform(size=5000))[1]\n"
+        "print(hashlib.sha256(grad.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60, check=True)
+        digests.append(result.stdout.strip())
+    assert digests[0] == digests[1]
+
+
 def test_sample_is_the_same_on_one_thread_and_by_default(monkeypatch):
     model = DenoiserModel.init(seed=6)
     conds = np.random.default_rng(1).integers(0, model.num_classes, size=4096)
@@ -525,7 +551,9 @@ def reference_loss_and_gradients(model, z, t, cond, target, w, chain=None):
         g = (-(g * (1.0 / sigma)[:, None])) * alpha[:, None]
     grads = {}
     for k in range(len(model.hidden), -1, -1):
-        grads[f"w{k}"] = inputs[k].T @ g
+        # The weight gradient sums its forward blocks' products in block order.
+        products = [inputs[k][lo:hi].T @ g[lo:hi] for lo, hi in row_blocks(batch)]
+        grads[f"w{k}"] = functools.reduce(operator.add, products)
         grads[f"b{k}"] = g.sum(axis=0)
         g = g @ p[f"w{k}"].T
         if k:
@@ -538,10 +566,11 @@ def reference_loss_and_gradients(model, z, t, cond, target, w, chain=None):
 
 
 # Batch 100 is not a power of two, so dividing by it instead of multiplying
-# by its inverse would change the bits.
+# by its inverse would change the bits. 600 and 1300 rows are three and five
+# blocks; for these shapes the blocked forward rounds as a full-batch one.
 @pytest.mark.parametrize("chained", [False, True])
 @pytest.mark.parametrize("hidden", [(), (4,), (5, 3), (128, 128)])
-@pytest.mark.parametrize("batch", [1, 2, 100, 128, 256])
+@pytest.mark.parametrize("batch", [1, 2, 100, 128, 256, 600, 1300])
 def test_hand_backward_matches_reference_bitwise(batch, hidden, chained):
     model = DenoiserModel.init(hidden=hidden, seed=batch)
     rng = np.random.default_rng(len(hidden) + 10 * batch)
@@ -590,7 +619,7 @@ def training_batch(batch, seed):
 
 
 # The blocks of a training call are dealt to threads like an inference
-# call's, and its backward's reductions run over the full batch.
+# call's, and its backward runs on the calling thread.
 @pytest.mark.parametrize("batch", [513, 600, 1300])
 def test_training_pass_is_the_same_on_any_number_of_threads(monkeypatch, batch):
     args = training_batch(batch, seed=batch)
