@@ -4,6 +4,18 @@ Each class is an isotropic Gaussian around a center on a circle of radius R
 in the first two latent coordinates (extra coordinates, if any, are centered
 at zero). The mixture moments are available in closed form, which is what
 makes the Frechet-distance evaluation checkable.
+
+Base training and every distillation round start each update the same way:
+draw a batch (cond, z0), its times t and its noise eps, noise the rows to
+z_t = alpha_t z0 + sigma_t eps and weight them by snr(t). `_draw_stacks`
+does that step for both. It draws K = max(1, LOOKAHEAD_ROWS // batch_size)
+updates ahead (32 at batch 128, 16 at batch 256), with the same rng calls
+in the same order as one update at a time, so every update gets the same
+rows whatever K is. It stacks their rows in update order and computes z_t
+and snr once per stack. Both are elementwise, so each update's rows of
+them are bit-identical to those of noising that update alone. The stack is
+the unit a caller computes per-row work over, such as a distillation
+round's teacher targets.
 """
 
 from __future__ import annotations
@@ -12,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .schedule import CosineSchedule
 
 Array = np.ndarray
 
@@ -31,6 +45,9 @@ class ToyDataset:
             raise ValueError("num_classes must be >= 1")
         if self.latent_dim < 2:
             raise ValueError("latent_dim must be >= 2 for the circular layout")
+        for name in ("radius", "stddev"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.stddev < 0:
             raise ValueError("stddev must be >= 0")
 
@@ -58,24 +75,24 @@ def draw_batch(dataset: ToyDataset, batch_size: int, rng: np.random.Generator
     return cond, z0
 
 
-def _draw_stacks(dataset: ToyDataset, batch_size: int, updates: int, rng: np.random.Generator,
-                 draw_times):
-    """Yields (first, (cond, z0, times, eps)) for each stack of up to
-    K = max(1, LOOKAHEAD_ROWS // batch_size) updates: the index of its first
-    update, and the rows of its updates stacked in update order.
+def _draw_stacks(dataset: ToyDataset, schedule: CosineSchedule, batch_size: int, updates: int,
+                 rng: np.random.Generator, draw_times):
+    """Yields (cond, z0, t, eps, z_t, snr) for each stack of up to K updates,
+    the rows of its updates stacked in update order (see the module docstring).
 
     Each update draws its batch, then `draw_times(rng, batch_size)`, then its
-    noise: the same rng calls in the same order as drawing one update at a
-    time, so every update gets the same rows whatever K is.
+    noise.
     """
     lookahead = max(1, LOOKAHEAD_ROWS // batch_size)
     for first in range(0, updates, lookahead):
         draws = []
         for _ in range(min(lookahead, updates - first)):
             cond, z0 = draw_batch(dataset, batch_size, rng)
-            times = draw_times(rng, batch_size)
-            draws.append((cond, z0, times, rng.standard_normal(z0.shape)))
-        yield first, tuple(np.concatenate(parts) for parts in zip(*draws))
+            t = draw_times(rng, batch_size)
+            draws.append((cond, z0, t, rng.standard_normal(z0.shape)))
+        cond, z0, t, eps = (np.concatenate(parts) for parts in zip(*draws))
+        alpha, sigma = schedule.alpha_sigma(t)
+        yield cond, z0, t, eps, alpha[:, None] * z0 + sigma[:, None] * eps, schedule.snr(t)
 
 
 def reference_population(dataset: ToyDataset, n: int, rng: np.random.Generator) -> Array:

@@ -13,30 +13,35 @@ SNR strategy. Every round runs exactly `steps_per_round` updates, so each
 weighting gets the same budget (Salimans & Ho, arXiv:2202.00512). After a
 round the student becomes the next teacher and the step count halves.
 
-A round's draws (batch, grid time, noise) come from its seed alone, and its
-targets from the frozen teacher and those draws; only the loss depends on
-the student. So a round draws K = max(1, LOOKAHEAD_ROWS // batch_size)
-updates ahead (16 at batch 256) through `data._draw_stacks`, the helper
-base training draws its batches with, in the same rng order as one at a
-time, and computes their targets in one teacher call over the stacked
-K x batch rows. The teacher's forward runs each layer's matmul once per
+A round's draws (batch, grid time t = i/N, noise) come from its seed
+alone, and its targets from the frozen teacher and those draws; only the
+loss depends on the student. So a round draws its updates in the noised
+stacks base training draws (see the data module's docstring), 16 updates
+at batch 256, and computes each stack's targets in one teacher call over
+its stacked rows. The teacher's forward runs each layer's matmul once per
 256-row block, the blocks run on every CPU, and each thread computes its own
 chunk's time features; the other per-call costs (validation, the schedule,
 the DDIM arithmetic) are paid once per call. When the batch is a multiple
-of 256 (the default), or a chunk holds one update, each update's targets
+of 256 (the default), or a stack holds one update, each update's targets
 are bit-identical to a call of its own. At other batches a block can hold
 the rows of two updates, so a target may differ from its own call's in the
 last place; it still depends only on the round's draws, not on the number
 of threads.
-A trial at 8192 rows per chunk was no faster than 4096.
+A trial at 8192 rows per stack was no faster than 4096.
+
+The teacher call for the next stack does not yet run on a second thread
+while the student trains on this one, although that CPU sits idle during
+every student update. The benchmark's tracer keeps one span stack per
+process, so a traced call on a second thread could close its spans out of
+order (ROADMAP item 1).
 
 Round 1 is also where strategies share work: every strategy distilled from
 one teacher with one seed meets the same round-1 targets, because the
 weighting only enters the loss; later rounds differ, because their teachers
 are the strategies' own students. A `TeacherTargetCache` holds one whole
-round's targets for one teacher: update u's z0_tilde, steps_per_round x
-batch_size x latent_dim doubles in all (123 KB at 30 x 256 x 2, 16 MB at
-the default 4000 x 256 x 2).
+round's targets for one teacher: one z0_tilde array per stack,
+steps_per_round x batch_size x latent_dim doubles in all (123 KB at
+30 x 256 x 2, 16 MB at the default 4000 x 256 x 2).
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LOOKAHEAD_ROWS, ToyDataset, _draw_stacks
+from .data import ToyDataset, _draw_stacks
 from .errors import DegenerateTargetError, DistillationDivergedError
 from .nnet import (
     AdamState,
@@ -133,13 +138,13 @@ class DistillTrace:
 
 
 class TeacherTargetCache:
-    """Round-1 targets z0_tilde by update, for one teacher, grid, seed, batch and budget.
+    """Round-1 targets z0_tilde by stack, for one teacher, grid, seed, batch and budget.
 
     The cache is empty or holds one whole round. A round that meets it empty
     computes its targets and, once it has completed, stores them with its
     (teacher, n_steps, seed, batch_size, steps_per_round) as `key`; a round
     that raises stores nothing. A round that meets it full reads every
-    update's targets from it and never calls the teacher, and `read` rejects
+    stack's targets from it and never calls the teacher, and `read` rejects
     a round whose key differs.
     The teacher is recorded by identity and must not change in place while
     the cache is in use; the dataset and schedule must stay the same too.
@@ -213,35 +218,6 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
     return z0_tilde, z_pp
 
 
-def _round_batches(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
-                   schedule: CosineSchedule, rng: np.random.Generator,
-                   cached: list[Array] | None):
-    """Yields (z_t, t, cond, z0_tilde, w) for each update of a round.
-
-    The updates are drawn in stacks by `_draw_stacks`, with the same rng
-    calls in the same order as one at a time. Each update reads its targets
-    from `cached`, the round's stored targets, when given; otherwise a
-    stack's targets come from one teacher call over its rows.
-    """
-    batch = config.batch_size
-    stacks = _draw_stacks(dataset, batch, config.steps_per_round, rng,
-                          lambda rng, size: rng.integers(1, n_steps + 1, size=size))
-    for first, (cond, z0, i, eps) in stacks:
-        t = i / n_steps
-        alpha, sigma = schedule.alpha_sigma(t)
-        z_t = alpha[:, None] * z0 + sigma[:, None] * eps
-        w = config.strategy.weight(schedule.snr(t))
-
-        if cached is None:
-            fresh, _ = teacher_target(teacher, z_t, t, n_steps, cond, schedule)
-            z0_tilde = [fresh[j: j + batch] for j in range(0, len(fresh), batch)]
-        else:
-            z0_tilde = cached[first: first + len(i) // batch]
-        for j, target in enumerate(z0_tilde):
-            rows = slice(j * batch, (j + 1) * batch)
-            yield z_t[rows], t[rows], cond[rows], target, w[rows]
-
-
 def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
                   schedule: CosineSchedule, seed: int | None = None,
                   targets: TeacherTargetCache | None = None) -> RoundRecord:
@@ -258,10 +234,10 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
     retagged to predict clean latents, and trains for exactly
     `steps_per_round` updates.
 
-    The round draws max(1, LOOKAHEAD_ROWS // batch_size) updates ahead and
-    computes their targets in one teacher call (see the module docstring);
-    draws and targets do not depend on the student.
-    With `targets` full, every update reads its targets from it; with
+    The round draws its updates in noised stacks and computes each stack's
+    targets in one teacher call (see the module docstring); draws and
+    targets do not depend on the student.
+    With `targets` full, every stack reads its targets from it; with
     `targets` empty, the round fills it once it has completed.
     """
     # At N = 1 an eps teacher would be queried at t = 0.5 for a latent at t = 1.
@@ -273,23 +249,33 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
     student = teacher.copy_with(parameterization=Parameterization.X)
     rng = child_rng(seed, "distill-round", n_steps)
     state = AdamState.fresh(student.flat, lr=config.lr)
+    batch = config.batch_size
 
     losses: list[float] = []
-    fresh: list[Array] | None = [] if targets is not None and cached is None else None
+    round_targets: list[Array] = []
+    stacks = _draw_stacks(dataset, schedule, batch, config.steps_per_round, rng,
+                          lambda rng, size: rng.integers(1, n_steps + 1, size=size) / n_steps)
+    for stack, (cond, _, t, _, z_t, snr) in enumerate(stacks):
+        w = config.strategy.weight(snr)
+        if cached is None:
+            z0_tilde, _ = teacher_target(teacher, z_t, t, n_steps, cond, schedule)
+        else:
+            z0_tilde = cached[stack]
+        if targets is not None:
+            round_targets.append(z0_tilde)
+        for j in range(0, len(t), batch):
+            rows = slice(j, j + batch)
+            loss, grad, _, weighted = loss_and_gradients(
+                student, z_t[rows], t[rows], cond[rows], z0_tilde[rows], w[rows])
+            if not np.isfinite(loss):
+                bad = j + int(np.argmax(~np.isfinite(weighted)))
+                raise DistillationDivergedError(t=float(t[bad]), weight=float(w[bad]), loss=loss)
+            adam_step(student.flat, grad, state)
+            losses.append(loss)
 
-    batches = _round_batches(teacher, config, n_steps, dataset, schedule, rng, cached)
-    for z_t, t, cond, z0_tilde, w in batches:
-        loss, grad, _, weighted = loss_and_gradients(student, z_t, t, cond, z0_tilde, w)
-        if not np.isfinite(loss):
-            bad = int(np.argmax(~np.isfinite(weighted)))
-            raise DistillationDivergedError(t=float(t[bad]), weight=float(w[bad]), loss=loss)
-        adam_step(student.flat, grad, state)
-        losses.append(loss)
-        if fresh is not None:
-            fresh.append(z0_tilde)
-
-    if fresh is not None:
-        targets.key, targets.z0_tilde = key, fresh
+    # A full cache gets back the arrays it held, under the key it held.
+    if targets is not None:
+        targets.key, targets.z0_tilde = key, round_targets
     return RoundRecord(student_steps=n_steps, student=student, losses=np.asarray(losses))
 
 

@@ -106,10 +106,11 @@ def halving_steps(cfg: RunConfig) -> list[int]:
 def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path:
     """Execute the full comparison; returns the output directory.
 
-    Per-strategy failures are logged to errors.log and do not abort the rest
-    of the run; whatever metrics were collected stay on disk, including
-    those of the rounds a strategy completed before it failed. results.csv
-    is aggregated from metrics.csv, as `snrdistill report` does.
+    Failures of a strategy, or of the teacher-ddim baseline's evaluation, are
+    logged to errors.log and do not abort the rest of the run; whatever
+    metrics were collected stay on disk, including those of the rounds a
+    strategy completed before it failed. results.csv is aggregated from
+    metrics.csv, as `snrdistill report` does.
 
     Every strategy of a seed distills the same teacher with the same seed
     for the same `steps_per_round` updates, so round 1 draws the same
@@ -139,9 +140,13 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
                 errors.append(f"seed {seed}: train_base failed\n{traceback.format_exc()}")
                 continue
 
-            for steps in steps_list:
-                _eval_repetitions(teacher, schedule, dataset, ref, cfg, seed,
-                                  BASELINE_NAME, steps, metrics_file)
+            try:
+                for steps in steps_list:
+                    _eval_repetitions(teacher, schedule, dataset, ref, cfg, seed,
+                                      BASELINE_NAME, steps, metrics_file)
+            except Exception:
+                errors.append(f"seed {seed}, {BASELINE_NAME}: evaluation failed\n"
+                              f"{traceback.format_exc()}")
 
             targets = TeacherTargetCache()
             for strategy in cfg.run.strategies:

@@ -29,11 +29,18 @@ class MomentFit:
 
 
 def fit_moments(samples) -> MomentFit:
-    """Gaussian moment fit; covariance is the unbiased (n - 1) estimate."""
+    """Gaussian moment fit; covariance is the unbiased (n - 1) estimate.
+
+    Samples that hold a NaN or an infinity have no finite moments, so they
+    raise ValueError rather than fit a mean or covariance that is not finite.
+    """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"samples must be 2-d (n, dim), got {x.ndim}-d")
     n, dim = x.shape
+    bad_rows = int(np.count_nonzero(~np.isfinite(x).all(axis=1)))
+    if bad_rows:
+        raise ValueError(f"{bad_rows} of {n} samples hold a non-finite value")
     if n < 2:
         raise ValueError(f"need at least 2 samples to fit a covariance, got {n}")
     if dim < 1:

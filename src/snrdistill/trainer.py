@@ -6,12 +6,10 @@ A noise-predicting model regresses eps under the strategy's noise-space
 weight, a clean-latent-predicting one regresses z0 under w(snr) itself: the
 same loss, since |eps - eps_pred|^2 = snr |z0 - x_pred|^2.
 
-Training draws its batches ahead as distillation does, through the shared
-`data._draw_stacks`: K = max(1, LOOKAHEAD_ROWS // batch_size) updates at a
-time (32 at batch 128), with the same rng calls in the same order as one at
-a time. The schedule, z_t and the loss weights are computed once per stack.
-Each of those steps is elementwise, so every update reads rows, and takes a
-loss, gradient and Adam step, bit-identical to those of drawing and
+Training draws its updates in noised stacks, as every distillation round
+does, through `data._draw_stacks` (the data module's docstring describes
+them). Each update takes its rows of the stack's z_t and weights, so its
+loss, gradient and Adam step are bit-identical to those of drawing and
 computing one update at a time.
 """
 
@@ -77,27 +75,23 @@ def train_base(config: TrainConfig, dataset: ToyDataset, schedule: CosineSchedul
     )
     rng = child_rng(config.seed, "train-batches")
     state = AdamState.fresh(model.flat, lr=config.lr)
-    losses = np.zeros(config.updates)
+    losses: list[float] = []
     batch = config.batch_size
 
-    stacks = _draw_stacks(dataset, batch, config.updates, rng,
+    stacks = _draw_stacks(dataset, schedule, batch, config.updates, rng,
                           lambda rng, size: rng.uniform(schedule.t_min, 1.0, size=size))
-    for first, (cond, z0, t, eps) in stacks:
-        alpha, sigma = schedule.alpha_sigma(t)
-        z_t = alpha[:, None] * z0 + sigma[:, None] * eps
-        # schedule.snr(t) bit for bit: t already lies in its [t_min, 1] clip.
-        snr = np.square(alpha) / np.square(sigma)
+    for cond, z0, t, eps, z_t, snr in stacks:
         if config.parameterization is Parameterization.EPSILON:
             target, w = eps, config.strategy.noise_weight(snr)
         else:
             target, w = z0, config.strategy.weight(snr)
-        for j in range(len(t) // batch):
-            rows = slice(j * batch, (j + 1) * batch)
+        for j in range(0, len(t), batch):
+            rows = slice(j, j + batch)
             loss, grad, *_ = loss_and_gradients(
                 model, z_t[rows], t[rows], cond[rows], target[rows], w[rows])
             if not np.isfinite(loss) or loss > DIVERGENCE_BOUND:
-                raise TrainingDivergedError(update=first + j, loss=loss)
+                raise TrainingDivergedError(update=len(losses), loss=loss)
             adam_step(model.flat, grad, state)
-            losses[first + j] = loss
+            losses.append(loss)
 
-    return TrainResult(model=model, loss_history=losses)
+    return TrainResult(model=model, loss_history=np.asarray(losses))

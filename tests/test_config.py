@@ -204,6 +204,10 @@ def test_budgets_and_batches_that_cannot_run_are_rejected(key, low):
 @pytest.mark.parametrize("line, message", [
     ("dataset.latent_dim = 1", "dataset: latent_dim must be >= 2"),
     ("dataset.stddev = -1", "dataset: stddev must be >= 0"),
+    ("dataset.stddev = nan", "dataset: stddev must be finite, got nan"),
+    ("dataset.stddev = inf", "dataset: stddev must be finite, got inf"),
+    ("dataset.radius = inf", "dataset: radius must be finite, got inf"),
+    ("dataset.radius = nan", "dataset: radius must be finite, got nan"),
     ("dataset.num_classes = 0", "dataset: num_classes must be >= 1"),
     ("model.hidden = 0", r"model: hidden widths must be >= 1, got \(0,\)"),
     ("model.hidden = 8,0", r"model: hidden widths must be >= 1, got \(8, 0\)"),

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from snrdistill.data import ToyDataset, draw_batch, mixture_moments, reference_population
+from snrdistill.data import (
+    LOOKAHEAD_ROWS,
+    ToyDataset,
+    _draw_stacks,
+    draw_batch,
+    mixture_moments,
+    reference_population,
+)
+from snrdistill.schedule import CosineSchedule
+
+SCHEDULE = CosineSchedule()
 
 
 def test_zero_stddev_draws_equal_centers():
@@ -88,5 +98,53 @@ def test_invalid_parameters_rejected():
         ToyDataset(latent_dim=1)
     with pytest.raises(ValueError):
         ToyDataset(stddev=-0.1)
+    # NaN fails no comparison, so a bound alone would let it through.
+    for name in ("radius", "stddev"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                ToyDataset(**{name: value})
     with pytest.raises(ValueError):
         draw_batch(ToyDataset(), 0, np.random.default_rng(0))
+
+
+def _train_times(rng, size):
+    """Base training's time draw."""
+    return rng.uniform(SCHEDULE.t_min, 1.0, size=size)
+
+
+def _grid_times(rng, size):
+    """A distillation round's time draw, on the grid i/8."""
+    return rng.integers(1, 9, size=size) / 8
+
+
+def _stack_cases():
+    k = LOOKAHEAD_ROWS // 128
+    # A batch above LOOKAHEAD_ROWS makes stacks of one update each.
+    return [(128, updates) for updates in (1, k - 1, k, k + 1, 2 * k + 3)] + [(5000, 3)]
+
+
+@pytest.mark.parametrize("draw_times", [_train_times, _grid_times])
+@pytest.mark.parametrize("batch, updates", _stack_cases())
+def test_every_update_of_a_noised_stack_equals_drawing_and_noising_it_alone(batch, updates,
+                                                                              draw_times):
+    ds = ToyDataset(latent_dim=3)
+    stacks = list(_draw_stacks(ds, SCHEDULE, batch, updates, np.random.default_rng(6),
+                               draw_times))
+    k = max(1, LOOKAHEAD_ROWS // batch)
+    assert [len(stack[0]) for stack in stacks] == [
+        batch * min(k, updates - first) for first in range(0, updates, k)]
+
+    rng = np.random.default_rng(6)
+    drawn = 0
+    for stack in stacks:
+        for j in range(0, len(stack[0]), batch):
+            cond, z0 = draw_batch(ds, batch, rng)
+            t = draw_times(rng, batch)
+            eps = rng.standard_normal(z0.shape)
+            alpha, sigma = SCHEDULE.alpha_sigma(t)
+            alone = (cond, z0, t, eps, alpha[:, None] * z0 + sigma[:, None] * eps,
+                     SCHEDULE.snr(t))
+            for stacked, want in zip(stack, alone, strict=True):
+                assert np.array_equal(stacked[j: j + batch], want)
+            drawn += 1
+    assert drawn == updates

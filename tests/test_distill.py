@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from snrdistill.data import ToyDataset, draw_batch
+from snrdistill.data import LOOKAHEAD_ROWS, ToyDataset, _draw_stacks, draw_batch
 from snrdistill import distill, nnet, sampler
 from snrdistill.distill import (
     DistillConfig,
@@ -253,12 +253,14 @@ def test_affine_round_matches_normal_equations():
     assert result.updates_run == config.steps_per_round
 
     # The round's (z_t, target, weight) draws, replayed from its rng.
-    batches = list(distill._round_batches(teacher, config, 4, _OneDimDataset(), SCHEDULE,
-                                          child_rng(5, "distill-round", 4), None))
-    assert len(batches) == config.steps_per_round
-    z = np.concatenate([z_t[:, 0] for z_t, _, _, _, _ in batches])
-    target = np.concatenate([z0_tilde[:, 0] for _, _, _, z0_tilde, _ in batches])
-    w = np.concatenate([w for _, _, _, _, w in batches])
+    stacks = list(_draw_stacks(_OneDimDataset(), SCHEDULE, config.batch_size,
+                               config.steps_per_round, child_rng(5, "distill-round", 4),
+                               lambda rng, size: rng.integers(1, 5, size=size) / 4))
+    z = np.concatenate([z_t[:, 0] for *_, z_t, _ in stacks])
+    assert len(z) == config.steps_per_round * config.batch_size
+    target = np.concatenate([teacher_target(teacher, z_t, t, 4, cond, SCHEDULE)[0][:, 0]
+                             for cond, _, t, _, z_t, _ in stacks])
+    w = np.concatenate([config.strategy.weight(snr) for *_, snr in stacks])
     a_star, b_star = weighted_least_squares(z, target, w)
 
     a_hat = result.student.params["a"][0]
@@ -474,6 +476,11 @@ def _distill_strategies(tmp_path, tag, teacher, configs, targets):
     return out
 
 
+def stack_rows(cache):
+    """The row count of each stack's targets in a cache."""
+    return [len(z0_tilde) for z0_tilde in cache.z0_tilde]
+
+
 def _assert_cache_changes_nothing(tmp_path, teacher, configs):
     cache = TeacherTargetCache()
     shared = _distill_strategies(tmp_path, "shared", teacher, configs, cache)
@@ -487,7 +494,8 @@ def _assert_cache_changes_nothing(tmp_path, teacher, configs):
         assert shared_bytes == alone_bytes
         assert ([r.final_loss for r in shared_trace.rounds]
                 == [r.final_loss for r in alone_trace.rounds])
-    assert len(cache.z0_tilde) == configs[0].steps_per_round
+    # 6 updates of 8 rows fill one stack.
+    assert stack_rows(cache) == [configs[0].steps_per_round * configs[0].batch_size]
     return [trace.rounds[0].updates_run for _, trace in shared]
 
 
@@ -522,7 +530,7 @@ def test_a_round_that_diverges_leaves_the_cache_empty(tmp_path, monkeypatch):
     [(shared, _)] = _distill_strategies(tmp_path, "shared", teacher, configs, cache)
     [(alone, _)] = _distill_strategies(tmp_path, "alone", teacher, configs, None)
     assert shared == alone
-    assert len(cache.z0_tilde) == 6
+    assert stack_rows(cache) == [6 * 8]
 
 
 def test_cached_updates_skip_the_teacher(monkeypatch):
@@ -552,7 +560,7 @@ def test_target_cache_rejects_another_teacher_seed_grid_or_batch():
     assert cache.key is None
     distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=9, targets=cache)
     assert cache.key == (teacher, 4, 9, 8, 2)
-    assert len(cache.z0_tilde) == 2
+    assert stack_rows(cache) == [2 * 8]
     # The same teacher, grid, seed, batch and budget read the cache back.
     distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=9, targets=cache)
     same_params = teacher.copy_with()
@@ -568,7 +576,8 @@ def test_target_cache_rejects_another_teacher_seed_grid_or_batch():
         with pytest.raises(ValueError, match="target cache"):
             distill_round(other_teacher, other, n_steps, small_dataset(), SCHEDULE,
                           seed=seed, targets=cache)
-    assert len(cache.z0_tilde) == 2
+    assert cache.key == (teacher, 4, 9, 8, 2)
+    assert stack_rows(cache) == [2 * 8]
     # progressive_distill seeds round 1 from its own seed, not the cache's
     with pytest.raises(ValueError, match="target cache"):
         progressive_distill(teacher, _strategy_config("bsa", iterations=1, n_start=8,
@@ -590,7 +599,7 @@ def test_rounds_after_the_first_never_see_the_cache(monkeypatch):
     cache = TeacherTargetCache()
     progressive_distill(teacher, config, small_dataset(), SCHEDULE, seed=8, targets=cache)
     assert seen == [cache, None, None]
-    assert len(cache.z0_tilde) == 6
+    assert stack_rows(cache) == [6 * 8]
 
 
 def reference_round(teacher, config, n_steps, dataset, seed):
@@ -641,7 +650,7 @@ def assert_round_matches_reference(result, reference):
 
 
 def lookahead(batch_size):
-    return max(1, distill.LOOKAHEAD_ROWS // batch_size)
+    return max(1, LOOKAHEAD_ROWS // batch_size)
 
 
 def _lookahead_cases():
@@ -696,9 +705,9 @@ def test_a_round_of_unaligned_batches_is_the_same_on_one_thread_and_three(monkey
 
 
 def test_lookahead_cache_is_filled_once_then_read_across_strategies(monkeypatch):
-    # K = 16, so the first strategy's 40 updates take 3 chunks, with two
-    # teacher forwards each. The next two read all 40 targets back and never
-    # call the teacher.
+    # K = 16, so the first strategy's 40 updates take 3 stacks, with two
+    # teacher forwards each. The next two read all 3 stacks' targets back and
+    # never call the teacher.
     teacher = DenoiserModel.init(seed=15)
     dataset = ToyDataset()
     configs = [DistillConfig(iterations=1, n_start=16, steps_per_round=40, batch_size=256,
@@ -713,6 +722,5 @@ def test_lookahead_cache_is_filled_once_then_read_across_strategies(monkeypatch)
         assert result.updates_run == 40
         assert_round_matches_reference(result, reference)
         assert len(calls) - before == forwards
-        assert len(cache.z0_tilde) == 40
-        for got, want in zip(cache.z0_tilde, reference[2], strict=True):
-            assert np.array_equal(got, want)
+        assert stack_rows(cache) == chunk_rows(256, 40) == [4096, 4096, 2048]
+        assert np.array_equal(np.concatenate(cache.z0_tilde), np.concatenate(reference[2]))

@@ -1,3 +1,4 @@
+import math
 import threading
 from pathlib import Path
 
@@ -101,7 +102,8 @@ def test_cache_is_built_for_each_seed(monkeypatch, tmp_path):
     # batch 16 and 4 updates.
     assert [cache.key[1:] for cache in built] == [
         (4, round_seed(1, 1), 16, 4), (4, round_seed(2, 1), 16, 4)]
-    assert all(len(cache.z0_tilde) == 4 for cache in built)
+    # 4 updates of 16 rows fill one stack.
+    assert [[len(z0_tilde) for z0_tilde in cache.z0_tilde] for cache in built] == [[64], [64]]
     assert built[0].key[0] is not built[1].key[0]
     assert not (tmp_path / "errors.log").exists()
 
@@ -173,6 +175,32 @@ def test_rounds_completed_before_a_failing_round_are_scored_and_traced(tmp_path,
     assert sorted({(row.strategy, row.steps) for row in rows}) == [
         ("bsa", 4), ("min-snr", 4), ("teacher-ddim", 2), ("teacher-ddim", 4), ("teacher-ddim", 8)]
     assert len(rows) == (3 + 2) * 2
+
+
+def test_a_failed_baseline_evaluation_is_logged_and_the_strategies_still_run(tmp_path,
+                                                                            monkeypatch):
+    # The teacher predicts noise and the students clean latents, so a NaN in
+    # every teacher sample population fails the teacher-ddim evaluations only.
+    real = experiment.sample
+
+    def nan_for_the_teacher(model, *args, **kwargs):
+        z = real(model, *args, **kwargs)
+        if model.parameterization is nnet.Parameterization.EPSILON:
+            z[0, 0] = float("nan")
+        return z
+
+    monkeypatch.setattr(experiment, "sample", nan_for_the_teacher)
+    run_dir = experiment.run_experiment(parse_config(TINY), tmp_path / "run")
+    errors = (run_dir / "errors.log").read_text(encoding="utf-8")
+    assert errors.startswith("seed 1, teacher-ddim: evaluation failed\n")
+    assert "1 of 64 samples hold a non-finite value" in errors
+    rows = experiment.read_metrics(run_dir / "metrics.csv")
+    assert sorted({(row.strategy, row.steps) for row in rows}) == [
+        ("bsa", 2), ("bsa", 4), ("min-snr", 2), ("min-snr", 4)]
+    assert len(rows) == 2 * 2 * 2
+    assert all(math.isfinite(row.fd) for row in rows)
+    results = (run_dir / "results.csv").read_text(encoding="ascii")
+    assert "teacher-ddim" not in results and "nan" not in results
 
 
 def test_report_on_a_runs_metrics_rewrites_its_results(tmp_path, capsys):

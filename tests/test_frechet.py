@@ -55,6 +55,17 @@ def test_fit_rejects_tiny_or_misshaped_input():
         fit_moments(np.ones(5))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_samples_that_are_not_finite(value):
+    # A non-finite sample would give a NaN mean or covariance, and with it a
+    # NaN distance where a value >= 0 is promised.
+    z = np.random.default_rng(2).standard_normal((10, 2))
+    z[3, 1] = value
+    z[7] = value
+    with pytest.raises(ValueError, match="^2 of 10 samples hold a non-finite value"):
+        fit_moments(z)
+
+
 def test_distance_of_fit_to_itself_is_zero():
     rng = np.random.default_rng(1)
     fit = fit_moments(rng.normal(size=(50, 3)))

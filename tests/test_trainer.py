@@ -171,9 +171,8 @@ def test_non_default_strategy_weights_noise_loss():
 
 @pytest.mark.parametrize("t_min", [1e-4, 0.05])
 def test_weights_use_the_schedule_snr_bit_for_bit(monkeypatch, t_min):
-    # train_base takes snr from the alpha and sigma it already has, once per
-    # stack of updates; for the times each update draws, its weights must
-    # equal those of schedule.snr(t) exactly.
+    # train_base takes snr once per stack of updates; for the times each
+    # update draws, its weights must equal those of schedule.snr(t) exactly.
     from snrdistill import trainer
 
     schedule = CosineSchedule(t_min=t_min)
