@@ -42,11 +42,14 @@ def _add_config_arg(parser: argparse.ArgumentParser) -> None:
 
 def _read_input(flag: str, path, read):
     """`read(path)`, the input file named by `flag`; a usage error if it
-    does not exist. Each subcommand reads its inputs before it writes."""
+    does not exist or cannot be read. Each subcommand reads its inputs
+    before it writes."""
     try:
         return read(path)
     except FileNotFoundError:
         raise ConfigError(f"{flag}: no such file: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _load_config(args):
@@ -128,7 +131,9 @@ def _cmd_sample(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="ascii")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text, encoding="ascii")
         print(f"wrote {args.num} samples at {args.steps} steps to {args.out}")
     return 0
 
@@ -171,12 +176,12 @@ def _cmd_weights_table(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg = _load_config(args)
     try:
         rows = _read_input("--metrics", args.metrics, read_metrics)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    write_results(rows, args.out, cfg)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    write_results(rows, args.out)
     print(f"aggregated {len(rows)} metric rows into {args.out}")
     return 0
 
@@ -239,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_weights_table)
 
     p = sub.add_parser("report", help="aggregate a metrics.csv into results.csv")
-    _add_config_arg(p)
     p.add_argument("--metrics", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_report)
@@ -258,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand. A bad config, flag or checkpoint, or a missing
-    input file, is a usage error: its message goes to stderr and the exit
-    status is 2."""
+    """Run one subcommand. A bad config, flag or checkpoint, or an input file
+    that is missing or cannot be read, is a usage error: its message goes to
+    stderr and the exit status is 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -174,7 +174,7 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
 
     if errors:
         (out / "errors.log").write_text("\n".join(errors), encoding="utf-8")
-    write_results(read_metrics(out / "metrics.csv"), out / "results.csv", cfg)
+    write_results(read_metrics(out / "metrics.csv"), out / "results.csv")
     return out
 
 
@@ -199,25 +199,27 @@ def mean_ci95(values) -> tuple[float, float]:
 
 
 def aggregate(rows: list[MetricRow]) -> dict[tuple[str, int], tuple[float, float, int]]:
-    """(strategy, steps) -> (mean, ci95, n) over every seed and repetition."""
+    """(strategy, steps) -> (mean, ci95, n) over every seed and repetition,
+    the cells in the order they first appear in `rows`."""
     cells: dict[tuple[str, int], list[float]] = {}
     for row in rows:
         cells.setdefault((row.strategy, row.steps), []).append(row.fd)
     return {key: (*mean_ci95(values), len(values)) for key, values in cells.items()}
 
 
-def write_results(rows: list[MetricRow], path: str | Path, cfg: RunConfig) -> None:
-    """Aggregated report; also records the final-step strategy ordering."""
+def write_results(rows: list[MetricRow], path: str | Path) -> None:
+    """Aggregated report: one line per (strategy, steps) cell, in the order
+    the cells first appear in `rows`, after a line that records the strategy
+    ordering at the smallest step count present. A run writes its metrics
+    baseline first, then each strategy in `run.strategies` order with steps
+    descending, so the report of a run needs nothing but its metrics."""
     cells = aggregate(rows)
-    strategy_order = [BASELINE_NAME, *cfg.run.strategies]
-    steps_order = halving_steps(cfg)
-
     lines = [
         "# snrdistill experiment report",
         "# ci95 = 1.96 * sd / sqrt(n) over the n evaluation runs pooled across "
         "seeds and repetitions (normal approximation)",
     ]
-    final_steps = steps_order[-1]
+    final_steps = min((steps for _, steps in cells), default=None)
     wanted = ("bsa", "min-snr", "trunc-snr")
     if all((name, final_steps) in cells for name in wanted):
         means = {name: cells[(name, final_steps)][0] for name in wanted}
@@ -228,12 +230,8 @@ def write_results(rows: list[MetricRow], path: str | Path, cfg: RunConfig) -> No
             f"{'OK' if ok else 'VIOLATED'}"
         )
     lines.append(RESULTS_HEADER)
-    for strategy in strategy_order:
-        for steps in steps_order:
-            if (strategy, steps) not in cells:
-                continue
-            mean, ci95, _ = cells[(strategy, steps)]
-            lines.append(f"{strategy},{steps},{fmt_float(mean)},{fmt_float(ci95)}")
+    for (strategy, steps), (mean, ci95, _) in cells.items():
+        lines.append(f"{strategy},{steps},{fmt_float(mean)},{fmt_float(ci95)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 

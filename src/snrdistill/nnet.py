@@ -73,11 +73,13 @@ grouping and every reduction must not change:
   calls on the same operand layouts.
 - The SiLU slope is s * (1 + a * (1 - s)) with s = 1 / (1 + exp(-a)),
   in that grouping (`expit`).
-- The embedding gradient scatter-adds the input gradient's embedding
-  columns with np.add.at, in row order, so repeated class ids sum in the
-  order they appear.
+- The embedding gradient sums the input gradient's embedding columns into
+  (class, column) bins with one np.bincount, which starts each bin at 0.0
+  and adds its terms in row order, so repeated class ids sum in the order
+  they appear.
 The backward writes each gradient into its view of one vector laid out
-like the model's parameter vector `flat` (`out=`; zeros, then np.add.at).
+like the model's parameter vector `flat` (`out=`, or a copy of the
+bincount).
 `adam_step` updates `flat` in place and keeps each element's grouping:
 m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
 p - (lr*m_hat) / (sqrt(v_hat) + eps).
@@ -97,11 +99,12 @@ import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ShapeMismatchError
+from .schedule import check_unit_interval
 
 Array = np.ndarray
 
@@ -309,15 +312,7 @@ class DenoiserModel:
 
     def copy_with(self, parameterization: Parameterization | None = None) -> "DenoiserModel":
         """Deep copy; optionally retag the output parameterization."""
-        return DenoiserModel(
-            latent_dim=self.latent_dim,
-            num_classes=self.num_classes,
-            hidden=self.hidden,
-            embed_dim=self.embed_dim,
-            num_frequencies=self.num_frequencies,
-            parameterization=parameterization or self.parameterization,
-            params=self.params,
-        )
+        return replace(self, parameterization=parameterization or self.parameterization)
 
     def _validate(self, z: Array, t, cond) -> tuple[Array, Array, Array]:
         """Checked float64 `z`, `t` clipped to [0, 1] and int64 `cond`.
@@ -334,17 +329,14 @@ class DenoiserModel:
         t = np.asarray(t, dtype=np.float64)
         if t.ndim != 0 and t.shape != (batch,):
             raise ShapeMismatchError("t", None, f"() or ({batch},)", t.shape)
-        # Written so that NaN, which fails every comparison, fails the test.
-        # The array methods skip the Python dispatch of np.all, np.any and
-        # np.clip, which cost more than the checks on a small batch.
-        if not ((t >= -1e-12) & (t <= 1.0 + 1e-12)).all():
-            raise ValueError(f"t must lie in [0, 1], got range [{t.min()}, {t.max()}]")
-        t = t.clip(0.0, 1.0)
+        t = check_unit_interval(t, "t")
         cond = class_ids(cond)
         if cond.ndim == 0:
             cond = np.full(batch, int(cond), dtype=np.int64)
         elif cond.shape != (batch,):
             raise ShapeMismatchError("condition", None, f"() or ({batch},)", cond.shape)
+        # The array method skips the Python dispatch of np.any, which costs
+        # more than the check on a small batch.
         if ((cond < 0) | (cond >= self.num_classes)).any():
             raise ValueError(
                 f"condition ids must lie in [0, {self.num_classes}), "
@@ -504,8 +496,10 @@ class DenoiserModel:
                 g = g @ params[f"w{k}"].T
                 if k:
                     g *= slopes[k - 1]
-            grads["embed"][...] = 0.0
-            np.add.at(grads["embed"], cond, g[:, embed_cols])
+            grads["embed"][...] = np.bincount(
+                (cond[:, None] * self.embed_dim + np.arange(self.embed_dim)).ravel(),
+                g[:, embed_cols].ravel(), self.num_classes * self.embed_dim,
+            ).reshape(self.num_classes, self.embed_dim)
             return grad
 
         return out, backward

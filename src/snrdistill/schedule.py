@@ -18,13 +18,17 @@ Array = np.ndarray
 _T_TOL = 1e-12
 
 
-def _check_unit_interval(t: Array, what: str) -> Array:
+def check_unit_interval(t: Array, what: str) -> Array:
+    """Float64 array `t` clipped to [0, 1]; ScheduleRangeError unless every
+    value lies within _T_TOL of that interval."""
     # Written so that NaN, which fails every comparison, fails the test.
-    if not np.all((t >= -_T_TOL) & (t <= 1.0 + _T_TOL)):
+    # The array methods skip the Python dispatch of np.all and np.clip,
+    # which cost more than the check on a small batch.
+    if not ((t >= -_T_TOL) & (t <= 1.0 + _T_TOL)).all():
         raise ScheduleRangeError(
             f"{what} must lie in [0, 1], got range [{t.min()}, {t.max()}]"
         )
-    return np.clip(t, 0.0, 1.0)
+    return t.clip(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ class CosineSchedule:
     def alpha_sigma(self, t):
         """(alpha_t, sigma_t); accepts a scalar or an array of times."""
         scalar = np.ndim(t) == 0
-        tc = _check_unit_interval(np.asarray(t, dtype=np.float64), "t")
+        tc = check_unit_interval(np.asarray(t, dtype=np.float64), "t")
         alpha = np.cos(0.5 * np.pi * tc)
         sigma = np.sin(0.5 * np.pi * tc)
         # cos(pi/2) rounds to ~6e-17; pin the pure-noise endpoint exactly.
@@ -63,7 +67,7 @@ class CosineSchedule:
     def snr(self, t):
         """alpha_t^2 / sigma_t^2 with t clipped to [t_min, 1]."""
         scalar = np.ndim(t) == 0
-        tc = _check_unit_interval(np.asarray(t, dtype=np.float64), "t")
+        tc = check_unit_interval(np.asarray(t, dtype=np.float64), "t")
         tc = np.clip(tc, self.t_min, 1.0)
         alpha, sigma = self.alpha_sigma(tc)
         out = np.square(alpha) / np.square(sigma)

@@ -125,20 +125,51 @@ def test_report_on_a_malformed_metrics_file_is_a_usage_error(tmp_path, capsys, t
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, flag", [
-    pytest.param(["train", "--out", "{out}/t.ckpt", "--config"], "--config", id="config"),
-    pytest.param(["experiment", "--out-dir", "{out}", "--config"], "--config",
+@pytest.mark.parametrize("argv, flag, directory", [
+    pytest.param(["train", "--out", "{out}/t.ckpt", "--config"], "--config", False, id="config"),
+    pytest.param(["experiment", "--out-dir", "{out}", "--config"], "--config", False,
                  id="experiment-config"),
-    pytest.param(["report", "--out", "{out}/r.csv", "--metrics"], "--metrics", id="report"),
-    pytest.param(["eval", "--steps", "4", "--checkpoint"], "--checkpoint", id="eval"),
+    pytest.param(["report", "--out", "{out}/r.csv", "--metrics"], "--metrics", False,
+                 id="report"),
+    pytest.param(["eval", "--steps", "4", "--checkpoint"], "--checkpoint", False, id="eval"),
     pytest.param(["sample", "--steps", "2", "--out", "{out}/s.csv", "--checkpoint"],
-                 "--checkpoint", id="sample"),
-    pytest.param(["distill", "--out-dir", "{out}", "--teacher"], "--teacher", id="distill"),
+                 "--checkpoint", False, id="sample"),
+    pytest.param(["distill", "--out-dir", "{out}", "--teacher"], "--teacher", False,
+                 id="distill"),
+    pytest.param(["print-config", "--config"], "--config", True, id="config-directory"),
+    pytest.param(["report", "--out", "{out}/r.csv", "--metrics"], "--metrics", True,
+                 id="report-directory"),
+    pytest.param(["eval", "--steps", "4", "--checkpoint"], "--checkpoint", True,
+                 id="eval-directory"),
+    pytest.param(["distill", "--out-dir", "{out}", "--teacher"], "--teacher", True,
+                 id="distill-directory"),
 ])
-def test_a_missing_input_file_is_a_usage_error(tmp_path, capsys, argv, flag):
+def test_a_missing_input_file_is_a_usage_error(tmp_path, capsys, argv, flag, directory):
+    # A directory in place of the file is as much a usage error as no file.
     out, missing = tmp_path / "out", tmp_path / "nope"
+    if directory:
+        missing.mkdir()
     assert main([arg.format(out=out) for arg in argv] + [str(missing)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"snrdistill: error: {flag}: no such file: {missing}\n"
+    reason = f"cannot read {missing}: Is a directory" if directory else f"no such file: {missing}"
+    assert captured.err == f"snrdistill: error: {flag}: {reason}\n"
     assert not out.exists()
+
+
+def test_sample_creates_the_directory_of_its_out_path(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, DenoiserModel.init(hidden=(4,), embed_dim=3, num_frequencies=2,
+                                             seed=0), CosineSchedule())
+    out = tmp_path / "new" / "dir" / "s.csv"
+    assert main(["sample", "--checkpoint", str(ckpt), "--steps", "2", "--num", "3",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="ascii").splitlines()) == 1 + 3
+
+
+def test_report_creates_the_directory_of_its_out_path(tmp_path):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("seed,strategy,steps,rep,fd\n1,bsa,8,0,0.1\n")
+    out = tmp_path / "new" / "dir" / "results.csv"
+    assert main(["report", "--metrics", str(metrics), "--out", str(out)]) == 0
+    assert out.read_text(encoding="ascii").endswith("\nbsa,8,0.1,0.0\n")

@@ -7,6 +7,7 @@ from snrdistill.cli import main
 from snrdistill.config import parse_config
 from snrdistill.distill import round_seed
 from snrdistill.errors import DistillationDivergedError
+from snrdistill.util import fmt_float
 
 TINY = """\
 model.hidden = 16,16
@@ -206,6 +207,39 @@ def test_a_failed_baseline_evaluation_is_logged_and_the_strategies_still_run(tmp
 def test_report_on_a_runs_metrics_rewrites_its_results(tmp_path, capsys):
     run_dir = _run_cli(tmp_path, "run")
     out = tmp_path / "report.csv"
-    assert main(["report", "--config", str(run_dir / "config.cfg"),
-                 "--metrics", str(run_dir / "metrics.csv"), "--out", str(out)]) == 0
+    assert main(["report", "--metrics", str(run_dir / "metrics.csv"), "--out", str(out)]) == 0
     assert out.read_bytes() == (run_dir / "results.csv").read_bytes()
+
+
+def test_report_writes_every_cell_of_its_metrics_in_the_order_it_first_appears(tmp_path,
+                                                                                capsys):
+    # The default config lists neither cell, and eps-snr comes first because its
+    # rows do.
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("seed,strategy,steps,rep,fd\n"
+                       "1,eps-snr,2,0,0.5\n1,bsa,4,0,0.25\n2,eps-snr,2,0,0.75\n")
+    out = tmp_path / "results.csv"
+    assert main(["report", "--metrics", str(metrics), "--out", str(out)]) == 0
+    mean, ci95 = experiment.mean_ci95([0.5, 0.75])
+    assert out.read_text(encoding="ascii").splitlines()[2:] == [
+        experiment.RESULTS_HEADER,
+        f"eps-snr,2,{fmt_float(mean)},{fmt_float(ci95)}",
+        "bsa,4,0.25,0.0",
+    ]
+    assert capsys.readouterr().out == f"aggregated 3 metric rows into {out}\n"
+
+
+def test_report_states_the_ordering_at_the_smallest_step_count_present(tmp_path):
+    lines = ["seed,strategy,steps,rep,fd"]
+    for steps, scale in ((5, 2.0), (3, 1.0)):
+        for k, strategy in enumerate(("trunc-snr", "min-snr", "bsa")):
+            lines.append(f"1,{strategy},{steps},0,{scale * (3 - k) / 8}")
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "results.csv"
+    assert main(["report", "--metrics", str(metrics), "--out", str(out)]) == 0
+    report = out.read_text(encoding="ascii").splitlines()
+    assert report[2] == ("# ordering at 3 steps: bsa=0.125 <= min-snr=0.25 <= "
+                         "trunc-snr=0.375 : OK")
+    assert [line.split(",")[:2] for line in report[4:]] == [
+        [strategy, str(steps)] for steps in (5, 3) for strategy in ("trunc-snr", "min-snr", "bsa")]
