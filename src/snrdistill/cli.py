@@ -52,6 +52,22 @@ def _read_input(flag: str, path, read):
         raise ConfigError(f"{flag}: cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _prepare_output(flag: str, path, directory: bool = False) -> None:
+    """Create the directory `path`, or the directory of the file `path`; a
+    usage error if that fails or if the file `path` is a directory. Each
+    subcommand prepares its outputs before its work, so a bad output path
+    costs no training."""
+    path = Path(path)
+    try:
+        (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
+    except FileExistsError:  # a file stands where the directory must go
+        raise ConfigError(f"{flag}: cannot write {path}: Not a directory") from None
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
+    if not directory and path.is_dir():
+        raise ConfigError(f"{flag}: cannot write {path}: Is a directory")
+
+
 def _load_config(args):
     return _read_input("--config", args.config, load_config)
 
@@ -81,6 +97,7 @@ def _check_matches_dataset(model, cfg, flag: str) -> None:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     seed = cfg.run.seeds[0] if args.seed is None else args.seed
+    _prepare_output("--out", args.out)
     result = train_teacher(cfg, seed, cfg.dataset, cfg.schedule, args.out)
     final = result.loss_history[-1] if len(result.loss_history) else float("nan")
     print(f"trained {result.model.num_params}-parameter model "
@@ -97,11 +114,10 @@ def _cmd_distill(args) -> int:
     validate_config(cfg)
     teacher, schedule, _ = _read_input("--teacher", args.teacher, load_checkpoint)
     _check_matches_dataset(teacher, cfg, "--teacher")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _prepare_output("--out-dir", args.out_dir, directory=True)
     dconfig = build_distill_config(cfg, args.strategy, seed)
     _, trace = progressive_distill(teacher, dconfig, cfg.dataset, schedule,
-                                   checkpoint_dir=out_dir, seed=seed)
+                                   checkpoint_dir=args.out_dir, seed=seed)
     for r in trace.rounds:
         print(f"round {r.round_index}: {r.teacher_steps}-step teacher -> "
               f"{r.student_steps}-step student, final loss {r.final_loss:.6f} "
@@ -122,6 +138,8 @@ def _cmd_sample(args) -> int:
         conds = rng.integers(0, model.num_classes, size=args.num)
     else:
         conds = np.full(args.num, args.condition, dtype=np.int64)
+    if args.out != "-":
+        _prepare_output("--out", args.out)
     config = SamplerConfig(steps=args.steps, seed=args.seed)
     z = sample(model, conds, config, schedule)
     lines = ["condition," + ",".join(f"z{i}" for i in range(model.latent_dim))]
@@ -131,9 +149,7 @@ def _cmd_sample(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="ascii")
+        Path(args.out).write_text(text, encoding="ascii")
         print(f"wrote {args.num} samples at {args.steps} steps to {args.out}")
     return 0
 
@@ -180,7 +196,7 @@ def _cmd_report(args) -> int:
         rows = _read_input("--metrics", args.metrics, read_metrics)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    args.out.parent.mkdir(parents=True, exist_ok=True)
+    _prepare_output("--out", args.out)
     write_results(rows, args.out)
     print(f"aggregated {len(rows)} metric rows into {args.out}")
     return 0
@@ -188,6 +204,9 @@ def _cmd_report(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = _load_config(args)
+    flag, out_dir = (("run.output_dir", cfg.run.output_dir) if args.out_dir is None
+                     else ("--out-dir", args.out_dir))
+    _prepare_output(flag, out_dir, directory=True)
     out = run_experiment(cfg, output_dir=args.out_dir)
     print(f"experiment finished; results in {out / 'results.csv'}")
     print((out / "results.csv").read_text(encoding="ascii"), end="")
@@ -262,9 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand. A bad config, flag or checkpoint, or an input file
-    that is missing or cannot be read, is a usage error: its message goes to
-    stderr and the exit status is 2."""
+    """Run one subcommand. A bad config, flag or checkpoint, an input file
+    that is missing or cannot be read, or an output path that cannot be
+    written, is a usage error: its message goes to stderr and the exit
+    status is 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

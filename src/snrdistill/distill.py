@@ -47,7 +47,7 @@ steps_per_round x batch_size x latent_dim doubles in all (123 KB at
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +82,7 @@ class DistillConfig:
     batch_size: int = 256
     strategy: WeightStrategy = field(default_factory=lambda: strategy_from_name("bsa"))
     lr: float = 1e-3
-    seed: int = 0
+    seed: int = 0                  # the run's root seed; round k draws from round_seed(seed, k)
 
     def __post_init__(self):
         check_halvings(self.n_start, self.iterations)
@@ -218,21 +218,22 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
     return z0_tilde, z_pp
 
 
-def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
-                  schedule: CosineSchedule, seed: int | None = None,
+def distill_round(teacher, student, config: DistillConfig, n_steps: int, dataset: ToyDataset,
+                  schedule: CosineSchedule, seed: int,
                   targets: TeacherTargetCache | None = None) -> RoundRecord:
-    """Train one student against two-step teacher targets at grid size 1/N.
+    """Train `student` in place against two-step teacher targets at grid size 1/N.
 
     The models only need the small surface used here (the test suite
     exercises linear and constant families through the same loop):
-    - the teacher: `parameterization`, `forward(z, t, cond)` and
-      `copy_with(parameterization)`;
-    - the student that `copy_with` returns: `flat`, its parameters as one
-      float64 vector, and `forward_backward(z, t, cond) -> (out, backward)`,
-      where `backward(d_out)` returns a flat gradient laid out like `flat`.
-    The student starts as a bit-exact parameter copy of the teacher,
-    retagged to predict clean latents, and trains for exactly
-    `steps_per_round` updates.
+    - the teacher is read, through `parameterization` and
+      `forward(z, t, cond)` alone;
+    - the student is trained, through `parameterization`, which must be
+      clean-latent prediction, `flat`, its parameters as one float64
+      vector, and `forward_backward(z, t, cond) -> (out, backward)`, where
+      `backward(d_out)` returns a flat gradient laid out like `flat`.
+    The student must not be the teacher object, whose targets would move
+    under its own updates. It trains for exactly `steps_per_round` updates
+    of draws from `seed`, the round's seed.
 
     The round draws its updates in noised stacks and computes each stack's
     targets in one teacher call (see the module docstring); draws and
@@ -243,10 +244,10 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
     # At N = 1 an eps teacher would be queried at t = 0.5 for a latent at t = 1.
     if n_steps < 2:
         raise ValueError(f"student steps must be >= 2, got {n_steps}")
-    seed = config.seed if seed is None else seed
+    if student is teacher or student.parameterization is not Parameterization.X:
+        raise ValueError("the student must predict clean latents and not be the teacher object")
     key = (teacher, n_steps, seed, config.batch_size, config.steps_per_round)
     cached = None if targets is None else targets.read(*key)
-    student = teacher.copy_with(parameterization=Parameterization.X)
     rng = child_rng(seed, "distill-round", n_steps)
     state = AdamState.fresh(student.flat, lr=config.lr)
     batch = config.batch_size
@@ -265,7 +266,7 @@ def distill_round(teacher, config: DistillConfig, n_steps: int, dataset: ToyData
             round_targets.append(z0_tilde)
         for j in range(0, len(t), batch):
             rows = slice(j, j + batch)
-            loss, grad, _, weighted = loss_and_gradients(
+            loss, grad, weighted = loss_and_gradients(
                 student, z_t[rows], t[rows], cond[rows], z0_tilde[rows], w[rows])
             if not np.isfinite(loss):
                 bad = j + int(np.argmax(~np.isfinite(weighted)))
@@ -285,7 +286,9 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
                         ) -> tuple[DenoiserModel, DistillTrace]:
     """Run K halving rounds: round k trains a student at n_start / 2^k steps.
 
-    The teacher's effective grid in round k is n_start / 2^(k-1): its two
+    Each round's student starts as a bit-exact parameter copy of its teacher,
+    retagged to predict clean latents; this is the one place a student is
+    made. The teacher's effective grid in round k is n_start / 2^(k-1): its two
     half-steps have spacing 1/(that grid). After each round the student is
     promoted to teacher. Each round's record holds its student and the
     loss of every update; when `checkpoint_dir` is given, the student is
@@ -306,10 +309,10 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
     try:
         for k in range(1, config.iterations + 1):
             started = time.perf_counter()
-            record = distill_round(
-                current, config, config.n_start >> k, dataset, schedule,
-                seed=round_seed(root_seed, k), targets=targets if k == 1 else None,
-            )
+            student = replace(current, parameterization=Parameterization.X)
+            record = distill_round(current, student, config, config.n_start >> k, dataset,
+                                   schedule, round_seed(root_seed, k),
+                                   targets=targets if k == 1 else None)
             record.round_index = k
             record.seconds = time.perf_counter() - started
             if checkpoint_dir is not None:

@@ -99,7 +99,7 @@ import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -309,10 +309,6 @@ class DenoiserModel:
     @property
     def num_params(self) -> int:
         return self.flat.size
-
-    def copy_with(self, parameterization: Parameterization | None = None) -> "DenoiserModel":
-        """Deep copy; optionally retag the output parameterization."""
-        return replace(self, parameterization=parameterization or self.parameterization)
 
     def _validate(self, z: Array, t, cond) -> tuple[Array, Array, Array]:
         """Checked float64 `z`, `t` clipped to [0, 1] and int64 `cond`.
@@ -597,31 +593,30 @@ def _run_chunks(chunks: list[Callable[[], None]]) -> None:
 
 
 def weighted_squared_error(pred: Array, target: Array, w: Array
-                           ) -> tuple[float, Array, Array, Array]:
+                           ) -> tuple[float, Array, Array]:
     """The loss sum_i w_i |pred_i - target_i|^2 / batch and its gradient in `pred`.
 
-    Returns (loss, dL/d(pred), per-row squared error, per-row weighted
-    error), in the op order of the module docstring.
+    Returns (loss, dL/d(pred), per-row weighted error), in the op order of
+    the module docstring.
     """
     batch = len(w)
     diff = pred - target
-    sq_err = (diff * diff).sum(axis=1)
-    weighted = sq_err * w
+    weighted = (diff * diff).sum(axis=1) * w
     loss = float(weighted.sum() * (1.0 / batch))
     d_pred = (w * (1.0 / batch))[:, None] * (2.0 * diff)
-    return loss, d_pred, sq_err, weighted
+    return loss, d_pred, weighted
 
 
-def loss_and_gradients(model, z, t, cond, target, w) -> tuple[float, Array, Array, Array]:
+def loss_and_gradients(model, z, t, cond, target, w) -> tuple[float, Array, Array]:
     """The weighted squared error of the model's output against `target`
     and its gradient in every parameter.
 
-    Returns (loss, gradient, per-row squared error, per-row weighted
-    error); the gradient is one vector laid out like `model.flat`.
+    Returns (loss, gradient, per-row weighted error); the gradient is one
+    vector laid out like `model.flat`.
     """
     out, backward = model.forward_backward(z, t, cond)
-    loss, d_out, sq_err, weighted = weighted_squared_error(out, target, w)
-    return loss, backward(d_out), sq_err, weighted
+    loss, d_out, weighted = weighted_squared_error(out, target, w)
+    return loss, backward(d_out), weighted
 
 
 @dataclass

@@ -87,7 +87,7 @@ def train_base(config: TrainConfig, dataset: ToyDataset, schedule: CosineSchedul
             target, w = z0, config.strategy.weight(snr)
         for j in range(0, len(t), batch):
             rows = slice(j, j + batch)
-            loss, grad, *_ = loss_and_gradients(
+            loss, grad, _ = loss_and_gradients(
                 model, z_t[rows], t[rows], cond[rows], target[rows], w[rows])
             if not np.isfinite(loss) or loss > DIVERGENCE_BOUND:
                 raise TrainingDivergedError(update=len(losses), loss=loss)

@@ -85,7 +85,7 @@ def test_square_and_mul_gradients():
     pred = rng.normal(size=(3, 5))
     target = rng.normal(size=(3, 5))
     w = rng.uniform(0.5, 2.0, size=3)
-    _, d_pred, _, _ = weighted_squared_error(pred, target, w)
+    _, d_pred, _ = weighted_squared_error(pred, target, w)
     expected = numeric_grad(lambda p: weighted_squared_error(p, target, w)[0], pred.copy())
     np.testing.assert_allclose(d_pred, expected, rtol=1e-6, atol=1e-7)
 
@@ -130,8 +130,8 @@ def test_sum_rows_gradient_shape():
     # every column of the gradient.
     pred = np.arange(6.0).reshape(2, 3)
     w = np.array([2.0, -1.0])
-    _, d_pred, sq_err, _ = weighted_squared_error(pred, pred - 1.0, w)
-    np.testing.assert_array_equal(sq_err, [3.0, 3.0])
+    _, d_pred, weighted = weighted_squared_error(pred, pred - 1.0, w)
+    np.testing.assert_array_equal(weighted, [6.0, -3.0])
     np.testing.assert_array_equal(d_pred, np.array([[2.0] * 3, [-1.0] * 3]))
 
 

@@ -173,3 +173,36 @@ def test_report_creates_the_directory_of_its_out_path(tmp_path):
     out = tmp_path / "new" / "dir" / "results.csv"
     assert main(["report", "--metrics", str(metrics), "--out", str(out)]) == 0
     assert out.read_text(encoding="ascii").endswith("\nbsa,8,0.1,0.0\n")
+
+
+@pytest.mark.parametrize("argv, flag, kind, work", [
+    pytest.param(["train", "--config", "{cfg}", "--out", "{dir}"], "--out", "dir",
+                 "train_teacher", id="train"),
+    pytest.param(["sample", "--checkpoint", "{ckpt}", "--steps", "2", "--out", "{dir}"], "--out",
+                 "dir", "sample", id="sample"),
+    pytest.param(["report", "--metrics", "{metrics}", "--out", "{dir}"], "--out", "dir",
+                 "write_results", id="report"),
+    pytest.param(["distill", "--config", "{cfg}", "--teacher", "{ckpt}", "--out-dir", "{file}"],
+                 "--out-dir", "file", "progressive_distill", id="distill"),
+    pytest.param(["experiment", "--config", "{cfg}", "--out-dir", "{file}"], "--out-dir", "file",
+                 "run_experiment", id="experiment"),
+    pytest.param(["experiment", "--config", "{cfg}"], "run.output_dir", "file", "run_experiment",
+                 id="experiment-config"),
+])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, argv, flag, kind, work):
+    # A directory where a file goes, or a file where a directory goes. The
+    # check comes before the subcommand's work: training, sampling or writing.
+    monkeypatch.setattr(f"snrdistill.cli.{work}", None)
+    paths = {name: tmp_path / name for name in ("cfg", "ckpt", "metrics", "dir", "file")}
+    paths["cfg"].write_text(TINY + f"run.output_dir = {paths['file']}\n")
+    save_checkpoint(paths["ckpt"], DenoiserModel.init(hidden=(4,), embed_dim=3,
+                                                      num_frequencies=2, seed=0), CosineSchedule())
+    paths["metrics"].write_text("seed,strategy,steps,rep,fd\n1,bsa,8,0,0.1\n")
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "Is a directory" if kind == "dir" else "Not a directory"
+    assert captured.err == f"snrdistill: error: {flag}: cannot write {paths[kind]}: {reason}\n"

@@ -1,4 +1,6 @@
+import copy
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +43,6 @@ class AffineModel:
         self.params = {"a": self.flat[0:1], "b": self.flat[1:2]}
         self.parameterization = parameterization
 
-    def copy_with(self, parameterization=None):
-        return AffineModel(*self.flat, parameterization or self.parameterization)
-
     def forward(self, z, t, cond):
         z = np.asarray(z, dtype=np.float64)
         return z * self.params["a"] + self.params["b"]
@@ -63,6 +62,12 @@ def random_teacher(seed=0):
         latent_dim=2, num_classes=4, hidden=(8,), embed_dim=3,
         num_frequencies=2, parameterization=Parameterization.X, seed=seed,
     )
+
+
+def student_of(teacher):
+    """The student progressive_distill starts a round from: a copy of the
+    teacher's parameters that predicts clean latents."""
+    return replace(teacher, parameterization=Parameterization.X)
 
 
 def small_dataset():
@@ -185,7 +190,8 @@ def test_teacher_target_accepts_every_grid_time():
 
 
 def test_zero_updates_student_is_bitwise_teacher_copy(monkeypatch):
-    # The student as its first update meets it, before any Adam step.
+    # The student progressive_distill makes, as its first update meets it,
+    # before any Adam step.
     seen = []
     real = distill.loss_and_gradients
 
@@ -198,9 +204,9 @@ def test_zero_updates_student_is_bitwise_teacher_copy(monkeypatch):
     teacher = random_teacher(3)
     before = teacher.flat.copy()
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=1, batch_size=4)
-    result = distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=0)
+    final, _ = progressive_distill(teacher, config, small_dataset(), SCHEDULE, seed=0)
     student, start = seen[0]
-    assert student is result.student
+    assert student is final
     assert student.parameterization is Parameterization.X
     np.testing.assert_array_equal(start, before)
     # and the copy is independent storage: its update left the teacher alone
@@ -215,7 +221,8 @@ def test_reachable_target_drives_loss_to_zero():
         iterations=1, n_start=8, steps_per_round=400, batch_size=64, lr=0.05,
         strategy=strategy_from_name("bsa"),
     )
-    result = distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=1)
+    result = distill_round(teacher, AffineModel(0.0, 1.3), config, 4, small_dataset(), SCHEDULE,
+                           seed=1)
     assert result.final_loss < 1e-10
 
 
@@ -231,25 +238,39 @@ def weighted_least_squares(z, target, w):
     return np.linalg.solve(mat, rhs)
 
 
-class OffInitTeacher(AffineModel):
-    """Constant predictor that hands the student a far-off initialization,
-    so the round has genuine optimization work before it can match the
-    normal equations."""
+class BareTeacher:
+    """The constant clean-latent predictor x_hat = value, with no attribute
+    but `parameterization` and `forward`. It appends the name of every
+    attribute read from it to `reads`."""
 
-    def copy_with(self, parameterization=None):
-        return AffineModel(0.6, -0.4, parameterization or self.parameterization)
+    def __init__(self, value, reads):
+        self._state = value, reads
+
+    def __getattribute__(self, name):
+        value, reads = object.__getattribute__(self, "_state")
+        reads.append(name)
+        if name == "parameterization":
+            return Parameterization.X
+        if name == "forward":
+            return lambda z, t, cond: np.full(np.shape(z), value)
+        raise AttributeError(name)
 
 
 def test_affine_round_matches_normal_equations():
     # one round over the affine family reduces to weighted least squares on
     # the sampled (z_t, target, weight) triples; the trained (a, b) must land
-    # on the brute-force normal-equations solution
-    teacher = OffInitTeacher(0.0, 1.3)
+    # on the brute-force normal-equations solution. The student starts far
+    # off, so the round has genuine optimization work, and the round reads
+    # its teacher only through `parameterization` and `forward`.
+    reads = []
+    teacher, student = BareTeacher(1.3, reads), AffineModel(0.6, -0.4)
     config = DistillConfig(
         iterations=1, n_start=8, steps_per_round=2000, batch_size=512, lr=2e-2,
         strategy=strategy_from_name("bsa"),
     )
-    result = distill_round(teacher, config, 4, _OneDimDataset(), SCHEDULE, seed=5)
+    result = distill_round(teacher, student, config, 4, _OneDimDataset(), SCHEDULE, seed=5)
+    assert set(reads) == {"parameterization", "forward"}
+    assert result.student is student
     assert result.updates_run == config.steps_per_round
 
     # The round's (z_t, target, weight) draws, replayed from its rng.
@@ -287,18 +308,20 @@ def test_log_records_apply_weights_bit_for_bit(monkeypatch):
     real = distill.loss_and_gradients
 
     def capturing(model, z, t, cond, target, w):
+        diff = model.forward(z, t, cond) - target  # before the update moves the model
         out = real(model, z, t, cond, target, w)
-        calls.append((t, w, out))
+        calls.append((t, w, diff, out))
         return out
 
     monkeypatch.setattr(distill, "loss_and_gradients", capturing)
     teacher = random_teacher(7)
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=5, batch_size=16)
-    result = distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=2)
+    result = distill_round(teacher, student_of(teacher), config, 4, small_dataset(), SCHEDULE,
+                           seed=2)
     assert len(calls) == 5
-    for (t, w, (loss, _, sq_err, weighted)), recorded in zip(calls, result.losses):
+    for (t, w, diff, (loss, _, weighted)), recorded in zip(calls, result.losses):
         assert np.array_equal(w, config.strategy.weight(SCHEDULE.snr(t)))
-        np.testing.assert_array_equal(weighted, w * sq_err)
+        np.testing.assert_array_equal(weighted, (diff * diff).sum(axis=1) * w)
         assert loss == np.mean(weighted) == recorded
 
 
@@ -307,13 +330,14 @@ def test_a_flat_loss_runs_the_whole_budget(monkeypatch):
     real = distill.loss_and_gradients
 
     def flat(*args):
-        _, grads, sq_err, weighted = real(*args)
-        return 0.5, np.zeros_like(grads), sq_err, weighted
+        _, grads, weighted = real(*args)
+        return 0.5, np.zeros_like(grads), weighted
 
     monkeypatch.setattr(distill, "loss_and_gradients", flat)
     teacher = AffineModel(0.3, -0.2)
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=600, batch_size=8)
-    result = distill_round(teacher, config, 4, _OneDimDataset(), SCHEDULE, seed=6)
+    result = distill_round(teacher, AffineModel(0.3, -0.2), config, 4, _OneDimDataset(),
+                           SCHEDULE, seed=6)
     assert result.updates_run == len(result.losses) == 600
     assert np.all(result.losses == 0.5)
     for k in teacher.params:
@@ -323,8 +347,8 @@ def test_a_flat_loss_runs_the_whole_budget(monkeypatch):
 def test_round_losses_are_seed_deterministic():
     teacher = random_teacher(9)
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=20, batch_size=16)
-    a = distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=11)
-    b = distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=11)
+    a, b = (distill_round(teacher, student_of(teacher), config, 4, small_dataset(), SCHEDULE,
+                          seed=11) for _ in range(2))
     np.testing.assert_array_equal(a.losses, b.losses)
     for k in a.student.params:
         np.testing.assert_array_equal(a.student.params[k], b.student.params[k])
@@ -335,7 +359,7 @@ def test_non_finite_loss_aborts_with_diagnostics():
     teacher.params["b1"][0] = np.nan
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=3, batch_size=8)
     with pytest.raises(DistillationDivergedError) as err:
-        distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=3)
+        distill_round(teacher, student_of(teacher), config, 4, small_dataset(), SCHEDULE, seed=3)
     assert 0.0 < err.value.t <= 1.0
     assert np.isnan(err.value.loss) or np.isinf(err.value.loss)
 
@@ -353,7 +377,22 @@ def test_round_step_count_validation():
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=1)
     for bad in (1, 0, -2):
         with pytest.raises(ValueError):
-            distill_round(teacher, config, bad, small_dataset(), SCHEDULE)
+            distill_round(teacher, student_of(teacher), config, bad, small_dataset(), SCHEDULE,
+                          seed=0)
+
+
+@pytest.mark.parametrize("which", ["teacher", "epsilon"])
+def test_a_round_rejects_the_teacher_or_a_noise_predicting_student_before_drawing(
+        monkeypatch, which):
+    monkeypatch.setattr(distill, "_draw_stacks", None)  # any draw would raise TypeError
+    teacher = random_teacher(0)
+    calls = counting_forward(monkeypatch, teacher)
+    student = teacher if which == "teacher" else replace(
+        teacher, parameterization=Parameterization.EPSILON)
+    config = DistillConfig(iterations=1, n_start=8, steps_per_round=1)
+    with pytest.raises(ValueError, match="must predict clean latents and not be the teacher"):
+        distill_round(teacher, student, config, 4, small_dataset(), SCHEDULE, seed=0)
+    assert calls == []
 
 
 def test_config_requires_divisible_n_start():
@@ -394,7 +433,8 @@ def test_every_round_record_keeps_its_loss_curve_and_derives_its_counts():
         assert r.seconds >= 0.0
     # A round on its own is the same record, before progressive_distill
     # numbers and times it.
-    alone = distill_round(random_teacher(3), config, 12, small_dataset(), SCHEDULE,
+    teacher = random_teacher(3)
+    alone = distill_round(teacher, student_of(teacher), config, 12, small_dataset(), SCHEDULE,
                           seed=round_seed(2, 1))
     np.testing.assert_array_equal(alone.losses, trace.rounds[0].losses)
     assert (alone.round_index, alone.seconds, alone.checkpoint) == (None, None, None)
@@ -405,7 +445,8 @@ def test_progressive_single_iteration_equals_one_round():
     config = DistillConfig(iterations=1, n_start=16, steps_per_round=15, batch_size=8)
     final, trace = progressive_distill(teacher, config, small_dataset(), SCHEDULE, seed=21)
     round_seed = int(child_rng(21, "round", 1).integers(0, 2**31 - 1))
-    manual = distill_round(teacher, config, 8, small_dataset(), SCHEDULE, seed=round_seed)
+    manual = distill_round(teacher, student_of(teacher), config, 8, small_dataset(), SCHEDULE,
+                           seed=round_seed)
     for k in final.params:
         np.testing.assert_array_equal(final.params[k], manual.student.params[k])
     assert trace.rounds[0].final_loss == manual.final_loss
@@ -513,11 +554,11 @@ def test_a_round_that_diverges_leaves_the_cache_empty(tmp_path, monkeypatch):
     calls = []
 
     def diverging(*args):
-        loss, grads, sq_err, weighted = real(*args)
+        loss, grads, weighted = real(*args)
         calls.append(loss)
         if len(calls) == 4:
-            return float("nan"), grads, sq_err, np.full_like(weighted, np.nan)
-        return loss, grads, sq_err, weighted
+            return float("nan"), grads, np.full_like(weighted, np.nan)
+        return loss, grads, weighted
 
     monkeypatch.setattr(distill, "loss_and_gradients", diverging)
     teacher = random_teacher(1)
@@ -558,12 +599,14 @@ def test_target_cache_rejects_another_teacher_seed_grid_or_batch():
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=2, batch_size=8)
     cache = TeacherTargetCache()
     assert cache.key is None
-    distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=9, targets=cache)
+    distill_round(teacher, student_of(teacher), config, 4, small_dataset(), SCHEDULE, seed=9,
+                  targets=cache)
     assert cache.key == (teacher, 4, 9, 8, 2)
     assert stack_rows(cache) == [2 * 8]
     # The same teacher, grid, seed, batch and budget read the cache back.
-    distill_round(teacher, config, 4, small_dataset(), SCHEDULE, seed=9, targets=cache)
-    same_params = teacher.copy_with()
+    distill_round(teacher, student_of(teacher), config, 4, small_dataset(), SCHEDULE, seed=9,
+                  targets=cache)
+    same_params = copy.deepcopy(teacher)
     for other_teacher, n_steps, seed, batch, steps in [
         (same_params, 4, 9, 8, 2),
         (random_teacher(7), 4, 9, 8, 2),
@@ -574,8 +617,8 @@ def test_target_cache_rejects_another_teacher_seed_grid_or_batch():
     ]:
         other = DistillConfig(iterations=1, n_start=8, steps_per_round=steps, batch_size=batch)
         with pytest.raises(ValueError, match="target cache"):
-            distill_round(other_teacher, other, n_steps, small_dataset(), SCHEDULE,
-                          seed=seed, targets=cache)
+            distill_round(other_teacher, student_of(other_teacher), other, n_steps,
+                          small_dataset(), SCHEDULE, seed=seed, targets=cache)
     assert cache.key == (teacher, 4, 9, 8, 2)
     assert stack_rows(cache) == [2 * 8]
     # progressive_distill seeds round 1 from its own seed, not the cache's
@@ -589,9 +632,9 @@ def test_rounds_after_the_first_never_see_the_cache(monkeypatch):
     seen = []
     real = distill.distill_round
 
-    def recording(teacher, config, n_steps, *args, targets=None, **kwargs):
+    def recording(*args, targets=None, **kwargs):
         seen.append(targets)
-        return real(teacher, config, n_steps, *args, targets=targets, **kwargs)
+        return real(*args, targets=targets, **kwargs)
 
     monkeypatch.setattr(distill, "distill_round", recording)
     teacher = random_teacher(3)
@@ -608,7 +651,7 @@ def reference_round(teacher, config, n_steps, dataset, seed):
     Returns (student, losses, targets): the per-update loop the look-ahead
     chunks replace, with one teacher call per update.
     """
-    student = teacher.copy_with(parameterization=Parameterization.X)
+    student = student_of(teacher)
     rng = child_rng(seed, "distill-round", n_steps)
     state = AdamState.fresh(student.flat, lr=config.lr)
     losses, targets = [], []
@@ -676,7 +719,7 @@ def test_lookahead_round_equals_the_per_update_loop(monkeypatch, batch, steps):
     dataset = ToyDataset()
     reference = reference_round(teacher, config, 8, dataset, seed=21)
     calls = counting_forward(monkeypatch, teacher)
-    result = distill_round(teacher, config, 8, dataset, SCHEDULE, seed=21)
+    result = distill_round(teacher, student_of(teacher), config, 8, dataset, SCHEDULE, seed=21)
     assert_round_matches_reference(result, reference)
     # Two half-steps per chunk, each over the chunk's stacked rows.
     assert calls == [rows for rows in chunk_rows(batch, steps) for _ in range(2)]
@@ -694,8 +737,8 @@ def test_a_round_of_unaligned_batches_is_the_same_on_one_thread_and_three(monkey
         monkeypatch.setattr(nnet, "_available_cpus", lambda: workers)
         cache = TeacherTargetCache()
         calls = counting_forward(monkeypatch, teacher)
-        results.append((distill_round(teacher, config, 8, ToyDataset(), SCHEDULE, seed=21,
-                                      targets=cache), cache.z0_tilde))
+        results.append((distill_round(teacher, student_of(teacher), config, 8, ToyDataset(),
+                                      SCHEDULE, seed=21, targets=cache), cache.z0_tilde))
         assert calls == [4000, 4000, 100, 100]
     (one, one_targets), (three, three_targets) = results
     assert np.array_equal(one.losses, three.losses)
@@ -718,7 +761,8 @@ def test_lookahead_cache_is_filled_once_then_read_across_strategies(monkeypatch)
     calls = counting_forward(monkeypatch, teacher)
     for config, reference, forwards in zip(configs, references, (6, 0, 0)):
         before = len(calls)
-        result = distill_round(teacher, config, 8, dataset, SCHEDULE, seed=23, targets=cache)
+        result = distill_round(teacher, student_of(teacher), config, 8, dataset, SCHEDULE,
+                               seed=23, targets=cache)
         assert result.updates_run == 40
         assert_round_matches_reference(result, reference)
         assert len(calls) - before == forwards

@@ -158,10 +158,10 @@ def test_model_without_hidden_layer_runs_every_strategy(tmp_path):
 def test_rounds_completed_before_a_failing_round_are_scored_and_traced(tmp_path, monkeypatch):
     real = distill.distill_round
 
-    def failing_last(teacher, config, n_steps, *args, **kwargs):
+    def failing_last(teacher, student, config, n_steps, *args, **kwargs):
         if n_steps == 2:
             raise DistillationDivergedError(t=0.5, weight=1.0, loss=float("nan"))
-        return real(teacher, config, n_steps, *args, **kwargs)
+        return real(teacher, student, config, n_steps, *args, **kwargs)
 
     monkeypatch.setattr(distill, "distill_round", failing_last)
     run_dir = experiment.run_experiment(parse_config(TINY), tmp_path / "run")

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,7 @@ def test_blocked_forward_matches_full_batch_reference_bitwise(hidden, batch):
 
 def test_sample_matches_reference_forward_loop_bitwise(monkeypatch):
     model = DenoiserModel.init(seed=6)
-    reference = model.copy_with()
+    reference = copy.deepcopy(model)
     monkeypatch.setattr(
         reference, "forward", lambda z, t, cond: reference_forward(reference, z, t, cond)
     )
@@ -632,11 +633,10 @@ def test_training_pass_is_the_same_on_any_number_of_threads(monkeypatch, batch):
             results.append(loss_and_gradients(model, *args))
             if hidden:
                 assert (len({thread for thread, _ in calls}) > 1) == (workers > 1)
-        for loss, grad, sq_err, weighted in results[1:]:
+        for loss, grad, weighted in results[1:]:
             assert loss == results[0][0]
             assert np.array_equal(grad, results[0][1])
-            assert np.array_equal(sq_err, results[0][2])
-            assert np.array_equal(weighted, results[0][3])
+            assert np.array_equal(weighted, results[0][2])
 
 
 @pytest.mark.parametrize("batch", [100, 600])
@@ -684,9 +684,8 @@ def test_weighted_squared_error_terms():
     pred = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 3.0]])
     target = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 2.0]])
     w = np.array([2.0, 0.5, 1.0])
-    loss, d_pred, sq_err, weighted = weighted_squared_error(pred, target, w)
-    np.testing.assert_array_equal(sq_err, [5.0, 4.0, 1.0])
-    np.testing.assert_array_equal(weighted, [10.0, 2.0, 1.0])
+    loss, d_pred, weighted = weighted_squared_error(pred, target, w)
+    np.testing.assert_array_equal(weighted, [10.0, 2.0, 1.0])  # squared errors 5, 4 and 1
     assert loss == pytest.approx(13.0 / 3.0, abs=1e-15)
     np.testing.assert_allclose(d_pred, 2.0 * w[:, None] * (pred - target) / 3.0, rtol=1e-15)
 
@@ -780,7 +779,7 @@ def test_flat_adam_matches_per_array_reference_over_chained_steps():
         assert np.array_equal(state.v, np.concatenate([ref_v[k].ravel() for k in ref]))
 
 
-@pytest.mark.parametrize("build", ["constructor", "init", "copy_with", "load_checkpoint"])
+@pytest.mark.parametrize("build", ["constructor", "init", "replace", "load_checkpoint"])
 def test_a_model_copies_the_arrays_it_is_built_from_into_its_flat_vector(build, tmp_path):
     source = tiny_model(seed=4, hidden=(3,))
     caller = {k: p.copy() for k, p in source.params.items()}
@@ -790,8 +789,8 @@ def test_a_model_copies_the_arrays_it_is_built_from_into_its_flat_vector(build, 
                               params=caller)
     elif build == "init":
         model = source
-    elif build == "copy_with":
-        model = source.copy_with()
+    elif build == "replace":  # as progressive_distill makes each round's student
+        model = replace(source, parameterization=Parameterization.X)
     else:
         save_checkpoint(tmp_path / "m.ckpt", source, CosineSchedule())
         model, _, _ = load_checkpoint(tmp_path / "m.ckpt")

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -230,13 +232,13 @@ def test_x_loss_matches_the_eps_hat_chain(monkeypatch, name):
 
     def capture(model, z, t, cond, target, w):
         result = real(model, z, t, cond, target, w)
-        calls.append((model.copy_with(), z, t, cond, target, w, result))
+        calls.append((copy.deepcopy(model), z, t, cond, target, w, result))
         return result
 
     monkeypatch.setattr(trainer, "loss_and_gradients", capture)
     train_base(config, ds, SCHEDULE)
     rng = child_rng(config.seed, "train-batches")
-    for model, z_t, t, cond, target, w, (loss, grad, _, _) in calls:
+    for model, z_t, t, cond, target, w, (loss, grad, _) in calls:
         _, z0 = draw_batch(ds, config.batch_size, rng)
         assert np.array_equal(t, rng.uniform(SCHEDULE.t_min, 1.0, size=config.batch_size))
         eps = rng.standard_normal(z0.shape)
