@@ -4,7 +4,8 @@ Subcommands: train, distill, sample, eval, weights-table, report, experiment,
 print-config.
 All numeric work is driven by a config file (see config.py for the format);
 flags override the seeds, paths, and strategy choices that vary between
-invocations.
+invocations, and two config keys: `eval --repetitions` sets eval.repetitions
+and `distill --gamma` sets distill.gamma.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ DDIM sampling at each step count in the halving sequence, then distills the
 teacher once per configured weighting strategy and evaluates every round's
 student at its own step count. The strategies of one seed share one cache of
 round-1 teacher targets. Each evaluation is repeated with distinct
-sampling seeds and all raw numbers land in metrics.csv; results.csv holds
-the aggregated mean and 95% confidence interval per (strategy, steps) cell.
-Everything is derived from explicit seeds, so identical configs reproduce
-identical CSV bytes.
+sampling seeds and all raw numbers land in metrics.csv. results.csv is the
+per-cell aggregate of metrics.csv: the mean and 95% confidence interval of
+each (strategy, steps) cell, and nothing else; it states no ordering of the
+strategies. Everything is derived from explicit seeds, so identical configs
+reproduce identical CSV bytes.
 
 Students are scored from memory, as each distillation returns them. The
 teacher and every round's student are also written as checkpoints
@@ -198,39 +199,29 @@ def mean_ci95(values) -> tuple[float, float]:
     return float(arr.mean()), float(1.96 * sd / np.sqrt(arr.size))
 
 
-def aggregate(rows: list[MetricRow]) -> dict[tuple[str, int], tuple[float, float, int]]:
-    """(strategy, steps) -> (mean, ci95, n) over every seed and repetition,
+def aggregate(rows: list[MetricRow]) -> dict[tuple[str, int], tuple[float, float]]:
+    """(strategy, steps) -> (mean, ci95) over every seed and repetition,
     the cells in the order they first appear in `rows`."""
     cells: dict[tuple[str, int], list[float]] = {}
     for row in rows:
         cells.setdefault((row.strategy, row.steps), []).append(row.fd)
-    return {key: (*mean_ci95(values), len(values)) for key, values in cells.items()}
+    return {key: mean_ci95(values) for key, values in cells.items()}
 
 
 def write_results(rows: list[MetricRow], path: str | Path) -> None:
-    """Aggregated report: one line per (strategy, steps) cell, in the order
-    the cells first appear in `rows`, after a line that records the strategy
-    ordering at the smallest step count present. A run writes its metrics
-    baseline first, then each strategy in `run.strategies` order with steps
-    descending, so the report of a run needs nothing but its metrics."""
-    cells = aggregate(rows)
+    """The per-cell aggregate of `rows`: two comment lines, the header, then
+    one `strategy,steps,mean,ci95` line per (strategy, steps) cell, in the
+    order the cells first appear in `rows`. It states no ordering of the
+    strategies. A run writes its metrics baseline first, then each strategy
+    in `run.strategies` order with steps descending, so the report of a run
+    needs nothing but its metrics."""
     lines = [
         "# snrdistill experiment report",
         "# ci95 = 1.96 * sd / sqrt(n) over the n evaluation runs pooled across "
         "seeds and repetitions (normal approximation)",
+        RESULTS_HEADER,
     ]
-    final_steps = min((steps for _, steps in cells), default=None)
-    wanted = ("bsa", "min-snr", "trunc-snr")
-    if all((name, final_steps) in cells for name in wanted):
-        means = {name: cells[(name, final_steps)][0] for name in wanted}
-        ok = means["bsa"] <= means["min-snr"] <= means["trunc-snr"]
-        chain = " <= ".join(f"{name}={fmt_float(means[name])}" for name in wanted)
-        lines.append(
-            f"# ordering at {final_steps} steps: {chain} : "
-            f"{'OK' if ok else 'VIOLATED'}"
-        )
-    lines.append(RESULTS_HEADER)
-    for (strategy, steps), (mean, ci95, _) in cells.items():
+    for (strategy, steps), (mean, ci95) in aggregate(rows).items():
         lines.append(f"{strategy},{steps},{fmt_float(mean)},{fmt_float(ci95)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 

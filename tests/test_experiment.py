@@ -229,17 +229,15 @@ def test_report_writes_every_cell_of_its_metrics_in_the_order_it_first_appears(t
     assert capsys.readouterr().out == f"aggregated 3 metric rows into {out}\n"
 
 
-def test_report_states_the_ordering_at_the_smallest_step_count_present(tmp_path):
-    lines = ["seed,strategy,steps,rep,fd"]
-    for steps, scale in ((5, 2.0), (3, 1.0)):
-        for k, strategy in enumerate(("trunc-snr", "min-snr", "bsa")):
-            lines.append(f"1,{strategy},{steps},0,{scale * (3 - k) / 8}")
+def test_report_writes_only_the_cells_of_its_metrics_and_states_no_ordering(tmp_path):
+    cells = [(strategy, steps, scale * (3 - k) / 8) for steps, scale in ((5, 2.0), (3, 1.0))
+             for k, strategy in enumerate(("trunc-snr", "min-snr", "bsa"))]
     metrics = tmp_path / "metrics.csv"
-    metrics.write_text("\n".join(lines) + "\n")
+    metrics.write_text("seed,strategy,steps,rep,fd\n"
+                       + "".join(f"1,{strategy},{steps},0,{fd}\n" for strategy, steps, fd in cells))
     out = tmp_path / "results.csv"
     assert main(["report", "--metrics", str(metrics), "--out", str(out)]) == 0
     report = out.read_text(encoding="ascii").splitlines()
-    assert report[2] == ("# ordering at 3 steps: bsa=0.125 <= min-snr=0.25 <= "
-                         "trunc-snr=0.375 : OK")
-    assert [line.split(",")[:2] for line in report[4:]] == [
-        [strategy, str(steps)] for steps in (5, 3) for strategy in ("trunc-snr", "min-snr", "bsa")]
+    assert all(line.startswith("# ") for line in report[:2])
+    assert report[2:] == [experiment.RESULTS_HEADER] + [
+        f"{strategy},{steps},{fmt_float(fd)},0.0" for strategy, steps, fd in cells]
