@@ -5,6 +5,8 @@ schedule, architecture and training provenance, then one block per parameter
 (`param <name> <shape>` followed by hex-encoded little-endian float64 data,
 64 values per line) and a final `end` line. Hex encoding round-trips every
 bit of the parameters, and the parser reports byte offsets on any damage.
+The header holds the keys that `save_checkpoint` writes, each once: a key it
+never writes, or a repeated key, provenance keys included, is damage too.
 
 Provenance is free-form `provenance.<key> = <value>` lines, read back as
 strings. A run writes four keys: `round` (0 for the base teacher, k for the
@@ -28,6 +30,11 @@ from .util import fmt_float
 FORMAT_VERSION = 1
 MAGIC = "snrdistill checkpoint"
 VALUES_PER_LINE = 64
+HEADER_KEYS = (
+    "model.parameterization", "model.latent_dim", "model.num_classes",
+    "model.embed_dim", "model.num_frequencies", "model.hidden",
+    "schedule.kind", "schedule.t_min",
+)
 
 Array = np.ndarray
 
@@ -118,19 +125,18 @@ def load_checkpoint(path: str | Path) -> tuple[DenoiserModel, CosineSchedule, di
     line = reader.next_line()
     while line is not None and not line.startswith("param ") and line != "end":
         key, value = _parse_header_value(reader, line)
+        if key in offsets:
+            reader.fail(f"header key {key} appears twice")
+        offsets[key] = reader.line_start
         if key.startswith("provenance."):
             provenance[key[len("provenance."):]] = value
-        else:
+        elif key in HEADER_KEYS:
             header[key] = value
-            offsets[key] = reader.line_start
+        else:
+            reader.fail(f"unknown header key {key!r}")
         line = reader.next_line()
 
-    required = [
-        "model.parameterization", "model.latent_dim", "model.num_classes",
-        "model.embed_dim", "model.num_frequencies", "model.hidden",
-        "schedule.kind", "schedule.t_min",
-    ]
-    for key in required:
+    for key in HEADER_KEYS:
         if key not in header:
             reader.fail(f"missing header field {key}")
 

@@ -3,9 +3,8 @@
 Subcommands: train, distill, sample, eval, weights-table, report, experiment,
 print-config.
 All numeric work is driven by a config file (see config.py for the format);
-flags override the seeds, paths, and strategy choices that vary between
-invocations, and two config keys: `eval --repetitions` sets eval.repetitions
-and `distill --gamma` sets distill.gamma.
+flags set only the seeds, paths, and strategy choices that vary between
+invocations, and every other setting is a config key.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .config import build_distill_config, load_config, serialize_config, validate_config
+from .config import build_distill_config, load_config, serialize_config
 from .distill import progressive_distill
 from .errors import CheckpointFormatError, ConfigError
 from .experiment import (
@@ -110,9 +109,6 @@ def _cmd_train(args) -> int:
 def _cmd_distill(args) -> int:
     cfg = _load_config(args)
     seed = cfg.run.seeds[0] if args.seed is None else args.seed
-    if args.gamma is not None:
-        cfg.distill.gamma = args.gamma
-    validate_config(cfg)
     teacher, schedule, _ = _read_input("--teacher", args.teacher, load_checkpoint)
     _check_matches_dataset(teacher, cfg, "--teacher")
     _prepare_output("--out-dir", args.out_dir, directory=True)
@@ -158,9 +154,6 @@ def _cmd_sample(args) -> int:
 def _cmd_eval(args) -> int:
     _check_at_least("--steps", args.steps, 1)
     cfg = _load_config(args)
-    if args.repetitions is not None:
-        cfg.eval.repetitions = args.repetitions
-    validate_config(cfg)
     model, schedule, _ = _read_input("--checkpoint", args.checkpoint, load_checkpoint)
     _check_matches_dataset(model, cfg, "--checkpoint")
     _check_steps_for(model, args.steps)
@@ -234,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", type=Path, required=True, help="teacher checkpoint")
     p.add_argument("--strategy", choices=STRATEGY_NAMES, default="bsa",
                    help="loss weighting of every round (default: bsa)")
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=_cmd_distill)
@@ -253,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(p)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--repetitions", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 

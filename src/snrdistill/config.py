@@ -3,6 +3,8 @@
 Every field has a default, unknown keys are rejected, and
 parse -> serialize -> parse is a fixed point, so configs diff cleanly and a
 run directory always carries the fully resolved settings it actually used.
+A key may be set more than once, and its last line wins, so appending a line
+to a config file overrides what the file set before.
 
 Each section is built once by the class that checks it: `dataset` and
 `schedule` are the run's `ToyDataset` and `CosineSchedule`, and
@@ -79,10 +81,6 @@ class RunConfig:
     run: RunSection = field(default_factory=RunSection)
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 def _parse_value(raw: str, current, key: str):
     kind = type(current)
     try:
@@ -104,7 +102,7 @@ def _parse_value(raw: str, current, key: str):
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text; unknown keys and settings that cannot be built raise ConfigError."""
-    defaults = default_config()
+    defaults = RunConfig()
     changes: dict[str, dict] = {f.name: {} for f in dataclasses.fields(defaults)}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -160,7 +158,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
-        return default_config()
+        return RunConfig()
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 

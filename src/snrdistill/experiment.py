@@ -227,20 +227,29 @@ def write_results(rows: list[MetricRow], path: str | Path) -> None:
 
 
 def read_metrics(path: str | Path) -> list[MetricRow]:
-    """The rows of a metrics.csv. A bad header or row raises ValueError
-    naming the file and the line number."""
+    """The rows of a metrics.csv. A bad header or row, a non-finite fd, or
+    a second row of one (seed, strategy, steps, rep), which would be pooled
+    twice into too narrow a ci95, raises ValueError naming the file and the
+    line number."""
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != METRICS_HEADER:
         raise ValueError(f"{path}, line 1: expected the header {METRICS_HEADER!r}")
-    rows = []
+    rows: dict[tuple, MetricRow] = {}
     for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         try:
             seed, strategy, steps, rep, fd = line.split(",")
-            rows.append(MetricRow(seed=int(seed), strategy=strategy, steps=int(steps),
-                                  rep=int(rep), fd=float(fd)))
+            row = MetricRow(seed=int(seed), strategy=strategy, steps=int(steps),
+                            rep=int(rep), fd=float(fd))
         except ValueError:
             raise ValueError(f"{path}, line {number}: expected a row of "
                              f"{METRICS_HEADER!r}, got {line!r}") from None
-    return rows
+        if not np.isfinite(row.fd):
+            raise ValueError(f"{path}, line {number}: fd must be finite, got {line!r}")
+        key = (row.seed, row.strategy, row.steps, row.rep)
+        if key in rows:
+            raise ValueError(f"{path}, line {number}: repeats the row of seed {row.seed}, "
+                             f"{row.strategy}, {row.steps} steps, rep {row.rep}")
+        rows[key] = row
+    return list(rows.values())

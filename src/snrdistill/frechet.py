@@ -62,7 +62,8 @@ def _spd_sqrt(mat: Array) -> Array:
 
 
 def frechet_distance(a: MomentFit, b: MomentFit) -> float:
-    """Squared-mean gap plus the covariance transport term; always >= 0."""
+    """Squared-mean gap plus the covariance transport term; always finite
+    and >= 0, or a ValueError."""
     if a.mean.shape != b.mean.shape:
         raise ValueError(
             f"dimension mismatch: {a.mean.shape[0]} vs {b.mean.shape[0]}"
@@ -74,6 +75,7 @@ def frechet_distance(a: MomentFit, b: MomentFit) -> float:
     vals = np.linalg.eigvalsh(inner)
     trace_sqrt = np.sqrt(np.clip(vals, 0.0, None)).sum()
     fd = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * trace_sqrt)
-    if fd < ROUNDOFF_FLOOR:
-        raise ValueError(f"frechet distance evaluated to {fd}, below round-off floor")
+    if not ROUNDOFF_FLOOR <= fd < np.inf:  # so a nan fails too
+        raise ValueError(f"frechet distance evaluated to {fd}, which is not finite "
+                         f"or is below the round-off floor")
     return max(fd, 0.0)

@@ -597,9 +597,11 @@ def weighted_squared_error(pred: Array, target: Array, w: Array
     """The loss sum_i w_i |pred_i - target_i|^2 / batch and its gradient in `pred`.
 
     Returns (loss, dL/d(pred), per-row weighted error), in the op order of
-    the module docstring.
+    the module docstring. An empty batch has no mean: ValueError.
     """
     batch = len(w)
+    if batch == 0:
+        raise ValueError("batch must hold at least 1 row, got 0")
     diff = pred - target
     weighted = (diff * diff).sum(axis=1) * w
     loss = float(weighted.sum() * (1.0 / batch))

@@ -120,6 +120,25 @@ def test_a_bad_header_value_reports_the_offset_of_its_line(tmp_path, key, bad):
     assert err.value.offset == len("".join(lines[:at])) > 0
 
 
+@pytest.mark.parametrize("after, extra, message", [
+    ("schedule.t_min = ", "schedule.t_min = 0.5", "header key schedule.t_min appears twice"),
+    ("provenance.round = ", "provenance.round = 3",
+     "header key provenance.round appears twice"),
+    ("model.hidden = ", "model.bogus = 7", "unknown header key 'model.bogus'"),
+], ids=["repeated-key", "repeated-provenance", "unknown-key"])
+def test_a_header_key_is_written_once_and_known(tmp_path, after, extra, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_model(5), CosineSchedule(),
+                    provenance={"round": 2, "steps": 16})
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(j for j, line in enumerate(lines) if line.startswith(after)) + 1
+    lines.insert(at, extra + "\n")
+    path.write_text("".join(lines))
+    with pytest.raises(CheckpointFormatError, match=f"^{re.escape(message)} ") as err:
+        load_checkpoint(path)
+    assert err.value.offset == len("".join(lines[:at]))
+
+
 def test_version_mismatch_is_explicit(tmp_path):
     path = tmp_path / "v9.ckpt"
     path.write_text("snrdistill checkpoint v9\nend\n")

@@ -37,8 +37,6 @@ def test_train_writes_the_bytes_of_the_experiments_teacher(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["sample", "--steps", "0"], "--steps must be >= 1, got 0", id="sample-steps"),
     pytest.param(["eval", "--steps", "0"], "--steps must be >= 1, got 0", id="eval-steps"),
-    pytest.param(["eval", "--steps", "4", "--repetitions", "0"],
-                 "eval.repetitions must be >= 1", id="eval-repetitions"),
     pytest.param(["sample", "--steps", "2", "--num", "-1"], "--num must be >= 0, got -1",
                  id="sample-num"),
     pytest.param(["sample", "--steps", "2", "--condition", "99"],
@@ -53,6 +51,30 @@ def test_a_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"snrdistill: error: {message}\n"
+
+
+def test_zero_eval_repetitions_in_the_config_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, DenoiserModel.init(hidden=(4,), embed_dim=3, num_frequencies=2,
+                                             seed=0), CosineSchedule())
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("eval.repetitions = 0\n")
+    argv = ["eval", "--config", str(cfg), "--checkpoint", str(path), "--steps", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "snrdistill: error: eval.repetitions must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["distill", "--teacher", "t.ckpt", "--out-dir", "d", "--gamma", "3"],
+    ["eval", "--checkpoint", "c.ckpt", "--steps", "4", "--repetitions", "2"],
+], ids=["distill-gamma", "eval-repetitions"])
+def test_a_config_key_is_not_a_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sample", "eval"])
@@ -113,6 +135,10 @@ def test_a_checkpoint_that_does_not_fit_the_dataset_is_a_usage_error(
     pytest.param("seed,strategy,steps,rep,fd\n1,bsa,8,0,0.1\n1,bsa,8,0.2\n", 3,
                  id="four-fields"),
     pytest.param("seed,strategy,steps,rep,fd\n1,bsa,eight,0,0.1\n", 2, id="bad-number"),
+    pytest.param("seed,strategy,steps,rep,fd\n1,bsa,4,0,0.1\n1,bsa,4,1,0.2\n1,bsa,4,0,0.1\n",
+                 4, id="repeated-cell"),
+    pytest.param("seed,strategy,steps,rep,fd\n1,bsa,4,0,0.1\n1,bsa,4,1,nan\n", 3, id="nan-fd"),
+    pytest.param("seed,strategy,steps,rep,fd\n1,bsa,4,0,inf\n", 2, id="inf-fd"),
 ])
 def test_report_on_a_malformed_metrics_file_is_a_usage_error(tmp_path, capsys, text, line):
     metrics = tmp_path / "metrics.csv"

@@ -1,14 +1,10 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from snrdistill.cli import build_parser, main
-from snrdistill.config import (
-    default_config,
-    load_config,
-    parse_config,
-    serialize_config,
-)
+from snrdistill.config import RunConfig, load_config, parse_config, serialize_config
 from snrdistill.data import ToyDataset
 from snrdistill.distill import DistillConfig
 from snrdistill.errors import ConfigError
@@ -18,7 +14,7 @@ from snrdistill.trainer import TrainConfig
 
 
 def test_defaults_parse_and_serialize_as_fixed_point():
-    text = serialize_config(default_config())
+    text = serialize_config(RunConfig())
     cfg = parse_config(text)
     again = serialize_config(cfg)
     assert text == again
@@ -26,7 +22,7 @@ def test_defaults_parse_and_serialize_as_fixed_point():
 
 
 def test_every_field_appears_in_serialized_defaults():
-    text = serialize_config(default_config())
+    text = serialize_config(RunConfig())
     for key in ("dataset.num_classes", "model.hidden", "schedule.t_min",
                 "train.updates", "train.strategy", "distill.gamma",
                 "eval.repetitions", "run.seeds", "run.output_dir"):
@@ -50,6 +46,18 @@ def test_overrides_and_comments():
     assert cfg.run.seeds == (5, 6)
     assert cfg.model.hidden == (32, 16)
     assert cfg.train.updates == 10
+
+
+def test_a_later_line_overrides_an_earlier_one():
+    # As when a line is appended to a copy of the benchmark's config, which
+    # already sets both keys.
+    path = Path(__file__).resolve().parents[1] / "bench" / "experiment.cfg"
+    base = load_config(path)
+    assert (base.train.updates, base.distill.n_start) != (3, 24)
+    cfg = parse_config(path.read_text() + "train.updates = 3\ndistill.n_start = 24\n")
+    assert cfg == replace(base, train=replace(base.train, updates=3),
+                          distill=replace(base.distill, n_start=24))
+    assert parse_config("train.updates = 7\ntrain.updates = 5\n").train.updates == 5
 
 
 def test_unknown_keys_rejected():
@@ -115,7 +123,9 @@ def test_bad_gamma_is_a_config_error(gamma, tmp_path, capsys):
     with pytest.raises(ConfigError, match="^distill: gamma must be a positive real, got "):
         parse_config(f"distill.gamma = {gamma}")
     # A usage error: one line on stderr, exit status 2, nothing written.
-    assert main(["distill", "--teacher", str(tmp_path / "none.ckpt"), "--gamma", gamma,
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"distill.gamma = {gamma}\n")
+    assert main(["distill", "--config", str(cfg), "--teacher", str(tmp_path / "none.ckpt"),
                  "--out-dir", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -147,7 +157,7 @@ def test_distill_strategy_defaults_to_bsa():
 
 
 def test_default_sections_build_the_default_configs():
-    cfg = default_config()
+    cfg = RunConfig()
     assert build_train_config(cfg, 0) == TrainConfig(seed=0)
     assert build_distill_config(cfg, "bsa", 0) == DistillConfig(seed=0)
 
@@ -285,7 +295,7 @@ def test_benchmark_experiment_config_parses():
 
 
 def test_load_config_none_gives_defaults():
-    assert load_config(None) == default_config()
+    assert load_config(None) == RunConfig()
 
 
 def test_load_config_reads_file(tmp_path):

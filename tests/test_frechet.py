@@ -120,6 +120,16 @@ def test_dimension_mismatch_rejected():
         frechet_distance(a, b)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_distance_that_is_not_finite_is_a_value_error(value):
+    # A metrics row must hold a finite fd, so the evaluation that would write
+    # this one fails instead.
+    a = MomentFit(mean=np.array([value, 0.0]), cov=np.eye(2), count=5)
+    b = MomentFit(mean=np.zeros(2), cov=np.eye(2), count=5)
+    with pytest.raises(ValueError, match=f"^frechet distance evaluated to {value}, "):
+        frechet_distance(a, b)
+
+
 def test_spd_sqrt_squares_back():
     rng = np.random.default_rng(5)
     for dim in range(1, 9):

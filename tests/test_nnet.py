@@ -690,6 +690,14 @@ def test_weighted_squared_error_terms():
     np.testing.assert_allclose(d_pred, 2.0 * w[:, None] * (pred - target) / 3.0, rtol=1e-15)
 
 
+def test_an_empty_batch_is_a_value_error_that_names_the_batch():
+    empty = np.zeros((0, 1))
+    with pytest.raises(ValueError, match="^batch must hold at least 1 row, got 0$"):
+        weighted_squared_error(empty, empty, np.zeros(0))
+    with pytest.raises(ValueError, match="^batch must hold at least 1 row, got 0$"):
+        loss_and_gradients(tiny_model(), empty, 0.4, 1, empty, np.zeros(0))
+
+
 def test_constant_loss_gives_zero_gradients():
     model = tiny_model()
     z = np.random.default_rng(0).normal(size=(3, 1))
