@@ -41,7 +41,11 @@ weighting only enters the loss; later rounds differ, because their teachers
 are the strategies' own students. A `TeacherTargetCache` holds one whole
 round's targets for one teacher: one z0_tilde array per stack,
 steps_per_round x batch_size x latent_dim doubles in all (123 KB at
-30 x 256 x 2, 16 MB at the default 4000 x 256 x 2).
+30 x 256 x 2, 16 MB at the default 4000 x 256 x 2). It has one writer,
+`cache_round_targets`, which draws the round's stacks as `distill_round`
+does (`_round_stacks`) and makes the same teacher calls, so a round that
+reads the cache trains on the bits it would have computed. A round only
+reads it, so a round that fails cannot leave a part-filled cache behind.
 """
 
 from __future__ import annotations
@@ -137,28 +141,23 @@ class DistillTrace:
     rounds: list[RoundRecord] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
 class TeacherTargetCache:
-    """Round-1 targets z0_tilde by stack, for one teacher, grid, seed, batch and budget.
+    """One round's targets z0_tilde by stack, for one teacher, grid, seed, batch and budget.
 
-    The cache is empty or holds one whole round. A round that meets it empty
-    computes its targets and, once it has completed, stores them with its
-    (teacher, n_steps, seed, batch_size, steps_per_round) as `key`; a round
-    that raises stores nothing. A round that meets it full reads every
-    stack's targets from it and never calls the teacher, and `read` rejects
-    a round whose key differs.
+    `cache_round_targets` makes it, with the round's (teacher, n_steps,
+    seed, batch_size, steps_per_round) as `key`. A round that reads it
+    never calls the teacher, and `read` rejects a round whose key differs.
     The teacher is recorded by identity and must not change in place while
     the cache is in use; the dataset and schedule must stay the same too.
     """
 
-    def __init__(self) -> None:
-        self.key: tuple | None = None
-        self.z0_tilde: list[Array] = []
+    key: tuple
+    z0_tilde: list[Array] = field(repr=False)
 
     def read(self, teacher, n_steps: int, seed: int, batch_size: int,
-             steps_per_round: int) -> list[Array] | None:
-        """The stored targets of the round these arguments name; None while empty."""
-        if self.key is None:
-            return None
+             steps_per_round: int) -> list[Array]:
+        """The stored targets of the round these arguments name."""
         held_teacher, *held = self.key
         if teacher is not held_teacher or [n_steps, seed, batch_size, steps_per_round] != held:
             raise ValueError(
@@ -218,6 +217,29 @@ def teacher_target(teacher, z_t, t, n_steps: int, cond, schedule: CosineSchedule
     return z0_tilde, z_pp
 
 
+def _round_stacks(config: DistillConfig, n_steps: int, dataset: ToyDataset,
+                  schedule: CosineSchedule, seed: int):
+    """The noised stacks of a round's draws: its rng and its grid times t = i/N."""
+    rng = child_rng(seed, "distill-round", n_steps)
+    return _draw_stacks(dataset, schedule, config.batch_size, config.steps_per_round, rng,
+                        lambda rng, size: rng.integers(1, n_steps + 1, size=size) / n_steps)
+
+
+def cache_round_targets(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
+                        schedule: CosineSchedule, seed: int) -> TeacherTargetCache:
+    """The targets of the round of `distill_round` these arguments name.
+
+    Each stack's targets come from one teacher call over its stacked rows,
+    the call the round itself would make, so they are its bits.
+    """
+    z0_tilde = [teacher_target(teacher, z_t, t, n_steps, cond, schedule)[0]
+                for cond, _, t, _, z_t, _ in _round_stacks(config, n_steps, dataset,
+                                                           schedule, seed)]
+    return TeacherTargetCache(
+        key=(teacher, n_steps, seed, config.batch_size, config.steps_per_round),
+        z0_tilde=z0_tilde)
+
+
 def distill_round(teacher, student, config: DistillConfig, n_steps: int, dataset: ToyDataset,
                   schedule: CosineSchedule, seed: int,
                   targets: TeacherTargetCache | None = None) -> RoundRecord:
@@ -237,33 +259,27 @@ def distill_round(teacher, student, config: DistillConfig, n_steps: int, dataset
 
     The round draws its updates in noised stacks and computes each stack's
     targets in one teacher call (see the module docstring); draws and
-    targets do not depend on the student.
-    With `targets` full, every stack reads its targets from it; with
-    `targets` empty, the round fills it once it has completed.
+    targets do not depend on the student. With `targets`, a cache of this
+    round's targets, every stack reads its targets from it instead.
     """
     # At N = 1 an eps teacher would be queried at t = 0.5 for a latent at t = 1.
     if n_steps < 2:
         raise ValueError(f"student steps must be >= 2, got {n_steps}")
     if student is teacher or student.parameterization is not Parameterization.X:
         raise ValueError("the student must predict clean latents and not be the teacher object")
-    key = (teacher, n_steps, seed, config.batch_size, config.steps_per_round)
-    cached = None if targets is None else targets.read(*key)
-    rng = child_rng(seed, "distill-round", n_steps)
+    cached = None if targets is None else targets.read(
+        teacher, n_steps, seed, config.batch_size, config.steps_per_round)
     state = AdamState.fresh(student.flat, lr=config.lr)
     batch = config.batch_size
 
     losses: list[float] = []
-    round_targets: list[Array] = []
-    stacks = _draw_stacks(dataset, schedule, batch, config.steps_per_round, rng,
-                          lambda rng, size: rng.integers(1, n_steps + 1, size=size) / n_steps)
+    stacks = _round_stacks(config, n_steps, dataset, schedule, seed)
     for stack, (cond, _, t, _, z_t, snr) in enumerate(stacks):
         w = config.strategy.weight(snr)
         if cached is None:
             z0_tilde, _ = teacher_target(teacher, z_t, t, n_steps, cond, schedule)
         else:
             z0_tilde = cached[stack]
-        if targets is not None:
-            round_targets.append(z0_tilde)
         for j in range(0, len(t), batch):
             rows = slice(j, j + batch)
             loss, grad, weighted = loss_and_gradients(
@@ -274,9 +290,6 @@ def distill_round(teacher, student, config: DistillConfig, n_steps: int, dataset
             adam_step(student.flat, grad, state)
             losses.append(loss)
 
-    # A full cache gets back the arrays it held, under the key it held.
-    if targets is not None:
-        targets.key, targets.z0_tilde = key, round_targets
     return RoundRecord(student_steps=n_steps, student=student, losses=np.asarray(losses))
 
 
@@ -296,8 +309,8 @@ def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,
     that file.
     An exception raised in a round carries the trace of the rounds that
     completed before it as its `distill_trace` attribute.
-    `targets`, a cache that is empty or holds this run's round 1, serves
-    round 1 only.
+    `targets`, a cache of this run's round 1 (`cache_round_targets` at
+    n_start / 2 steps and `round_seed(seed, 1)`), serves round 1 only.
     """
     # Looked up per call, so a wrapper installed on checkpoint.save_checkpoint
     # (the benchmark's tracer installs one) sees every round's save.

@@ -11,6 +11,13 @@ each (strategy, steps) cell, and nothing else; it states no ordering of the
 strategies. Everything is derived from explicit seeds, so identical configs
 reproduce identical CSV bytes.
 
+A (seed, strategy) cell's bytes depend only on its seeds, the teacher and
+the round-1 cache, so the cells of a seed can run side by side: where the
+platform has `os.fork`, every cell but the seed's last runs in a forked
+child, at most one per available CPU at a time, and the last runs in the
+calling process once every child has been joined. No byte depends on where
+a cell ran or on the number of CPUs.
+
 Students are scored from memory, as each distillation returns them. The
 teacher and every round's student are also written as checkpoints
 (seed_<s>/teacher.ckpt, seed_<s>/<strategy>/round_<k>.ckpt) for inspection
@@ -19,17 +26,24 @@ and resume; the run itself never reads them back.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import os
+import signal
 import traceback
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
+from . import nnet
 from .checkpoint import save_checkpoint
 from .config import RunConfig, build_distill_config, build_train_config, serialize_config
 from .data import ToyDataset, reference_population
-from .distill import DistillTrace, TeacherTargetCache, progressive_distill
+from .distill import DistillTrace, cache_round_targets, progressive_distill, round_seed
 from .frechet import MomentFit, fit_moments, frechet_distance
 from .nnet import DenoiserModel
 from .sampler import SamplerConfig, sample
@@ -91,12 +105,12 @@ def evaluate_model(model: DenoiserModel, schedule: CosineSchedule, dataset: ToyD
 
 
 def _eval_repetitions(model, schedule, dataset, ref, cfg, seed, strategy, steps,
-                      metrics_file) -> None:
+                      lines: list[str]) -> None:
+    """Appends one metrics.csv line per repetition to `lines` as it completes."""
     for rep in range(cfg.eval.repetitions):
         fd = evaluate_model(model, schedule, dataset, ref, cfg, steps,
                             seed_tags=(seed, strategy, steps, rep))
-        metrics_file.write(f"{seed},{strategy},{steps},{rep},{fmt_float(fd)}\n")
-        metrics_file.flush()
+        lines.append(f"{seed},{strategy},{steps},{rep},{fmt_float(fd)}\n")
 
 
 def halving_steps(cfg: RunConfig) -> list[int]:
@@ -116,10 +130,21 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
     Every strategy of a seed distills the same teacher with the same seed
     for the same `steps_per_round` updates, so round 1 draws the same
     batches for each and the teacher's targets for them do not depend on
-    the weighting, which enters only the loss. The first strategy whose
-    round 1 completes stores them in the seed's `TeacherTargetCache`, and
-    the rest read them: steps_per_round x distill.batch_size x latent_dim
-    doubles, 16 MB at the defaults.
+    the weighting, which enters only the loss. The caller computes them
+    once per seed, before any cell runs, into a `TeacherTargetCache`
+    (steps_per_round x distill.batch_size x latent_dim doubles, 16 MB at
+    the defaults), and every cell reads them.
+
+    Each seed trains its teacher and evaluates it in the caller, then runs
+    its strategy cells (`_strategy_cell`) through `_run_cells`: all but the
+    last in forked children, the last in the caller after the children. The
+    last waits for them so that it runs alone and its distillation and
+    sampling keep their single-cell speed; the benchmark reads both from
+    the caller. metrics.csv gets each seed's rows in the order of a serial
+    run, the baseline first and then the strategies in `run.strategies`
+    order, so no byte depends on where a cell ran. A child that dies
+    without reporting is logged as its cell's error, and no child outlives
+    the call.
     """
     out = Path(output_dir if output_dir is not None else cfg.run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -141,42 +166,128 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
                 errors.append(f"seed {seed}: train_base failed\n{traceback.format_exc()}")
                 continue
 
+            lines: list[str] = []
             try:
                 for steps in steps_list:
                     _eval_repetitions(teacher, schedule, dataset, ref, cfg, seed,
-                                      BASELINE_NAME, steps, metrics_file)
+                                      BASELINE_NAME, steps, lines)
             except Exception:
                 errors.append(f"seed {seed}, {BASELINE_NAME}: evaluation failed\n"
                               f"{traceback.format_exc()}")
 
-            targets = TeacherTargetCache()
-            for strategy in cfg.run.strategies:
-                strat_dir = seed_dir / strategy
-                strat_dir.mkdir(exist_ok=True)
-                try:
-                    dconfig = build_distill_config(cfg, strategy, seed)
-                    _, trace = progressive_distill(
-                        teacher, dconfig, dataset, schedule,
-                        checkpoint_dir=strat_dir, seed=seed, targets=targets,
-                    )
-                except Exception as exc:
-                    errors.append(f"seed {seed}, strategy {strategy}: distillation failed\n"
-                                  f"{traceback.format_exc()}")
-                    trace = getattr(exc, "distill_trace", DistillTrace())
-                try:
-                    _write_trace(strat_dir / "trace.csv", trace)
-                    for record in trace.rounds:
-                        _eval_repetitions(record.student, schedule, dataset, ref, cfg, seed,
-                                          strategy, record.student_steps, metrics_file)
-                except Exception:
-                    errors.append(f"seed {seed}, strategy {strategy}: evaluation failed\n"
-                                  f"{traceback.format_exc()}")
+            try:
+                dconfig = build_distill_config(cfg, cfg.run.strategies[0], seed)
+                targets = cache_round_targets(teacher, dconfig, dconfig.n_start >> 1, dataset,
+                                              schedule, round_seed(seed, 1))
+            except Exception:
+                # Each strategy's own round 1 then meets the error and logs it.
+                targets = None
+            cells = [(f"seed {seed}, strategy {strategy}",
+                      partial(_strategy_cell, cfg, seed, strategy, teacher, targets, dataset,
+                              schedule, ref, seed_dir / strategy))
+                     for strategy in cfg.run.strategies]
+            for cell_lines, cell_errors in _run_cells(cells):
+                lines += cell_lines
+                errors += cell_errors
             del targets
+            metrics_file.writelines(lines)
+            metrics_file.flush()
 
     if errors:
         (out / "errors.log").write_text("\n".join(errors), encoding="utf-8")
     write_results(read_metrics(out / "metrics.csv"), out / "results.csv")
     return out
+
+
+def _strategy_cell(cfg, seed, strategy, teacher, targets, dataset, schedule, ref,
+                   strat_dir: Path) -> tuple[list[str], list[str]]:
+    """Distill `teacher` under `strategy`, write its checkpoints and trace.csv
+    to `strat_dir`, and evaluate every round it completed. Returns the cell's
+    metrics.csv lines and its error texts."""
+    lines: list[str] = []
+    errors: list[str] = []
+    strat_dir.mkdir(exist_ok=True)
+    try:
+        dconfig = build_distill_config(cfg, strategy, seed)
+        _, trace = progressive_distill(
+            teacher, dconfig, dataset, schedule,
+            checkpoint_dir=strat_dir, seed=seed, targets=targets,
+        )
+    except Exception as exc:
+        errors.append(f"seed {seed}, strategy {strategy}: distillation failed\n"
+                      f"{traceback.format_exc()}")
+        trace = getattr(exc, "distill_trace", DistillTrace())
+    try:
+        _write_trace(strat_dir / "trace.csv", trace)
+        for record in trace.rounds:
+            _eval_repetitions(record.student, schedule, dataset, ref, cfg, seed,
+                              strategy, record.student_steps, lines)
+    except Exception:
+        errors.append(f"seed {seed}, strategy {strategy}: evaluation failed\n"
+                      f"{traceback.format_exc()}")
+    return lines, errors
+
+
+def _run_cells(cells: list[tuple[str, Callable]]) -> list[tuple[list[str], list[str]]]:
+    """Runs each (name, cell) and returns each cell's (lines, errors), in order.
+
+    Where `os.fork` exists, every cell but the last runs in a forked child,
+    at most `nnet._available_cpus()` at a time, and the last runs here once
+    every child has been joined; elsewhere all run here, one after another.
+    Whether the call returns or raises, no child outlives it.
+    """
+    if not hasattr(os, "fork"):
+        return [cell() for _, cell in cells]
+    results = []
+    children = []  # (name, pid, read end of its pipe), oldest first
+    try:
+        for name, cell in cells[:-1]:
+            if len(children) >= nnet._available_cpus():
+                results.append(_join(children))
+            children.append((name, *_fork(cell)))
+        while children:
+            results.append(_join(children))
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results + [cell() for _, cell in cells[-1:]]
+
+
+def _fork(cell) -> tuple[int, BinaryIO]:
+    """Starts `cell` in a forked child; returns its pid and the read end of
+    the pipe on which it sends its result as JSON."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child must not run the caller's cleanup or flush the caller's
+        # buffers, so it leaves through os._exit alone.
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(json.dumps(cell()).encode("utf-8"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _join(children: list) -> tuple[list[str], list[str]]:
+    """Reads the oldest child's pipe to EOF, reaps the child, and drops it from
+    `children`. A child that exits without a full report yields one error."""
+    name, pid, pipe = children[0]
+    with pipe:
+        payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    children.pop(0)
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return json.loads(payload)
+    return [], [f"{name}: its process exited with status {code} without reporting\n"]
 
 
 def _write_trace(path: Path, trace) -> None:

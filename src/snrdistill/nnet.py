@@ -562,6 +562,17 @@ def _forward_pool() -> ThreadPoolExecutor:
         return _pool
 
 
+def _stop_pool() -> None:
+    # Joins the pool's idle threads before a fork, so that the process forks
+    # with one thread (Python 3.12+ warns on a fork with several); the next
+    # forward starts a new pool.
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown()
+
+
 def _forget_pool_in_child() -> None:
     # A forked child has none of its parent's pool threads, so a pool it
     # inherited would queue work that nothing runs.
@@ -570,7 +581,7 @@ def _forget_pool_in_child() -> None:
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool_in_child)
+    os.register_at_fork(before=_stop_pool, after_in_child=_forget_pool_in_child)
 
 
 def _run_chunks(chunks: list[Callable[[], None]]) -> None:

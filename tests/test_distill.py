@@ -10,7 +10,7 @@ from snrdistill.data import LOOKAHEAD_ROWS, ToyDataset, _draw_stacks, draw_batch
 from snrdistill import distill, nnet, sampler
 from snrdistill.distill import (
     DistillConfig,
-    TeacherTargetCache,
+    cache_round_targets,
     distill_round,
     progressive_distill,
     round_seed,
@@ -522,13 +522,19 @@ def stack_rows(cache):
     return [len(z0_tilde) for z0_tilde in cache.z0_tilde]
 
 
+def round_one_cache(teacher, config, seed):
+    """The cache of round 1 of a progressive run of `config` with root seed `seed`."""
+    return cache_round_targets(teacher, config, config.n_start >> 1, small_dataset(), SCHEDULE,
+                               round_seed(seed, 1))
+
+
 def _assert_cache_changes_nothing(tmp_path, teacher, configs):
-    cache = TeacherTargetCache()
-    shared = _distill_strategies(tmp_path, "shared", teacher, configs, cache)
-    # progressive_distill keys the cache by round 1's grid, seed, batch and budget.
+    cache = round_one_cache(teacher, configs[0], 4)
+    # The cache is keyed by round 1's grid, seed, batch and budget.
     assert cache.key[0] is teacher
     assert cache.key[1:] == (configs[0].n_start >> 1, round_seed(4, 1), configs[0].batch_size,
                              configs[0].steps_per_round)
+    shared = _distill_strategies(tmp_path, "shared", teacher, configs, cache)
     alone = _distill_strategies(tmp_path, "alone", teacher, configs, None)
     for (shared_bytes, shared_trace), (alone_bytes, alone_trace) in zip(shared, alone):
         assert len(shared_bytes) == configs[0].iterations
@@ -546,34 +552,6 @@ def test_shared_target_cache_leaves_every_round_checkpoint_bit_identical(tmp_pat
     assert round1 == [6, 6, 6]
 
 
-def test_a_round_that_diverges_leaves_the_cache_empty(tmp_path, monkeypatch):
-    # trunc-snr's round 1 diverges at its 4th of 6 updates, after the teacher
-    # has computed all 6 targets. min-snr, next, must fill the cache itself
-    # and write the bytes it writes without one.
-    real = distill.loss_and_gradients
-    calls = []
-
-    def diverging(*args):
-        loss, grads, weighted = real(*args)
-        calls.append(loss)
-        if len(calls) == 4:
-            return float("nan"), grads, np.full_like(weighted, np.nan)
-        return loss, grads, weighted
-
-    monkeypatch.setattr(distill, "loss_and_gradients", diverging)
-    teacher = random_teacher(1)
-    cache = TeacherTargetCache()
-    with pytest.raises(DistillationDivergedError):
-        _distill_strategies(tmp_path, "diverged", teacher, [_strategy_config("trunc-snr")], cache)
-    assert len(calls) == 4
-    assert cache.key is None and cache.z0_tilde == []
-    configs = [_strategy_config("min-snr")]
-    [(shared, _)] = _distill_strategies(tmp_path, "shared", teacher, configs, cache)
-    [(alone, _)] = _distill_strategies(tmp_path, "alone", teacher, configs, None)
-    assert shared == alone
-    assert stack_rows(cache) == [6 * 8]
-
-
 def test_cached_updates_skip_the_teacher(monkeypatch):
     calls = []
     real = distill.teacher_target
@@ -585,22 +563,19 @@ def test_cached_updates_skip_the_teacher(monkeypatch):
     monkeypatch.setattr(distill, "teacher_target", counting)
     teacher = random_teacher(2)
     config = _strategy_config("bsa", iterations=1)
-    cache = TeacherTargetCache()
-    progressive_distill(teacher, config, small_dataset(), SCHEDULE, seed=5, targets=cache)
+    cache = round_one_cache(teacher, config, 5)
     # The round's 6 updates fit one look-ahead chunk: one stacked call.
     assert len(calls) == 1
-    progressive_distill(teacher, _strategy_config("min-snr", iterations=1), small_dataset(),
-                        SCHEDULE, seed=5, targets=cache)
+    for name in ("bsa", "min-snr"):
+        progressive_distill(teacher, _strategy_config(name, iterations=1), small_dataset(),
+                            SCHEDULE, seed=5, targets=cache)
     assert len(calls) == 1
 
 
 def test_target_cache_rejects_another_teacher_seed_grid_or_batch():
     teacher = random_teacher(6)
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=2, batch_size=8)
-    cache = TeacherTargetCache()
-    assert cache.key is None
-    distill_round(teacher, student_of(teacher), config, 4, small_dataset(), SCHEDULE, seed=9,
-                  targets=cache)
+    cache = cache_round_targets(teacher, config, 4, small_dataset(), SCHEDULE, seed=9)
     assert cache.key == (teacher, 4, 9, 8, 2)
     assert stack_rows(cache) == [2 * 8]
     # The same teacher, grid, seed, batch and budget read the cache back.
@@ -639,7 +614,7 @@ def test_rounds_after_the_first_never_see_the_cache(monkeypatch):
     monkeypatch.setattr(distill, "distill_round", recording)
     teacher = random_teacher(3)
     config = _strategy_config("bsa")
-    cache = TeacherTargetCache()
+    cache = round_one_cache(teacher, config, 8)
     progressive_distill(teacher, config, small_dataset(), SCHEDULE, seed=8, targets=cache)
     assert seen == [cache, None, None]
     assert stack_rows(cache) == [6 * 8]
@@ -735,11 +710,12 @@ def test_a_round_of_unaligned_batches_is_the_same_on_one_thread_and_three(monkey
     results = []
     for workers in (1, 3):
         monkeypatch.setattr(nnet, "_available_cpus", lambda: workers)
-        cache = TeacherTargetCache()
         calls = counting_forward(monkeypatch, teacher)
+        cache = cache_round_targets(teacher, config, 8, ToyDataset(), SCHEDULE, seed=21)
         results.append((distill_round(teacher, student_of(teacher), config, 8, ToyDataset(),
-                                      SCHEDULE, seed=21, targets=cache), cache.z0_tilde))
-        assert calls == [4000, 4000, 100, 100]
+                                      SCHEDULE, seed=21), cache.z0_tilde))
+        # The cache's teacher calls, then the round's own.
+        assert calls == [4000, 4000, 100, 100] * 2
     (one, one_targets), (three, three_targets) = results
     assert np.array_equal(one.losses, three.losses)
     assert np.array_equal(one.student.flat, three.student.flat)
@@ -757,14 +733,26 @@ def test_lookahead_cache_is_filled_once_then_read_across_strategies(monkeypatch)
                              strategy=strategy_from_name(name))
                for name in ("trunc-snr", "min-snr", "bsa")]
     references = [reference_round(teacher, config, 8, dataset, seed=23) for config in configs]
-    cache = TeacherTargetCache()
     calls = counting_forward(monkeypatch, teacher)
-    for config, reference, forwards in zip(configs, references, (6, 0, 0)):
-        before = len(calls)
+    cache = cache_round_targets(teacher, configs[0], 8, dataset, SCHEDULE, seed=23)
+    assert len(calls) == 6
+    for config, reference in zip(configs, references):
         result = distill_round(teacher, student_of(teacher), config, 8, dataset, SCHEDULE,
                                seed=23, targets=cache)
         assert result.updates_run == 40
         assert_round_matches_reference(result, reference)
-        assert len(calls) - before == forwards
-        assert stack_rows(cache) == chunk_rows(256, 40) == [4096, 4096, 2048]
-        assert np.array_equal(np.concatenate(cache.z0_tilde), np.concatenate(reference[2]))
+        assert len(calls) == 6
+    assert stack_rows(cache) == chunk_rows(256, 40) == [4096, 4096, 2048]
+    assert np.array_equal(np.concatenate(cache.z0_tilde), np.concatenate(references[0][2]))
+
+
+@pytest.mark.parametrize("batch, steps", [(256, 2 * lookahead(256) + 3), (5000, 3)])
+def test_cached_targets_are_the_per_update_loop_targets(batch, steps):
+    teacher = DenoiserModel.init(seed=13)
+    config = DistillConfig(iterations=1, n_start=16, steps_per_round=steps, batch_size=batch)
+    dataset = ToyDataset()
+    _, _, targets = reference_round(teacher, config, 8, dataset, seed=21)
+    cache = cache_round_targets(teacher, config, 8, dataset, SCHEDULE, seed=21)
+    assert cache.key == (teacher, 8, 21, batch, steps)
+    assert stack_rows(cache) == chunk_rows(batch, steps)
+    assert np.array_equal(np.concatenate(cache.z0_tilde), np.concatenate(targets))

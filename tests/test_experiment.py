@@ -1,6 +1,10 @@
 import math
+import os
 import threading
+import time
 from pathlib import Path
+
+import pytest
 
 from snrdistill import checkpoint, distill, experiment, nnet
 from snrdistill.cli import main
@@ -31,12 +35,12 @@ COMPARED = ["config.cfg", "metrics.csv", "results.csv", "seed_1/teacher.ckpt"] +
 ]
 
 
-def _outputs(run_dir: Path) -> dict[str, bytes]:
+def _outputs(run_dir: Path, compared=COMPARED) -> dict[str, bytes]:
     assert not (run_dir / "errors.log").exists()
     written = {str(p.relative_to(run_dir)) for p in run_dir.rglob("*")
                if p.is_file() and p.name != "trace.csv"}
-    assert written == set(COMPARED)
-    return {name: (run_dir / name).read_bytes() for name in COMPARED}
+    assert written == set(compared)
+    return {name: (run_dir / name).read_bytes() for name in compared}
 
 
 def _run_cli(tmp_path: Path, name: str) -> Path:
@@ -90,13 +94,13 @@ def test_shared_round_one_targets_leave_the_run_unchanged(tmp_path, monkeypatch)
 
 def test_cache_is_built_for_each_seed(monkeypatch, tmp_path):
     built = []
-    real = experiment.TeacherTargetCache
+    real = experiment.cache_round_targets
 
     def recording(*args, **kwargs):
         built.append(real(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(experiment, "TeacherTargetCache", recording)
+    monkeypatch.setattr(experiment, "cache_round_targets", recording)
     cfg = parse_config(TINY + "run.seeds = 1,2\n")
     experiment.run_experiment(cfg, tmp_path)
     # Each cache is keyed by its seed's round 1: 4 steps, the round seed,
@@ -144,6 +148,106 @@ def test_forward_split_leaves_the_run_unchanged(tmp_path, monkeypatch):
     assert (len(threads) > 1) == (nnet._available_cpus() > 1)
     monkeypatch.setattr(nnet, "_available_cpus", lambda: 1)
     assert _outputs(experiment.run_experiment(cfg, tmp_path / "single")) == split
+
+
+THREE = TINY.replace("run.strategies = min-snr,bsa", "run.strategies = trunc-snr,min-snr,bsa")
+
+
+# Two seeds of three strategies.
+THREE_COMPARED = ["config.cfg", "metrics.csv", "results.csv"] + [
+    f"seed_{seed}/{name}" for seed in (1, 2) for name in ["teacher.ckpt"] + [
+        f"{strategy}/round_{k}.ckpt" for strategy in ("trunc-snr", "min-snr", "bsa")
+        for k in (1, 2)]]
+
+
+def counting_forks(monkeypatch):
+    """Counts the forks this process makes, and the Python threads it has
+    just after each; returns that list of thread counts."""
+    threads = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            threads.append(threading.active_count())
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_cells_in_forked_children_leave_the_run_unchanged(tmp_path, monkeypatch):
+    # 1024 evaluation latents, so the teacher's evaluation starts the
+    # forward's pool before the first fork.
+    cfg = parse_config(THREE + "eval.num_samples = 1024\nrun.seeds = 1,2\n")
+    runs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(nnet, "_available_cpus", lambda: cpus)
+        forks = counting_forks(monkeypatch)
+        runs[cpus] = _outputs(experiment.run_experiment(cfg, tmp_path / f"cpus{cpus}"),
+                              THREE_COMPARED)
+        # Every cell of a seed but its last in a child, forked from one thread.
+        assert forks == [1] * 4
+    monkeypatch.delattr(os, "fork")
+    nofork = _outputs(experiment.run_experiment(cfg, tmp_path / "nofork"), THREE_COMPARED)
+    assert runs[2] == runs[1] == nofork
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_child_that_exits_without_reporting_is_logged_and_the_run_goes_on(tmp_path,
+                                                                          monkeypatch):
+    caller = os.getpid()
+    real = experiment.progressive_distill
+
+    def exit_under_min_snr(teacher, config, *args, **kwargs):
+        if config.strategy.name == "min-snr" and os.getpid() != caller:
+            os._exit(3)
+        return real(teacher, config, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "progressive_distill", exit_under_min_snr)
+    run_dir = experiment.run_experiment(parse_config(TINY), tmp_path / "run")
+    errors = (run_dir / "errors.log").read_text(encoding="utf-8")
+    assert errors == ("seed 1, strategy min-snr: its process exited with status 3 "
+                      "without reporting\n")
+    rows = experiment.read_metrics(run_dir / "metrics.csv")
+    assert sorted({(row.strategy, row.steps) for row in rows}) == [
+        ("bsa", 2), ("bsa", 4), ("teacher-ddim", 2), ("teacher-ddim", 4), ("teacher-ddim", 8)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_no_child_outlives_a_run_that_raises(tmp_path, monkeypatch):
+    # The first child hangs in its cell; the second fork fails in the caller.
+    caller = os.getpid()
+    real_distill = experiment.progressive_distill
+
+    def hang_in_a_child(*args, **kwargs):
+        if os.getpid() != caller:
+            time.sleep(60)
+        return real_distill(*args, **kwargs)
+
+    real_fork = os.fork
+    forks = []
+
+    def failing_second_fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise RuntimeError("no second child")
+        return real_fork()
+
+    monkeypatch.setattr(experiment, "progressive_distill", hang_in_a_child)
+    monkeypatch.setattr(os, "fork", failing_second_fork)
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 2)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="no second child"):
+        experiment.run_experiment(parse_config(THREE), tmp_path / "run")
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_model_without_hidden_layer_runs_every_strategy(tmp_path):
