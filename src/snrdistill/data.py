@@ -75,6 +75,11 @@ def draw_batch(dataset: ToyDataset, batch_size: int, rng: np.random.Generator
     return cond, z0
 
 
+def _lookahead(batch_size: int) -> int:
+    """K, the updates of each stack but a draw's last."""
+    return max(1, LOOKAHEAD_ROWS // batch_size)
+
+
 def _draw_stacks(dataset: ToyDataset, schedule: CosineSchedule, batch_size: int, updates: int,
                  rng: np.random.Generator, draw_times):
     """Yields (cond, z0, t, eps, z_t, snr) for each stack of up to K updates,
@@ -83,7 +88,7 @@ def _draw_stacks(dataset: ToyDataset, schedule: CosineSchedule, batch_size: int,
     Each update draws its batch, then `draw_times(rng, batch_size)`, then its
     noise.
     """
-    lookahead = max(1, LOOKAHEAD_ROWS // batch_size)
+    lookahead = _lookahead(batch_size)
     for first in range(0, updates, lookahead):
         draws = []
         for _ in range(min(lookahead, updates - first)):

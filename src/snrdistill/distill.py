@@ -29,11 +29,32 @@ last place; it still depends only on the round's draws, not on the number
 of threads.
 A trial at 8192 rows per stack was no faster than 4096.
 
-The teacher call for the next stack does not yet run on a second thread
-while the student trains on this one, although that CPU sits idle during
-every student update. The benchmark's tracer keeps one span stack per
-process, so a traced call on a second thread could close its spans out of
-order (ROADMAP item 1).
+While the student trains, a second CPU can compute the teacher's targets
+for the stacks ahead. Where the platform has `os.fork`, the process may
+run on more than one CPU and numpy's BLAS runs on one thread, a round
+without a cache that draws at least PREFETCH_MIN_STACKS stacks forks one
+child as it starts. The child runs the round's teacher calls
+(`_stack_targets`) and writes each stack's targets to a pipe as raw
+float64 bytes. The round draws the same stacks
+from the same seed and reads each stack's targets just before it trains on
+that stack. The round waits for stack 0 either way, so a round of one or
+two stacks would hide at most one teacher call, less than the fork costs:
+bench/experiment.cfg's 30-update rounds, of two stacks each, ran slower
+with a child. OpenBLAS's own threads, one per CPU unless it is told
+otherwise, already keep the second CPU busy, and a child competing with
+them for it made rounds slower: `snrdistill distill` of a 3-round,
+100-update config took 3.0-3.4 s with a child against 0.78-0.81 s
+without. A thread would need no fork, but the benchmark's tracer
+keeps one span stack per process, and a traced forward on a second thread
+could close its spans out of order (ROADMAP item 1).
+The child only makes a round faster. From the first stack it does not
+deliver in full, because it failed or died, the round computes that
+stack's targets and every later one itself, so an error such as
+DegenerateTargetError is raised by the round, at the stack and with the
+trace the inline round gives. The child leaves only through os._exit, and
+the round kills and reaps it before it returns or raises. Its targets come
+from the same teacher calls over the same rows, so they are the bits the
+round would compute.
 
 Round 1 is also where strategies share work: every strategy distilled from
 one teacher with one seed meets the same round-1 targets, because the
@@ -50,13 +71,17 @@ reads it, so a round that fails cannot leave a part-filled cache behind.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .data import ToyDataset, _draw_stacks
+from . import nnet
+from .data import ToyDataset, _draw_stacks, _lookahead
 from .errors import DegenerateTargetError, DistillationDivergedError
 from .nnet import (
     AdamState,
@@ -67,13 +92,16 @@ from .nnet import (
 )
 from .sampler import ddim_path
 from .schedule import CosineSchedule
-from .util import child_rng
+from .util import _fork, _kill, child_rng
 from .weighting import WeightStrategy, strategy_from_name
 
 Array = np.ndarray
 
 DENOMINATOR_FLOOR = 1e-9
 GRID_TOL = 1e-9  # in units of the grid index i = t * N
+# The fewest stacks a round draws for its targets to be computed in a
+# prefetch child (see the module docstring).
+PREFETCH_MIN_STACKS = 3
 
 
 @dataclass
@@ -225,6 +253,41 @@ def _round_stacks(config: DistillConfig, n_steps: int, dataset: ToyDataset,
                         lambda rng, size: rng.integers(1, n_steps + 1, size=size) / n_steps)
 
 
+def _stack_targets(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
+                   schedule: CosineSchedule, seed: int, pipe=None):
+    """Yields (stack, z0_tilde) for each stack of a round's draws: the stack
+    as `_round_stacks` yields it, and its targets from one teacher call over
+    its stacked rows.
+
+    With `pipe`, the read end of a `_send_targets` child's pipe, each stack's
+    targets are read from it instead, up to the first stack it does not
+    deliver in full; that stack's targets and every later stack's are
+    computed here.
+    """
+    for stack in _round_stacks(config, n_steps, dataset, schedule, seed):
+        cond, _, t, _, z_t, _ = stack
+        if pipe is not None:
+            z0_tilde = np.empty(z_t.shape)
+            if pipe.readinto(z0_tilde.data.cast("B")) == z0_tilde.nbytes:
+                yield stack, z0_tilde
+                continue
+            pipe = None
+        yield stack, teacher_target(teacher, z_t, t, n_steps, cond, schedule)[0]
+
+
+def _send_targets(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
+                  schedule: CosineSchedule, seed: int, pipe) -> None:
+    """A prefetch child's work: writes each stack's targets to `pipe` as raw
+    float64 bytes, in stack order. It stops before a target that would not
+    read back bit for bit into an array of its stack's z_t shape."""
+    for (*_, z_t, _), z0_tilde in _stack_targets(teacher, config, n_steps, dataset, schedule,
+                                                 seed):
+        if z0_tilde.dtype != np.float64 or z0_tilde.shape != z_t.shape:
+            return
+        pipe.write(z0_tilde.tobytes())
+        pipe.flush()
+
+
 def cache_round_targets(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
                         schedule: CosineSchedule, seed: int) -> TeacherTargetCache:
     """The targets of the round of `distill_round` these arguments name.
@@ -232,12 +295,33 @@ def cache_round_targets(teacher, config: DistillConfig, n_steps: int, dataset: T
     Each stack's targets come from one teacher call over its stacked rows,
     the call the round itself would make, so they are its bits.
     """
-    z0_tilde = [teacher_target(teacher, z_t, t, n_steps, cond, schedule)[0]
-                for cond, _, t, _, z_t, _ in _round_stacks(config, n_steps, dataset,
-                                                           schedule, seed)]
+    z0_tilde = [z0 for _, z0 in _stack_targets(teacher, config, n_steps, dataset, schedule,
+                                               seed)]
     return TeacherTargetCache(
         key=(teacher, n_steps, seed, config.batch_size, config.steps_per_round),
         z0_tilde=z0_tilde)
+
+
+@contextlib.contextmanager
+def _round_targets(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
+                   schedule: CosineSchedule, seed: int, cached: list[Array] | None):
+    """Gives the (stack, z0_tilde) of each stack of the round, its targets
+    read from `cached`, from a prefetch child, or computed here (see the
+    module docstring). No child outlives the block."""
+    if cached is not None:
+        yield zip(_round_stacks(config, n_steps, dataset, schedule, seed), cached)
+        return
+    stacks = -(-config.steps_per_round // _lookahead(config.batch_size))
+    if not (hasattr(os, "fork") and nnet._available_cpus() > 1 and nnet._one_blas_thread()
+            and stacks >= PREFETCH_MIN_STACKS):
+        yield _stack_targets(teacher, config, n_steps, dataset, schedule, seed)
+        return
+    pid, pipe = _fork(partial(_send_targets, teacher, config, n_steps, dataset, schedule,
+                              seed))
+    try:
+        yield _stack_targets(teacher, config, n_steps, dataset, schedule, seed, pipe)
+    finally:
+        _kill(pid, pipe)
 
 
 def distill_round(teacher, student, config: DistillConfig, n_steps: int, dataset: ToyDataset,
@@ -258,9 +342,10 @@ def distill_round(teacher, student, config: DistillConfig, n_steps: int, dataset
     of draws from `seed`, the round's seed.
 
     The round draws its updates in noised stacks and computes each stack's
-    targets in one teacher call (see the module docstring); draws and
-    targets do not depend on the student. With `targets`, a cache of this
-    round's targets, every stack reads its targets from it instead.
+    targets in one teacher call, in a prefetch child where that pays (see
+    the module docstring); draws and targets do not depend on the student.
+    With `targets`, a cache of this round's targets, every stack reads its
+    targets from it instead.
     """
     # At N = 1 an eps teacher would be queried at t = 0.5 for a latent at t = 1.
     if n_steps < 2:
@@ -273,22 +358,19 @@ def distill_round(teacher, student, config: DistillConfig, n_steps: int, dataset
     batch = config.batch_size
 
     losses: list[float] = []
-    stacks = _round_stacks(config, n_steps, dataset, schedule, seed)
-    for stack, (cond, _, t, _, z_t, snr) in enumerate(stacks):
-        w = config.strategy.weight(snr)
-        if cached is None:
-            z0_tilde, _ = teacher_target(teacher, z_t, t, n_steps, cond, schedule)
-        else:
-            z0_tilde = cached[stack]
-        for j in range(0, len(t), batch):
-            rows = slice(j, j + batch)
-            loss, grad, weighted = loss_and_gradients(
-                student, z_t[rows], t[rows], cond[rows], z0_tilde[rows], w[rows])
-            if not np.isfinite(loss):
-                bad = j + int(np.argmax(~np.isfinite(weighted)))
-                raise DistillationDivergedError(t=float(t[bad]), weight=float(w[bad]), loss=loss)
-            adam_step(student.flat, grad, state)
-            losses.append(loss)
+    with _round_targets(teacher, config, n_steps, dataset, schedule, seed, cached) as stacks:
+        for (cond, _, t, _, z_t, snr), z0_tilde in stacks:
+            w = config.strategy.weight(snr)
+            for j in range(0, len(t), batch):
+                rows = slice(j, j + batch)
+                loss, grad, weighted = loss_and_gradients(
+                    student, z_t[rows], t[rows], cond[rows], z0_tilde[rows], w[rows])
+                if not np.isfinite(loss):
+                    bad = j + int(np.argmax(~np.isfinite(weighted)))
+                    raise DistillationDivergedError(t=float(t[bad]), weight=float(w[bad]),
+                                                    loss=loss)
+                adam_step(student.flat, grad, state)
+                losses.append(loss)
 
     return RoundRecord(student_steps=n_steps, student=student, losses=np.asarray(losses))
 

@@ -13,10 +13,17 @@ reproduce identical CSV bytes.
 
 A (seed, strategy) cell's bytes depend only on its seeds, the teacher and
 the round-1 cache, so the cells of a seed can run side by side: where the
-platform has `os.fork`, every cell but the seed's last runs in a forked
-child, at most one per available CPU at a time, and the last runs in the
-calling process once every child has been joined. No byte depends on where
-a cell ran or on the number of CPUs.
+platform has `os.fork` and numpy's BLAS runs on one thread, every cell but
+the seed's last runs in a forked child, at most one per available CPU at a
+time, and the last runs in the calling process once every child has been
+joined. OpenBLAS's own threads, one per CPU unless it is told otherwise,
+spin on every CPU, and cells competing with them ran slower than cells in
+turn: `snrdistill experiment` on bench/experiment.cfg took 3.5 s with
+forked cells against 1.2 s on one BLAS thread and 1.5 s with every cell in
+the caller. A cell, in a child or in
+the caller, may fork a child of its own, to compute a distillation round's
+teacher targets while the round's student trains (see the distill module's
+docstring). No byte depends on where a cell ran or on the number of CPUs.
 
 Students are scored from memory, as each distillation returns them. The
 teacher and every round's student are also written as checkpoints
@@ -26,16 +33,13 @@ and resume; the run itself never reads them back.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import signal
 import traceback
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -49,7 +53,7 @@ from .nnet import DenoiserModel
 from .sampler import SamplerConfig, sample
 from .schedule import CosineSchedule
 from .trainer import TrainResult, train_base
-from .util import child_rng, fmt_float
+from .util import _fork, _kill, child_rng, fmt_float
 
 BASELINE_NAME = "teacher-ddim"
 
@@ -231,12 +235,13 @@ def _strategy_cell(cfg, seed, strategy, teacher, targets, dataset, schedule, ref
 def _run_cells(cells: list[tuple[str, Callable]]) -> list[tuple[list[str], list[str]]]:
     """Runs each (name, cell) and returns each cell's (lines, errors), in order.
 
-    Where `os.fork` exists, every cell but the last runs in a forked child,
-    at most `nnet._available_cpus()` at a time, and the last runs here once
-    every child has been joined; elsewhere all run here, one after another.
-    Whether the call returns or raises, no child outlives it.
+    Where `os.fork` exists and BLAS runs on one thread
+    (`nnet._one_blas_thread()`), every cell but the last runs in a forked
+    child, at most `nnet._available_cpus()` at a time, and the last runs
+    here once every child has been joined; elsewhere all run here, one
+    after another. Whether the call returns or raises, no child outlives it.
     """
-    if not hasattr(os, "fork"):
+    if not (hasattr(os, "fork") and nnet._one_blas_thread()):
         return [cell() for _, cell in cells]
     results = []
     children = []  # (name, pid, read end of its pipe), oldest first
@@ -244,36 +249,18 @@ def _run_cells(cells: list[tuple[str, Callable]]) -> list[tuple[list[str], list[
         for name, cell in cells[:-1]:
             if len(children) >= nnet._available_cpus():
                 results.append(_join(children))
-            children.append((name, *_fork(cell)))
+            children.append((name, *_fork(partial(_report, cell))))
         while children:
             results.append(_join(children))
     finally:
         for _, pid, pipe in children:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            _kill(pid, pipe)
     return results + [cell() for _, cell in cells[-1:]]
 
 
-def _fork(cell) -> tuple[int, BinaryIO]:
-    """Starts `cell` in a forked child; returns its pid and the read end of
-    the pipe on which it sends its result as JSON."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # The child must not run the caller's cleanup or flush the caller's
-        # buffers, so it leaves through os._exit alone.
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(json.dumps(cell()).encode("utf-8"))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+def _report(cell, pipe) -> None:
+    """Runs `cell` and sends its result on `pipe` as JSON."""
+    pipe.write(json.dumps(cell()).encode("utf-8"))
 
 
 def _join(children: list) -> tuple[list[str], list[str]]:

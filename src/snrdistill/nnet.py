@@ -548,6 +548,20 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _one_blas_thread() -> bool:
+    """Whether numpy's OpenBLAS runs each call on one thread. As it loads,
+    it takes the first of these variables that is set above 0 and, with
+    none, one thread per CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, "0"))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return _available_cpus() == 1
+
+
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 

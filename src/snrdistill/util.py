@@ -1,8 +1,13 @@
-"""Small shared helpers: seeded RNG streams and CSV formatting."""
+"""Small shared helpers: seeded RNG streams, CSV formatting and forked children."""
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
 import zlib
+from collections.abc import Callable
+from typing import BinaryIO
 
 import numpy as np
 
@@ -27,3 +32,35 @@ def child_rng(root_seed: int, *tags: int | str) -> np.random.Generator:
 def fmt_float(x: float) -> str:
     """Shortest decimal string that round-trips the float64 exactly."""
     return repr(float(x))
+
+
+def _fork(work: Callable[[BinaryIO], None]) -> tuple[int, BinaryIO]:
+    """Runs `work(pipe)` in a forked child, `pipe` being the write end of a
+    new pipe; returns the child's pid and the read end.
+
+    The child must not run the caller's cleanup or flush the caller's
+    buffers, so it leaves through os._exit alone: with status 0 once `work`
+    returns, and 1 if it raises. A child whose reader has gone meets
+    BrokenPipeError at its next write, and so exits at once.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                work(pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _kill(pid: int, pipe: BinaryIO) -> None:
+    """Closes the read end of a `_fork` child's pipe, then kills and reaps the child."""
+    pipe.close()
+    with contextlib.suppress(ProcessLookupError, ChildProcessError):
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)

@@ -1,5 +1,6 @@
 import copy
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from snrdistill.data import LOOKAHEAD_ROWS, ToyDataset, _draw_stacks, draw_batch
 from snrdistill import distill, nnet, sampler
+from snrdistill.config import parse_config
 from snrdistill.distill import (
     DistillConfig,
     cache_round_targets,
@@ -17,6 +19,7 @@ from snrdistill.distill import (
     teacher_target,
 )
 from snrdistill.errors import DistillationDivergedError
+from snrdistill.experiment import build_distill_config
 from snrdistill.nnet import (
     AdamState,
     DenoiserModel,
@@ -256,12 +259,14 @@ class BareTeacher:
         raise AttributeError(name)
 
 
-def test_affine_round_matches_normal_equations():
+def test_affine_round_matches_normal_equations(monkeypatch):
     # one round over the affine family reduces to weighted least squares on
     # the sampled (z_t, target, weight) triples; the trained (a, b) must land
     # on the brute-force normal-equations solution. The student starts far
     # off, so the round has genuine optimization work, and the round reads
-    # its teacher only through `parameterization` and `forward`.
+    # its teacher only through `parameterization` and `forward`. The reads
+    # are recorded in this process, so the round makes them here, on one CPU.
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 1)
     reads = []
     teacher, student = BareTeacher(1.3, reads), AffineModel(0.6, -0.4)
     config = DistillConfig(
@@ -693,6 +698,8 @@ def test_lookahead_round_equals_the_per_update_loop(monkeypatch, batch, steps):
                            strategy=strategy_from_name("bsa"))
     dataset = ToyDataset()
     reference = reference_round(teacher, config, 8, dataset, seed=21)
+    # The calls are counted in this process, so the round makes them here.
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 1)
     calls = counting_forward(monkeypatch, teacher)
     result = distill_round(teacher, student_of(teacher), config, 8, dataset, SCHEDULE, seed=21)
     assert_round_matches_reference(result, reference)
@@ -756,3 +763,178 @@ def test_cached_targets_are_the_per_update_loop_targets(batch, steps):
     assert cache.key == (teacher, 8, 21, batch, steps)
     assert stack_rows(cache) == chunk_rows(batch, steps)
     assert np.array_equal(np.concatenate(cache.z0_tilde), np.concatenate(targets))
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+
+
+def counting_forks(monkeypatch):
+    """Counts the forks this process makes; returns the list of child pids."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def on_cpus(monkeypatch, cpus):
+    """The process may run on `cpus` CPUs, and its BLAS on one thread."""
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: cpus)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def three_stack_config(batch=256, iterations=1):
+    return DistillConfig(iterations=iterations, n_start=16,
+                         steps_per_round=2 * lookahead(batch) + 3, batch_size=batch,
+                         strategy=strategy_from_name("bsa"))
+
+
+# On 2 CPUs a round of 3 stacks computes its targets in a forked child, and
+# on 1 CPU in the round's own process; every bit is the same. At batch 100
+# a forward block holds the rows of several updates.
+@needs_fork
+@pytest.mark.parametrize("batch", [256, 100])
+def test_a_prefetched_round_is_the_inline_round_bit_for_bit(monkeypatch, batch):
+    teacher = DenoiserModel.init(seed=13)
+    config = three_stack_config(batch)
+    assert len(chunk_rows(batch, config.steps_per_round)) == distill.PREFETCH_MIN_STACKS == 3
+    rounds = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        forks = counting_forks(monkeypatch)
+        rounds[cpus] = distill_round(teacher, student_of(teacher), config, 4, ToyDataset(),
+                                     SCHEDULE, seed=21)
+        assert len(forks) == cpus - 1
+    assert rounds[2].updates_run == config.steps_per_round
+    assert np.array_equal(rounds[1].losses, rounds[2].losses)
+    assert np.array_equal(rounds[1].student.flat, rounds[2].student.flat)
+    assert_no_child()
+
+
+@needs_fork
+def test_no_round_forks_with_a_cache_blas_threads_or_under_three_stacks(monkeypatch):
+    on_cpus(monkeypatch, 2)
+    teacher = DenoiserModel.init(seed=13)
+    config = three_stack_config()
+    cache = cache_round_targets(teacher, config, 4, ToyDataset(), SCHEDULE, seed=21)
+    forks = counting_forks(monkeypatch)
+    distill_round(teacher, student_of(teacher), config, 4, ToyDataset(), SCHEDULE, seed=21,
+                  targets=cache)
+    # OpenBLAS's own threads keep the second CPU busy.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    distill_round(teacher, student_of(teacher), config, 4, ToyDataset(), SCHEDULE, seed=21)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # bench/experiment.cfg's 30 updates of 256 rows make 2 stacks a round.
+    path = Path(__file__).resolve().parents[1] / "bench" / "experiment.cfg"
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    dconfig = build_distill_config(cfg, "bsa", 1)
+    assert len(chunk_rows(dconfig.batch_size, dconfig.steps_per_round)) == 2
+    _, trace = progressive_distill(teacher, dconfig, cfg.dataset, cfg.schedule, seed=1)
+    assert len(trace.rounds) == 3
+    assert forks == []
+
+
+def fail_forward_on(monkeypatch, stacks):
+    """Makes `DenoiserModel.forward` raise, in every process, when it is
+    given the z_t rows of one of `stacks`."""
+    first_rows = {z_t[:1].tobytes() for *_, z_t, _ in stacks}
+    real = DenoiserModel.forward
+
+    def forward(model, z, t, cond):
+        if np.asarray(z)[:1].tobytes() in first_rows:
+            raise RuntimeError(f"no targets for the {len(z)} rows from {z[0]}")
+        return real(model, z, t, cond)
+
+    monkeypatch.setattr(DenoiserModel, "forward", forward)
+
+
+@needs_fork
+def test_a_teacher_failing_in_the_child_fails_the_round_as_inline(monkeypatch):
+    # Round 2's teacher raises from its third stack on: the child stops
+    # there, and the round computes that stack itself and raises.
+    teacher = DenoiserModel.init(seed=13)
+    config = three_stack_config(iterations=2)
+    stacks = list(distill._round_stacks(config, 4, ToyDataset(), SCHEDULE, round_seed(5, 2)))
+    fail_forward_on(monkeypatch, stacks[2:])
+    failures = {}
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        forks = counting_forks(monkeypatch)
+        with pytest.raises(RuntimeError, match="no targets for the") as err:
+            progressive_distill(teacher, config, ToyDataset(), SCHEDULE, seed=5)
+        assert len(forks) == 2 * (cpus - 1)
+        failures[cpus] = err.value
+    one, two = failures[1], failures[2]
+    assert type(one) is type(two) and str(one) == str(two)
+    assert [r.student_steps for r in two.distill_trace.rounds] == [8]
+    for a, b in zip(one.distill_trace.rounds, two.distill_trace.rounds, strict=True):
+        assert np.array_equal(a.losses, b.losses)
+        assert np.array_equal(a.student.flat, b.student.flat)
+    assert_no_child()
+
+
+@needs_fork
+def test_a_child_that_dies_after_two_stacks_leaves_the_round_unchanged(monkeypatch):
+    teacher = DenoiserModel.init(seed=13)
+    config = three_stack_config()
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 1)
+    inline = distill_round(teacher, student_of(teacher), config, 4, ToyDataset(), SCHEDULE,
+                           seed=21)
+    parent = os.getpid()
+    real = distill.teacher_target
+    in_child, here = [], []
+
+    def exit_after_two(*args, **kwargs):
+        if os.getpid() != parent:
+            if len(in_child) == 2:
+                os._exit(3)
+            in_child.append(1)
+        else:
+            here.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distill, "teacher_target", exit_after_two)
+    on_cpus(monkeypatch, 2)
+    forks = counting_forks(monkeypatch)
+    result = distill_round(teacher, student_of(teacher), config, 4, ToyDataset(), SCHEDULE,
+                           seed=21)
+    assert len(forks) == 1
+    # The child sent stacks 0 and 1; the round computed stack 2 itself.
+    assert here == [1]
+    assert np.array_equal(result.losses, inline.losses)
+    assert np.array_equal(result.student.flat, inline.student.flat)
+    assert_no_child()
+
+
+@needs_fork
+def test_a_round_that_diverges_leaves_no_child(monkeypatch):
+    real = distill.loss_and_gradients
+    calls = []
+
+    def nan_at_update_20(*args):
+        loss, grad, weighted = real(*args)
+        calls.append(1)
+        if len(calls) == 20:
+            return np.nan, grad, np.full_like(weighted, np.nan)
+        return loss, grad, weighted
+
+    monkeypatch.setattr(distill, "loss_and_gradients", nan_at_update_20)
+    on_cpus(monkeypatch, 2)
+    forks = counting_forks(monkeypatch)
+    teacher = DenoiserModel.init(seed=13)
+    with pytest.raises(DistillationDivergedError):
+        distill_round(teacher, student_of(teacher), three_stack_config(), 4, ToyDataset(),
+                      SCHEDULE, seed=21)
+    assert len(forks) == 1 and len(calls) == 20
+    assert_no_child()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from snrdistill import checkpoint, distill, experiment, nnet
+from snrdistill import checkpoint, distill, experiment, nnet, util
 from snrdistill.cli import main
 from snrdistill.config import parse_config
 from snrdistill.distill import round_seed
@@ -181,6 +181,7 @@ def test_cells_in_forked_children_leave_the_run_unchanged(tmp_path, monkeypatch)
     # 1024 evaluation latents, so the teacher's evaluation starts the
     # forward's pool before the first fork.
     cfg = parse_config(THREE + "eval.num_samples = 1024\nrun.seeds = 1,2\n")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     runs = {}
     for cpus in (2, 1):
         monkeypatch.setattr(nnet, "_available_cpus", lambda: cpus)
@@ -189,9 +190,33 @@ def test_cells_in_forked_children_leave_the_run_unchanged(tmp_path, monkeypatch)
                               THREE_COMPARED)
         # Every cell of a seed but its last in a child, forked from one thread.
         assert forks == [1] * 4
+    # With OpenBLAS's own threads every cell runs in the caller.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    forks = counting_forks(monkeypatch)
+    blas = _outputs(experiment.run_experiment(cfg, tmp_path / "blas"), THREE_COMPARED)
+    assert forks == []
     monkeypatch.delattr(os, "fork")
     nofork = _outputs(experiment.run_experiment(cfg, tmp_path / "nofork"), THREE_COMPARED)
-    assert runs[2] == runs[1] == nofork
+    assert runs[2] == runs[1] == blas == nofork
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_whose_reader_has_gone_exits_at_once():
+    def write_forever(pipe):
+        while True:
+            pipe.write(bytes(65536))
+
+    pid, pipe = util._fork(write_forever)
+    pipe.close()
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        util._kill(pid, pipe)
+    # BrokenPipeError in the child's write, so os._exit(1).
+    assert os.waitstatus_to_exitcode(status[1]) == 1 and status[0] == pid
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -208,6 +233,7 @@ def test_a_child_that_exits_without_reporting_is_logged_and_the_run_goes_on(tmp_
         return real(teacher, config, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "progressive_distill", exit_under_min_snr)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     run_dir = experiment.run_experiment(parse_config(TINY), tmp_path / "run")
     errors = (run_dir / "errors.log").read_text(encoding="utf-8")
     assert errors == ("seed 1, strategy min-snr: its process exited with status 3 "
@@ -242,6 +268,7 @@ def test_no_child_outlives_a_run_that_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "progressive_distill", hang_in_a_child)
     monkeypatch.setattr(os, "fork", failing_second_fork)
     monkeypatch.setattr(nnet, "_available_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="no second child"):
         experiment.run_experiment(parse_config(THREE), tmp_path / "run")

@@ -938,3 +938,23 @@ def test_init_is_seed_deterministic():
     b = DenoiserModel.init(seed=42)
     for k in a.params:
         np.testing.assert_array_equal(a.params[k], b.params[k])
+
+
+# OpenBLAS takes the first of its thread variables set above 0, and with
+# none, one thread per CPU.
+@pytest.mark.parametrize("env, cpus, one", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 2, True),
+    ({"OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OMP_NUM_THREADS": "4"}, 2, False),
+    ({}, 2, False),
+    ({}, 1, True),
+])
+def test_one_blas_thread_reads_openblas_variables_in_its_order(monkeypatch, env, cpus, one):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: cpus)
+    assert nnet._one_blas_thread() is one
