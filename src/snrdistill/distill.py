@@ -30,31 +30,46 @@ of threads.
 A trial at 8192 rows per stack was no faster than 4096.
 
 While the student trains, a second CPU can compute the teacher's targets
-for the stacks ahead. Where the platform has `os.fork`, the process may
+for the updates ahead. Where the platform has `os.fork`, the process may
 run on more than one CPU and numpy's BLAS runs on one thread, a round
 without a cache that draws at least PREFETCH_MIN_STACKS stacks forks one
-child as it starts. The child runs the round's teacher calls
-(`_stack_targets`) and writes each stack's targets to a pipe as raw
-float64 bytes. The round draws the same stacks
-from the same seed and reads each stack's targets just before it trains on
-that stack. The round waits for stack 0 either way, so a round of one or
-two stacks would hide at most one teacher call, less than the fork costs:
-bench/experiment.cfg's 30-update rounds, of two stacks each, ran slower
-with a child. OpenBLAS's own threads, one per CPU unless it is told
-otherwise, already keep the second CPU busy, and a child competing with
-them for it made rounds slower: `snrdistill distill` of a 3-round,
-100-update config took 3.0-3.4 s with a child against 0.78-0.81 s
-without. A thread would need no fork, but the benchmark's tracer
-keeps one span stack per process, and a traced forward on a second thread
-could close its spans out of order (ROADMAP item 1).
-The child only makes a round faster. From the first stack it does not
-deliver in full, because it failed or died, the round computes that
-stack's targets and every later one itself, so an error such as
+child as it starts. The child (`_send_targets`) draws the round's stacks
+and computes each stack's targets one forward block at a time
+(`nnet._block_edges`, at most 257 rows), writing each block's targets to a
+pipe as raw float64 bytes as soon as it has them. A forward of one block
+runs on its calling thread, so the child keeps to one CPU and leaves the
+other to the student. A forward is its blocks' stand-alone results joined
+and every step of `teacher_target` after it is elementwise, so the blocks'
+targets are the whole stack's call's, bit for bit. The round draws the
+same stacks from the same seed and, before each update, reads the targets
+of the rows up to the end of that update and not one byte more
+(`_StreamedTargets`). So a round waits for the child only until its first
+block is done: in train-distill's rounds (7 stacks of up to 4096 rows, on
+a 2-vCPU Xeon) the first wait was 3-5 ms and the waits of a 3-round
+`progressive_distill` 18-29 ms in all, against 17-25 ms and 62-74 ms when
+the round read each whole stack before training on it.
+A round of one or two stacks forks no child. bench/experiment.cfg's
+30-update rounds draw two stacks each, and its cells already run in
+forked children, one per CPU, so a child of each round would be a third
+process on two CPUs. It measured no faster: over 8 alternating pairs of
+processes of 7 `run_experiment` runs each, the median run took 0.96-1.32 s
+with a threshold of 3 and 1.00-1.19 s with 2, and 3 won 5 of the 8 pairs.
+OpenBLAS's own threads, one per CPU unless it is told otherwise, already
+keep the second CPU busy, and a child competing with them for it made
+rounds slower: `snrdistill distill` of a 3-round, 100-update config took
+3.0-3.4 s with a child against 0.78-0.81 s without. A thread would need no
+fork, but the benchmark's tracer keeps one span stack per process, and a
+traced forward on a second thread could close its spans out of order
+(ROADMAP item 1).
+The child only makes a round faster. A round that cannot fork one
+computes its targets itself. From the child's first short read, because
+it failed or died, the round computes that stack's targets in one call
+over the stack, which rewrites the rows it has trained on already with the
+same bits, and every later stack's targets itself. So an error such as
 DegenerateTargetError is raised by the round, at the stack and with the
-trace the inline round gives. The child leaves only through os._exit, and
-the round kills and reaps it before it returns or raises. Its targets come
-from the same teacher calls over the same rows, so they are the bits the
-round would compute.
+trace the inline round gives, though the round may by then have trained
+on the stack's first updates. The child leaves only through os._exit, and
+the round kills and reaps it before it returns or raises.
 
 Round 1 is also where strategies share work: every strategy distilled from
 one teacher with one seed meets the same round-1 targets, because the
@@ -259,33 +274,65 @@ def _stack_targets(teacher, config: DistillConfig, n_steps: int, dataset: ToyDat
     as `_round_stacks` yields it, and its targets from one teacher call over
     its stacked rows.
 
-    With `pipe`, the read end of a `_send_targets` child's pipe, each stack's
-    targets are read from it instead, up to the first stack it does not
-    deliver in full; that stack's targets and every later stack's are
-    computed here.
+    With `pipe`, the read end of a `_send_targets` child's pipe, z0_tilde is
+    a `_StreamedTargets` of the stack instead, read from the pipe as its
+    rows are taken, up to the first short read; from the stack of that read
+    on, every stack's targets are computed here.
     """
     for stack in _round_stacks(config, n_steps, dataset, schedule, seed):
         cond, _, t, _, z_t, _ = stack
-        if pipe is not None:
-            z0_tilde = np.empty(z_t.shape)
-            if pipe.readinto(z0_tilde.data.cast("B")) == z0_tilde.nbytes:
-                yield stack, z0_tilde
-                continue
-            pipe = None
-        yield stack, teacher_target(teacher, z_t, t, n_steps, cond, schedule)[0]
+        whole = partial(teacher_target, teacher, z_t, t, n_steps, cond, schedule)
+        if pipe is None:
+            yield stack, whole()[0]
+            continue
+        streamed = _StreamedTargets(pipe, z_t.shape, whole)
+        yield stack, streamed
+        pipe = streamed.pipe
+
+
+class _StreamedTargets:
+    """One stack's targets as a prefetch child sends them, row by row.
+
+    Taking rows [lo, hi) first reads every row before hi from `pipe`, and
+    not one row more, since `readinto` fills the whole view it is given.
+    A short read means the child has stopped: the stack's targets then come
+    from `whole()`, one teacher call over the stack, whose rows the child
+    sent are the same bits, and `pipe` becomes None.
+    """
+
+    def __init__(self, pipe, shape: tuple[int, ...], whole):
+        self.pipe = pipe
+        self.z0_tilde = np.empty(shape)
+        self._whole = whole
+        self._read = 0  # bytes of z0_tilde read so far
+
+    def __getitem__(self, rows: slice) -> Array:
+        stop = rows.indices(len(self.z0_tilde))[1] * self.z0_tilde.strides[0]
+        if self.pipe is not None and self._read < stop:
+            self._read += self.pipe.readinto(self.z0_tilde.data.cast("B")[self._read: stop])
+            if self._read < stop:
+                self.pipe = None
+                self.z0_tilde = self._whole()[0]
+        return self.z0_tilde[rows]
 
 
 def _send_targets(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
                   schedule: CosineSchedule, seed: int, pipe) -> None:
     """A prefetch child's work: writes each stack's targets to `pipe` as raw
-    float64 bytes, in stack order. It stops before a target that would not
-    read back bit for bit into an array of its stack's z_t shape."""
-    for (*_, z_t, _), z0_tilde in _stack_targets(teacher, config, n_steps, dataset, schedule,
-                                                 seed):
-        if z0_tilde.dtype != np.float64 or z0_tilde.shape != z_t.shape:
-            return
-        pipe.write(z0_tilde.tobytes())
-        pipe.flush()
+    float64 bytes, in row order, one teacher call and one write per forward
+    block of the stack (`nnet._block_edges`). A block has at most 257 rows,
+    so its forward runs on this thread alone, and its targets are the
+    stack's call's rows, bit for bit. It stops before a target that would
+    not read back bit for bit into its block's rows of the stack's array."""
+    for cond, _, t, _, z_t, _ in _round_stacks(config, n_steps, dataset, schedule, seed):
+        edges = nnet._block_edges(len(t))
+        for lo, hi in zip(edges, edges[1:]):
+            z0_tilde = teacher_target(teacher, z_t[lo:hi], t[lo:hi], n_steps, cond[lo:hi],
+                                      schedule)[0]
+            if z0_tilde.dtype != np.float64 or z0_tilde.shape != z_t[lo:hi].shape:
+                return
+            pipe.write(z0_tilde.tobytes())
+            pipe.flush()
 
 
 def cache_round_targets(teacher, config: DistillConfig, n_steps: int, dataset: ToyDataset,
@@ -312,16 +359,19 @@ def _round_targets(teacher, config: DistillConfig, n_steps: int, dataset: ToyDat
         yield zip(_round_stacks(config, n_steps, dataset, schedule, seed), cached)
         return
     stacks = -(-config.steps_per_round // _lookahead(config.batch_size))
-    if not (hasattr(os, "fork") and nnet._available_cpus() > 1 and nnet._one_blas_thread()
+    pid = pipe = None
+    if (hasattr(os, "fork") and nnet._available_cpus() > 1 and nnet._one_blas_thread()
             and stacks >= PREFETCH_MIN_STACKS):
-        yield _stack_targets(teacher, config, n_steps, dataset, schedule, seed)
-        return
-    pid, pipe = _fork(partial(_send_targets, teacher, config, n_steps, dataset, schedule,
-                              seed))
+        # A round that cannot fork, at the process limit say, computes its
+        # targets itself, as a child only makes it faster.
+        with contextlib.suppress(OSError):
+            pid, pipe = _fork(partial(_send_targets, teacher, config, n_steps, dataset,
+                                      schedule, seed))
     try:
         yield _stack_targets(teacher, config, n_steps, dataset, schedule, seed, pipe)
     finally:
-        _kill(pid, pipe)
+        if pid is not None:
+            _kill(pid, pipe)
 
 
 def distill_round(teacher, student, config: DistillConfig, n_steps: int, dataset: ToyDataset,
@@ -342,10 +392,10 @@ def distill_round(teacher, student, config: DistillConfig, n_steps: int, dataset
     of draws from `seed`, the round's seed.
 
     The round draws its updates in noised stacks and computes each stack's
-    targets in one teacher call, in a prefetch child where that pays (see
-    the module docstring); draws and targets do not depend on the student.
-    With `targets`, a cache of this round's targets, every stack reads its
-    targets from it instead.
+    targets in one teacher call, or streams them from a prefetch child one
+    forward block at a time where that pays (see the module docstring);
+    draws and targets do not depend on the student. With `targets`, a cache
+    of this round's targets, every stack reads its targets from it instead.
     """
     # At N = 1 an eps teacher would be queried at t = 0.5 for a latent at t = 1.
     if n_steps < 2:

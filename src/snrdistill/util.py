@@ -41,10 +41,17 @@ def _fork(work: Callable[[BinaryIO], None]) -> tuple[int, BinaryIO]:
     The child must not run the caller's cleanup or flush the caller's
     buffers, so it leaves through os._exit alone: with status 0 once `work`
     returns, and 1 if it raises. A child whose reader has gone meets
-    BrokenPipeError at its next write, and so exits at once.
+    BrokenPipeError at its next write, and so exits at once. Where os.fork
+    raises, both ends of the pipe are closed and the error propagates.
     """
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        # No child (at the process limit, say, BlockingIOError): no pipe.
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         code = 1
         try:

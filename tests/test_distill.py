@@ -1,7 +1,10 @@
 import copy
+import errno
+import io
 import math
 import os
 from dataclasses import replace
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -822,6 +825,118 @@ def test_a_prefetched_round_is_the_inline_round_bit_for_bit(monkeypatch, batch):
     assert_no_child()
 
 
+def block_edges(rows):
+    """The (lo, hi) of each forward block of a call over `rows` rows."""
+    return list(pairwise(nnet._block_edges(rows)))
+
+
+class RecordingWriter(io.BytesIO):
+    """An in-memory pipe that keeps the bytes of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return super().write(data)
+
+
+def sent_targets(teacher, config, seed):
+    """The writes of a prefetch child's work, run in this process."""
+    pipe = RecordingWriter()
+    distill._send_targets(teacher, config, 4, ToyDataset(), SCHEDULE, seed, pipe)
+    return pipe.writes
+
+
+# The child sends each forward block's targets as soon as it has them. At
+# batch 100 a block ends inside an update: [0, 256) ends in the third.
+@pytest.mark.parametrize("batch", [256, 100])
+def test_the_child_writes_once_per_forward_block(monkeypatch, batch):
+    teacher = DenoiserModel.init(seed=13)
+    config = three_stack_config(batch)
+    calls = counting_forward(monkeypatch, teacher)
+    writes = sent_targets(teacher, config, seed=21)
+    blocks = [hi - lo for rows in chunk_rows(batch, config.steps_per_round)
+              for lo, hi in block_edges(rows)]
+    row_bytes = teacher.latent_dim * 8
+    assert [len(data) // row_bytes for data in writes] == blocks
+    # Stacks of 4096, 4096 and 768 rows at batch 256; of 4000, 4000 and 300
+    # at batch 100, whose last blocks have 160 and 44 rows.
+    assert len(writes) == (16 + 16 + 3 if batch == 256 else 16 + 16 + 2)
+    # Two half-steps per block, each one block, so no forward leaves the
+    # child's own thread.
+    assert calls == [rows for rows in blocks for _ in range(2)]
+    assert max(calls) <= nnet.FORWARD_BLOCK_ROWS + 1
+
+
+@pytest.mark.parametrize("parameterization", list(Parameterization))
+@pytest.mark.parametrize("batch", [256, 100])
+def test_the_childs_blocks_are_the_cached_targets_bit_for_bit(monkeypatch, batch,
+                                                              parameterization):
+    teacher = DenoiserModel.init(seed=13, parameterization=parameterization)
+    config = three_stack_config(batch)
+    # The cache's whole-stack calls deal their blocks to two threads.
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 2)
+    cache = cache_round_targets(teacher, config, 4, ToyDataset(), SCHEDULE, seed=21)
+    assert sent_targets(teacher, config, seed=21) == [
+        z0_tilde[lo:hi].tobytes() for z0_tilde in cache.z0_tilde
+        for lo, hi in block_edges(len(z0_tilde))]
+
+
+class RecordingReader:
+    """A pipe's read end that records how far into the stream the reads
+    it is asked for reach."""
+
+    def __init__(self, pipe):
+        self.pipe = pipe
+        self.read = 0
+        self.reach = 0
+
+    def readinto(self, view):
+        self.reach = max(self.reach, self.read + len(view))
+        n = self.pipe.readinto(view)
+        self.read += n
+        return n
+
+    def close(self):
+        self.pipe.close()
+
+
+# Before each update the round has asked the child for the rows up to the
+# end of that update, and for not one byte more.
+@needs_fork
+@pytest.mark.parametrize("batch", [256, 100])
+def test_a_round_reads_no_byte_past_the_update_it_trains(monkeypatch, batch):
+    on_cpus(monkeypatch, 2)
+    readers = []
+    real_fork = distill._fork
+
+    def recording_fork(work):
+        pid, pipe = real_fork(work)
+        readers.append(RecordingReader(pipe))
+        return pid, readers[-1]
+
+    reach = []
+    real_loss = distill.loss_and_gradients
+
+    def recording_loss(*args):
+        reach.append(readers[0].reach)
+        return real_loss(*args)
+
+    monkeypatch.setattr(distill, "_fork", recording_fork)
+    monkeypatch.setattr(distill, "loss_and_gradients", recording_loss)
+    teacher = DenoiserModel.init(seed=13)
+    config = three_stack_config(batch)
+    result = distill_round(teacher, student_of(teacher), config, 4, ToyDataset(), SCHEDULE,
+                           seed=21)
+    assert len(readers) == 1 and result.updates_run == config.steps_per_round
+    row_bytes = teacher.latent_dim * 8
+    assert reach == [(u + 1) * batch * row_bytes for u in range(config.steps_per_round)]
+    assert readers[0].read == reach[-1]
+    assert_no_child()
+
+
 @needs_fork
 def test_no_round_forks_with_a_cache_blas_threads_or_under_three_stacks(monkeypatch):
     on_cpus(monkeypatch, 2)
@@ -885,36 +1000,62 @@ def test_a_teacher_failing_in_the_child_fails_the_round_as_inline(monkeypatch):
 
 
 @needs_fork
-def test_a_child_that_dies_after_two_stacks_leaves_the_round_unchanged(monkeypatch):
+def test_a_child_that_dies_mid_stack_leaves_the_round_unchanged(monkeypatch):
     teacher = DenoiserModel.init(seed=13)
     config = three_stack_config()
     monkeypatch.setattr(nnet, "_available_cpus", lambda: 1)
     inline = distill_round(teacher, student_of(teacher), config, 4, ToyDataset(), SCHEDULE,
                            seed=21)
+    blocks = [len(block_edges(rows)) for rows in chunk_rows(256, config.steps_per_round)]
+    assert blocks == [16, 16, 3]
     parent = os.getpid()
     real = distill.teacher_target
     in_child, here = [], []
 
-    def exit_after_two(*args, **kwargs):
+    def exit_in_stack_one(teacher, z_t, *args):
         if os.getpid() != parent:
-            if len(in_child) == 2:
+            if len(in_child) == blocks[0] + 3:
                 os._exit(3)
-            in_child.append(1)
+            in_child.append(len(z_t))
         else:
-            here.append(1)
-        return real(*args, **kwargs)
+            here.append(len(z_t))
+        return real(teacher, z_t, *args)
 
-    monkeypatch.setattr(distill, "teacher_target", exit_after_two)
+    monkeypatch.setattr(distill, "teacher_target", exit_in_stack_one)
     on_cpus(monkeypatch, 2)
     forks = counting_forks(monkeypatch)
     result = distill_round(teacher, student_of(teacher), config, 4, ToyDataset(), SCHEDULE,
                            seed=21)
     assert len(forks) == 1
-    # The child sent stacks 0 and 1; the round computed stack 2 itself.
-    assert here == [1]
+    # The child sent stack 0 and three blocks of stack 1. The round trained
+    # on them, then computed stacks 1 and 2 itself, one call each; stack 1's
+    # call rewrote the rows the child had sent with the same bits.
+    assert here == chunk_rows(256, config.steps_per_round)[1:] == [4096, 768]
     assert np.array_equal(result.losses, inline.losses)
     assert np.array_equal(result.student.flat, inline.student.flat)
     assert_no_child()
+
+
+@needs_fork
+def test_a_round_that_cannot_fork_computes_its_targets_itself(monkeypatch):
+    teacher = DenoiserModel.init(seed=13)
+    config = three_stack_config()
+    on_cpus(monkeypatch, 1)
+    inline = distill_round(teacher, student_of(teacher), config, 4, ToyDataset(), SCHEDULE,
+                           seed=21)
+    tried = []
+
+    def no_process():
+        tried.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_process)
+    on_cpus(monkeypatch, 2)
+    result = distill_round(teacher, student_of(teacher), config, 4, ToyDataset(), SCHEDULE,
+                           seed=21)
+    assert tried == [1]
+    assert np.array_equal(result.losses, inline.losses)
+    assert np.array_equal(result.student.flat, inline.student.flat)
 
 
 @needs_fork

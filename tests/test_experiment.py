@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import threading
@@ -219,6 +220,18 @@ def test_a_forked_child_whose_reader_has_gone_exits_at_once():
     assert os.waitstatus_to_exitcode(status[1]) == 1 and status[0] == pid
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_fork_that_fails_leaves_no_descriptor_open(monkeypatch):
+    def no_process():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_process)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        util._fork(lambda pipe: None)
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
