@@ -11,17 +11,33 @@ each (strategy, steps) cell, and nothing else; it states no ordering of the
 strategies. Everything is derived from explicit seeds, so identical configs
 reproduce identical CSV bytes.
 
-A (seed, strategy) cell's bytes depend only on its seeds, the teacher and
-the round-1 cache, so the cells of a seed can run side by side: where the
-platform has `os.fork` and numpy's BLAS runs on one thread, every cell but
-the seed's last runs in a forked child, at most one per available CPU at a
-time, and the last runs in the calling process once every child has been
-joined. OpenBLAS's own threads, one per CPU unless it is told otherwise,
-spin on every CPU, and cells competing with them ran slower than cells in
-turn: `snrdistill experiment` on bench/experiment.cfg took 3.5 s with
-forked cells against 1.2 s on one BLAS thread and 1.5 s with every cell in
-the caller. A cell, in a child or in
-the caller, may fork a child of its own, to compute a distillation round's
+Once a seed's teacher is trained, the rest of the seed is a list of cells:
+the teacher-ddim evaluation (`_baseline_cell`) first, then one cell per
+strategy (`_strategy_cell`). A cell's bytes depend only on its seeds, the
+teacher and the round-1 cache, so the cells of a seed can run side by side:
+where the platform has `os.fork` and numpy's BLAS runs on one thread, at
+most one process per available CPU runs a cell at a time, the calling
+process counted while it runs one. Every cell but the seed's last runs in a
+forked child, forked as soon as a CPU is free. The baseline's child is
+forked before the caller computes the round-1 cache, so the cache runs
+beside it. The last cell runs in the caller as soon as fewer children than
+CPUs are running, beside those, and the caller joins them after it.
+
+The last cell stays in the caller because the benchmark reads its
+distillation and sampling throughputs there (its traced spans do not reach
+into a child). Beside a child it runs slower than alone: on
+bench/experiment.cfg, 2-vCPU Xeon, one BLAS thread, the caller's distill
+samples/s fell 3.5% against the last cell run alone, and its sampled latent
+steps/s were flat within the noise, while the run's wall time fell 8%
+(medians of 12 benchmark pairs).
+
+OpenBLAS's own threads, one per CPU unless it is told otherwise, spin on
+every CPU, and cells competing with them ran slower than cells in turn:
+`snrdistill experiment` on bench/experiment.cfg took 3.5 s with forked
+cells against 1.2 s on one BLAS thread and 1.5 s with every cell in the
+caller. So cells fork only on one BLAS thread, which importing the package
+sets by default (see the package's docstring). A cell, in a child or in the
+caller, may fork a child of its own, to compute a distillation round's
 teacher targets while the round's student trains (see the distill module's
 docstring). No byte depends on where a cell ran or on the number of CPUs.
 
@@ -36,7 +52,7 @@ from __future__ import annotations
 import json
 import os
 import traceback
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -135,20 +151,21 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
     for the same `steps_per_round` updates, so round 1 draws the same
     batches for each and the teacher's targets for them do not depend on
     the weighting, which enters only the loss. The caller computes them
-    once per seed, before any cell runs, into a `TeacherTargetCache`
-    (steps_per_round x distill.batch_size x latent_dim doubles, 16 MB at
-    the defaults), and every cell reads them.
+    once per seed, before any strategy cell runs, into a
+    `TeacherTargetCache` (steps_per_round x distill.batch_size x latent_dim
+    doubles, 16 MB at the defaults), and every strategy cell reads them.
 
-    Each seed trains its teacher and evaluates it in the caller, then runs
-    its strategy cells (`_strategy_cell`) through `_run_cells`: all but the
-    last in forked children, the last in the caller after the children. The
-    last waits for them so that it runs alone and its distillation and
-    sampling keep their single-cell speed; the benchmark reads both from
-    the caller. metrics.csv gets each seed's rows in the order of a serial
-    run, the baseline first and then the strategies in `run.strategies`
-    order, so no byte depends on where a cell ran. A child that dies
-    without reporting is logged as its cell's error, and no child outlives
-    the call.
+    Each seed trains its teacher in the caller, then runs its cells
+    (`_seed_cells`: the baseline, then the strategies) through
+    `_run_cells`, which keeps at most one cell per available CPU running.
+    The baseline forks first, and the round-1 cache is computed beside it;
+    every cell but the last runs in a forked child, and the last in the
+    caller as soon as a CPU frees, since the benchmark reads its
+    distillation and sampling throughputs there. metrics.csv gets each
+    seed's rows in the order of a serial run, the baseline first and then
+    the strategies in `run.strategies` order, so no byte depends on where a
+    cell ran. A child that dies without reporting is logged as its cell's
+    error, and no child outlives the call.
     """
     out = Path(output_dir if output_dir is not None else cfg.run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,37 +187,57 @@ def run_experiment(cfg: RunConfig, output_dir: str | Path | None = None) -> Path
                 errors.append(f"seed {seed}: train_base failed\n{traceback.format_exc()}")
                 continue
 
-            lines: list[str] = []
-            try:
-                for steps in steps_list:
-                    _eval_repetitions(teacher, schedule, dataset, ref, cfg, seed,
-                                      BASELINE_NAME, steps, lines)
-            except Exception:
-                errors.append(f"seed {seed}, {BASELINE_NAME}: evaluation failed\n"
-                              f"{traceback.format_exc()}")
-
-            try:
-                dconfig = build_distill_config(cfg, cfg.run.strategies[0], seed)
-                targets = cache_round_targets(teacher, dconfig, dconfig.n_start >> 1, dataset,
-                                              schedule, round_seed(seed, 1))
-            except Exception:
-                # Each strategy's own round 1 then meets the error and logs it.
-                targets = None
-            cells = [(f"seed {seed}, strategy {strategy}",
-                      partial(_strategy_cell, cfg, seed, strategy, teacher, targets, dataset,
-                              schedule, ref, seed_dir / strategy))
-                     for strategy in cfg.run.strategies]
-            for cell_lines, cell_errors in _run_cells(cells):
-                lines += cell_lines
+            # The generator holds the seed's round-1 cache. Passed straight in,
+            # it is freed as soon as `_run_cells` returns.
+            results = _run_cells(
+                _seed_cells(cfg, seed, teacher, dataset, schedule, ref, steps_list, seed_dir),
+                len(cfg.run.strategies) + 1)
+            for cell_lines, cell_errors in results:
+                metrics_file.writelines(cell_lines)
                 errors += cell_errors
-            del targets
-            metrics_file.writelines(lines)
             metrics_file.flush()
 
     if errors:
         (out / "errors.log").write_text("\n".join(errors), encoding="utf-8")
     write_results(read_metrics(out / "metrics.csv"), out / "results.csv")
     return out
+
+
+def _seed_cells(cfg, seed, teacher, dataset, schedule, ref, steps_list, seed_dir: Path):
+    """Yields the seed's cells as (name, cell), the baseline first and then
+    each strategy in `run.strategies` order. The round-1 cache is computed
+    when the first strategy cell is drawn, so that it runs beside a forked
+    baseline."""
+    yield (f"seed {seed}, {BASELINE_NAME}",
+           partial(_baseline_cell, cfg, seed, teacher, dataset, schedule, ref, steps_list))
+    try:
+        dconfig = build_distill_config(cfg, cfg.run.strategies[0], seed)
+        targets = cache_round_targets(teacher, dconfig, dconfig.n_start >> 1, dataset,
+                                      schedule, round_seed(seed, 1))
+    except Exception:
+        # Each strategy's own round 1 then meets the error and logs it.
+        targets = None
+    for strategy in cfg.run.strategies:
+        yield (f"seed {seed}, strategy {strategy}",
+               partial(_strategy_cell, cfg, seed, strategy, teacher, targets, dataset,
+                       schedule, ref, seed_dir / strategy))
+
+
+def _baseline_cell(cfg, seed, teacher, dataset, schedule, ref,
+                   steps_list) -> tuple[list[str], list[str]]:
+    """Evaluate the teacher's own DDIM sampler at every step count in
+    `steps_list`. Returns the cell's metrics.csv lines, those of the
+    evaluations that completed, and its error texts."""
+    lines: list[str] = []
+    errors: list[str] = []
+    try:
+        for steps in steps_list:
+            _eval_repetitions(teacher, schedule, dataset, ref, cfg, seed, BASELINE_NAME,
+                              steps, lines)
+    except Exception:
+        errors.append(f"seed {seed}, {BASELINE_NAME}: evaluation failed\n"
+                      f"{traceback.format_exc()}")
+    return lines, errors
 
 
 def _strategy_cell(cfg, seed, strategy, teacher, targets, dataset, schedule, ref,
@@ -232,30 +269,44 @@ def _strategy_cell(cfg, seed, strategy, teacher, targets, dataset, schedule, ref
     return lines, errors
 
 
-def _run_cells(cells: list[tuple[str, Callable]]) -> list[tuple[list[str], list[str]]]:
-    """Runs each (name, cell) and returns each cell's (lines, errors), in order.
+def _run_cells(cells: Iterable[tuple[str, Callable]],
+               count: int) -> list[tuple[list[str], list[str]]]:
+    """Runs the `count` (name, cell) pairs of `cells` and returns each cell's
+    (lines, errors), in order.
 
     Where `os.fork` exists and BLAS runs on one thread
-    (`nnet._one_blas_thread()`), every cell but the last runs in a forked
-    child, at most `nnet._available_cpus()` at a time, and the last runs
-    here once every child has been joined; elsewhere all run here, one
-    after another. Whether the call returns or raises, no child outlives it.
+    (`nnet._one_blas_thread()`), at most `nnet._available_cpus()` processes
+    run cells at a time, this one counted while it runs a cell. Every cell
+    but the last forks in order as soon as a slot is free; the last runs
+    here as soon as fewer than `_available_cpus()` children are running,
+    beside those, and the rest are joined after it. The last runs here and
+    not in a child so that a caller that measures this process, as the
+    benchmark does, still sees one cell's work. Elsewhere all run here,
+    one after another. A cell is drawn from `cells` only once its slot is
+    free, so work the iterator does before yielding it runs beside the
+    children already forked. Whether the call returns or raises, no child
+    outlives it.
     """
+    cells = iter(cells)
     if not (hasattr(os, "fork") and nnet._one_blas_thread()):
         return [cell() for _, cell in cells]
-    results = []
-    children = []  # (name, pid, read end of its pipe), oldest first
+    results = [None] * count
+    children = []  # (index, name, pid, read end of its pipe), oldest first
     try:
-        for name, cell in cells[:-1]:
-            if len(children) >= nnet._available_cpus():
-                results.append(_join(children))
-            children.append((name, *_fork(partial(_report, cell))))
+        for index in range(count):
+            while len(children) >= nnet._available_cpus():
+                _join(children, results)
+            name, cell = next(cells)
+            if index < count - 1:
+                children.append((index, name, *_fork(partial(_report, cell))))
+            else:
+                results[index] = cell()
         while children:
-            results.append(_join(children))
+            _join(children, results)
     finally:
-        for _, pid, pipe in children:
+        for _, _, pid, pipe in children:
             _kill(pid, pipe)
-    return results + [cell() for _, cell in cells[-1:]]
+    return results
 
 
 def _report(cell, pipe) -> None:
@@ -263,18 +314,18 @@ def _report(cell, pipe) -> None:
     pipe.write(json.dumps(cell()).encode("utf-8"))
 
 
-def _join(children: list) -> tuple[list[str], list[str]]:
-    """Reads the oldest child's pipe to EOF, reaps the child, and drops it from
-    `children`. A child that exits without a full report yields one error."""
-    name, pid, pipe = children[0]
+def _join(children: list, results: list) -> None:
+    """Reads the oldest child's pipe to EOF, reaps the child, drops it from
+    `children` and stores its cell's (lines, errors) in `results`. A child
+    that exits without a full report yields one error."""
+    index, name, pid, pipe = children[0]
     with pipe:
         payload = pipe.read()
     _, status = os.waitpid(pid, 0)
     children.pop(0)
     code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        return json.loads(payload)
-    return [], [f"{name}: its process exited with status {code} without reporting\n"]
+    results[index] = json.loads(payload) if code == 0 else (
+        [], [f"{name}: its process exited with status {code} without reporting\n"])
 
 
 def _write_trace(path: Path, trace) -> None:

@@ -103,6 +103,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas_threads
 from .errors import ShapeMismatchError
 from .schedule import check_unit_interval
 
@@ -549,17 +550,9 @@ def _available_cpus() -> int:
 
 
 def _one_blas_thread() -> bool:
-    """Whether numpy's OpenBLAS runs each call on one thread. As it loads,
-    it takes the first of these variables that is set above 0 and, with
-    none, one thread per CPU."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(name, "0"))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads == 1
-    return _available_cpus() == 1
+    """Whether numpy's OpenBLAS runs each call on one thread."""
+    threads = _blas_threads()
+    return threads == 1 if threads is not None else _available_cpus() == 1
 
 
 _pool: ThreadPoolExecutor | None = None

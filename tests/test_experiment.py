@@ -1,4 +1,5 @@
 import errno
+import functools
 import math
 import os
 import threading
@@ -189,8 +190,9 @@ def test_cells_in_forked_children_leave_the_run_unchanged(tmp_path, monkeypatch)
         forks = counting_forks(monkeypatch)
         runs[cpus] = _outputs(experiment.run_experiment(cfg, tmp_path / f"cpus{cpus}"),
                               THREE_COMPARED)
-        # Every cell of a seed but its last in a child, forked from one thread.
-        assert forks == [1] * 4
+        # Every cell of a seed but its last in a child, the baseline included,
+        # forked from one thread.
+        assert forks == [1] * 6
     # With OpenBLAS's own threads every cell runs in the caller.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     forks = counting_forks(monkeypatch)
@@ -201,6 +203,55 @@ def test_cells_in_forked_children_leave_the_run_unchanged(tmp_path, monkeypatch)
     assert runs[2] == runs[1] == blas == nofork
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _overlap(intervals, instant) -> int:
+    return sum(1 for start, end in intervals if start <= instant < end)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_cells_keeps_every_slot_busy_and_no_more(tmp_path, monkeypatch, cpus):
+    log = tmp_path / "cells.log"
+    count = 4
+
+    # Each cell outlasts the one before it, so the children still run when
+    # the first of them ends.
+    def cell(index):
+        start = time.monotonic()
+        time.sleep(0.2 * (index + 1))
+        with open(log, "a", encoding="ascii") as f:
+            f.write(f"{index} {os.getpid()} {start!r} {time.monotonic()!r}\n")
+        return [str(index)], []
+
+    draws = []
+
+    def cells():
+        for index in range(count):
+            draws.append(time.monotonic())
+            yield f"cell {index}", functools.partial(cell, index)
+
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: cpus)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    results = experiment._run_cells(cells(), count)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert [tuple(result) for result in results] == [([str(i)], []) for i in range(count)]
+    records = sorted(line.split() for line in log.read_text(encoding="ascii").splitlines())
+    assert [int(index) for index, *_ in records] == list(range(count))
+    pids = [int(pid) for _, pid, _, _ in records]
+    intervals = [(float(start), float(end)) for *_, start, end in records]
+    # Every cell but the last ran in a child of its own, the last here.
+    assert pids[-1] == os.getpid() and len(set(pids[:-1]) | {os.getpid()}) == count
+    # At most `cpus` cells at any instant, and every slot taken.
+    assert max(_overlap(intervals, start) for start, _ in intervals) == min(cpus, count)
+    # Each cell is drawn only once a slot is free for it.
+    assert all(_overlap(intervals[:index], draw) < cpus for index, draw in enumerate(draws))
+    # The last cell starts as soon as a slot frees, beside the children still
+    # running; on one CPU only after every child has ended.
+    last_start = intervals[-1][0]
+    children_end = max(end for _, end in intervals[:-1])
+    assert (last_start < children_end) == (cpus > 1)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -254,6 +305,31 @@ def test_a_child_that_exits_without_reporting_is_logged_and_the_run_goes_on(tmp_
     rows = experiment.read_metrics(run_dir / "metrics.csv")
     assert sorted({(row.strategy, row.steps) for row in rows}) == [
         ("bsa", 2), ("bsa", 4), ("teacher-ddim", 2), ("teacher-ddim", 4), ("teacher-ddim", 8)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_baseline_child_that_exits_without_reporting_keeps_every_strategy_row(tmp_path,
+                                                                                 monkeypatch):
+    caller = os.getpid()
+    real = experiment._baseline_cell
+
+    def exit_in_a_child(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "_baseline_cell", exit_in_a_child)
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    run_dir = experiment.run_experiment(parse_config(TINY), tmp_path / "run")
+    errors = (run_dir / "errors.log").read_text(encoding="utf-8")
+    assert errors == "seed 1, teacher-ddim: its process exited with status 3 without reporting\n"
+    rows = experiment.read_metrics(run_dir / "metrics.csv")
+    assert sorted({(row.strategy, row.steps) for row in rows}) == [
+        ("bsa", 2), ("bsa", 4), ("min-snr", 2), ("min-snr", 4)]
+    assert len(rows) == 2 * 2 * 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -335,6 +411,8 @@ def test_a_failed_baseline_evaluation_is_logged_and_the_strategies_still_run(tmp
         return z
 
     monkeypatch.setattr(experiment, "sample", nan_for_the_teacher)
+    # One BLAS thread, so the baseline cell runs in a forked child.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     run_dir = experiment.run_experiment(parse_config(TINY), tmp_path / "run")
     errors = (run_dir / "errors.log").read_text(encoding="utf-8")
     assert errors.startswith("seed 1, teacher-ddim: evaluation failed\n")

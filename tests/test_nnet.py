@@ -958,3 +958,32 @@ def test_one_blas_thread_reads_openblas_variables_in_its_order(monkeypatch, env,
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(nnet, "_available_cpus", lambda: cpus)
     assert nnet._one_blas_thread() is one
+
+
+# Importing the package before numpy sets OPENBLAS_NUM_THREADS=1 unless a
+# BLAS variable is set above 0; after numpy it can no longer take effect and
+# is left unset.
+@pytest.mark.parametrize("env, numpy_first, one, variable", [
+    ({}, False, "True", "1"),
+    ({"OPENBLAS_NUM_THREADS": "0"}, False, "True", "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False, "False", "2"),
+    ({"OMP_NUM_THREADS": "2"}, False, "False", "None"),
+    ({}, True, None, "None"),
+])
+def test_the_package_takes_one_blas_thread_unless_told_otherwise(env, numpy_first, one,
+                                                                 variable):
+    src = str(Path(nnet.__file__).parents[1])
+    base = {name: value for name, value in os.environ.items()
+            if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    code = (
+        ("import numpy\n" if numpy_first else "")
+        + "import os\n"
+        "from snrdistill import nnet\n"
+        "print(nnet._one_blas_thread(), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=dict(
+        base, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))),
+        capture_output=True, text=True, timeout=60, check=True)
+    # Left unset, OpenBLAS takes one thread per CPU.
+    expected = one if one is not None else str(nnet._available_cpus() == 1)
+    assert result.stdout.split() == [expected, variable]
