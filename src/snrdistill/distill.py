@@ -12,6 +12,9 @@ exactly on z_t''. The per-sample squared error is weighted by the configured
 SNR strategy. Every round runs exactly `steps_per_round` updates, so each
 weighting gets the same budget (Salimans & Ho, arXiv:2202.00512). After a
 round the student becomes the next teacher and the step count halves.
+A round trains its student through `trainer._fit`, the one update loop it
+shares with base training: only the target, z0_tilde, the weight,
+strategy.weight(snr), and the error a diverging update raises differ.
 
 A round's draws (batch, grid time t = i/N, noise) come from its seed
 alone, and its targets from the frozen teacher and those draws; only the
@@ -51,9 +54,11 @@ the round read each whole stack before training on it.
 A round of one or two stacks forks no child. bench/experiment.cfg's
 30-update rounds draw two stacks each, and its cells already run in
 forked children, one per CPU, so a child of each round would be a third
-process on two CPUs. It measured no faster: over 8 alternating pairs of
-processes of 7 `run_experiment` runs each, the median run took 0.96-1.32 s
-with a threshold of 3 and 1.00-1.19 s with 2, and 3 won 5 of the 8 pairs.
+process on two CPUs, and it made the run slower: over 16 alternating pairs
+of the benchmark's `experiment` workload at `--seconds 8` (2-vCPU Xeon,
+one BLAS thread), a threshold of 3 beat a threshold of 1, which forks a
+child for every uncached round, in 14 pairs, with a median `wall_s` of
+1.182 s against 1.259 s (interquartile ranges 0.061 s and 0.083 s).
 OpenBLAS's own threads, one per CPU unless it is told otherwise, already
 keep the second CPU busy, and a child competing with them for it made
 rounds slower: `snrdistill distill` of a 3-round, 100-update config took
@@ -98,15 +103,10 @@ import numpy as np
 from . import nnet
 from .data import ToyDataset, _draw_stacks, _lookahead
 from .errors import DegenerateTargetError, DistillationDivergedError
-from .nnet import (
-    AdamState,
-    DenoiserModel,
-    Parameterization,
-    adam_step,
-    loss_and_gradients,
-)
+from .nnet import DenoiserModel, Parameterization
 from .sampler import ddim_path
 from .schedule import CosineSchedule
+from .trainer import _fit
 from .util import _fork, _kill, child_rng
 from .weighting import WeightStrategy, strategy_from_name
 
@@ -404,25 +404,17 @@ def distill_round(teacher, student, config: DistillConfig, n_steps: int, dataset
         raise ValueError("the student must predict clean latents and not be the teacher object")
     cached = None if targets is None else targets.read(
         teacher, n_steps, seed, config.batch_size, config.steps_per_round)
-    state = AdamState.fresh(student.flat, lr=config.lr)
-    batch = config.batch_size
 
-    losses: list[float] = []
+    def check(update, loss, weighted, t, w):
+        if not np.isfinite(loss):
+            bad = int(np.argmax(~np.isfinite(weighted)))
+            raise DistillationDivergedError(t=float(t[bad]), weight=float(w[bad]), loss=loss)
+
     with _round_targets(teacher, config, n_steps, dataset, schedule, seed, cached) as stacks:
-        for (cond, _, t, _, z_t, snr), z0_tilde in stacks:
-            w = config.strategy.weight(snr)
-            for j in range(0, len(t), batch):
-                rows = slice(j, j + batch)
-                loss, grad, weighted = loss_and_gradients(
-                    student, z_t[rows], t[rows], cond[rows], z0_tilde[rows], w[rows])
-                if not np.isfinite(loss):
-                    bad = j + int(np.argmax(~np.isfinite(weighted)))
-                    raise DistillationDivergedError(t=float(t[bad]), weight=float(w[bad]),
-                                                    loss=loss)
-                adam_step(student.flat, grad, state)
-                losses.append(loss)
-
-    return RoundRecord(student_steps=n_steps, student=student, losses=np.asarray(losses))
+        losses = _fit(student, ((cond, t, z_t, z0_tilde, config.strategy.weight(snr))
+                                for (cond, _, t, _, z_t, snr), z0_tilde in stacks),
+                      config.batch_size, config.lr, check)
+    return RoundRecord(student_steps=n_steps, student=student, losses=losses)
 
 
 def progressive_distill(teacher, config: DistillConfig, dataset: ToyDataset,

@@ -49,6 +49,7 @@ and resume; the run itself never reads them back.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import traceback
@@ -281,8 +282,9 @@ def _run_cells(cells: Iterable[tuple[str, Callable]],
     here as soon as fewer than `_available_cpus()` children are running,
     beside those, and the rest are joined after it. The last runs here and
     not in a child so that a caller that measures this process, as the
-    benchmark does, still sees one cell's work. Elsewhere all run here,
-    one after another. A cell is drawn from `cells` only once its slot is
+    benchmark does, still sees one cell's work. A cell whose fork raises
+    OSError runs here in its turn. Elsewhere all run here, one after
+    another. A cell is drawn from `cells` only once its slot is
     free, so work the iterator does before yielding it runs beside the
     children already forked. Whether the call returns or raises, no child
     outlives it.
@@ -298,9 +300,11 @@ def _run_cells(cells: Iterable[tuple[str, Callable]],
                 _join(children, results)
             name, cell = next(cells)
             if index < count - 1:
-                children.append((index, name, *_fork(partial(_report, cell))))
-            else:
-                results[index] = cell()
+                # At the process limit, say; a child only makes the run faster.
+                with contextlib.suppress(OSError):
+                    children.append((index, name, *_fork(partial(_report, cell))))
+                    continue
+            results[index] = cell()
         while children:
             _join(children, results)
     finally:

@@ -11,6 +11,11 @@ does, through `data._draw_stacks` (the data module's docstring describes
 them). Each update takes its rows of the stack's z_t and weights, so its
 loss, gradient and Adam step are bit-identical to those of drawing and
 computing one update at a time.
+
+`_fit` is the one update loop, of base training and of every distillation
+round alike: a weighted squared-error Adam update over stacks of rows. The
+callers differ only in what the rows regress on, how they are weighted and
+which error a diverging update raises.
 """
 
 from __future__ import annotations
@@ -74,24 +79,44 @@ def train_base(config: TrainConfig, dataset: ToyDataset, schedule: CosineSchedul
         seed=int(child_rng(config.seed, "init").integers(0, 2**31 - 1)),
     )
     rng = child_rng(config.seed, "train-batches")
-    state = AdamState.fresh(model.flat, lr=config.lr)
-    losses: list[float] = []
-    batch = config.batch_size
-
-    stacks = _draw_stacks(dataset, schedule, batch, config.updates, rng,
+    stacks = _draw_stacks(dataset, schedule, config.batch_size, config.updates, rng,
                           lambda rng, size: rng.uniform(schedule.t_min, 1.0, size=size))
-    for cond, z0, t, eps, z_t, snr in stacks:
-        if config.parameterization is Parameterization.EPSILON:
-            target, w = eps, config.strategy.noise_weight(snr)
-        else:
-            target, w = z0, config.strategy.weight(snr)
-        for j in range(0, len(t), batch):
-            rows = slice(j, j + batch)
-            loss, grad, _ = loss_and_gradients(
+    if config.parameterization is Parameterization.EPSILON:
+        stacks = ((cond, t, z_t, eps, config.strategy.noise_weight(snr))
+                  for cond, _, t, eps, z_t, snr in stacks)
+    else:
+        stacks = ((cond, t, z_t, z0, config.strategy.weight(snr))
+                  for cond, z0, t, _, z_t, snr in stacks)
+
+    def check(update, loss, weighted, t, w):
+        if not np.isfinite(loss) or loss > DIVERGENCE_BOUND:
+            raise TrainingDivergedError(update=update, loss=loss)
+
+    losses = _fit(model, stacks, config.batch_size, config.lr, check)
+    return TrainResult(model=model, loss_history=losses)
+
+
+def _fit(model, stacks, batch_size: int, lr: float, check) -> np.ndarray:
+    """Train `model` in place by Adam at rate `lr`; returns every update's loss.
+
+    `stacks` yields (cond, t, z_t, target, w) with one row per drawn
+    sample, and each update takes the next `batch_size` rows of its stack;
+    `target` may be any object whose slices are arrays, as a distillation
+    round's streamed targets are. Before an update's Adam step,
+    `check(update, loss, weighted, t, w)` sees its index, its loss, its
+    per-row weighted error and its rows' t and w, and raises the caller's
+    error if the update diverged; that update then takes no step. The
+    model needs `flat` and `forward_backward`, as `nnet.loss_and_gradients`
+    uses them.
+    """
+    state = AdamState.fresh(model.flat, lr=lr)
+    losses: list[float] = []
+    for cond, t, z_t, target, w in stacks:
+        for j in range(0, len(t), batch_size):
+            rows = slice(j, j + batch_size)
+            loss, grad, weighted = loss_and_gradients(
                 model, z_t[rows], t[rows], cond[rows], target[rows], w[rows])
-            if not np.isfinite(loss) or loss > DIVERGENCE_BOUND:
-                raise TrainingDivergedError(update=len(losses), loss=loss)
+            check(len(losses), loss, weighted, t[rows], w[rows])
             adam_step(model.flat, grad, state)
             losses.append(loss)
-
-    return TrainResult(model=model, loss_history=np.asarray(losses))
+    return np.asarray(losses)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from snrdistill.data import LOOKAHEAD_ROWS, ToyDataset, _draw_stacks, draw_batch
-from snrdistill import distill, nnet, sampler
+from snrdistill import distill, nnet, sampler, trainer
 from snrdistill.config import parse_config
 from snrdistill.distill import (
     DistillConfig,
@@ -199,14 +199,14 @@ def test_zero_updates_student_is_bitwise_teacher_copy(monkeypatch):
     # The student progressive_distill makes, as its first update meets it,
     # before any Adam step.
     seen = []
-    real = distill.loss_and_gradients
+    real = trainer.loss_and_gradients
 
     def first(student, *args):
         if not seen:
             seen.append((student, student.flat.copy()))
         return real(student, *args)
 
-    monkeypatch.setattr(distill, "loss_and_gradients", first)
+    monkeypatch.setattr(trainer, "loss_and_gradients", first)
     teacher = random_teacher(3)
     before = teacher.flat.copy()
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=1, batch_size=4)
@@ -313,7 +313,7 @@ def test_log_records_apply_weights_bit_for_bit(monkeypatch):
     # Every update's loss weighs its rows by the strategy's weight of the
     # schedule's snr at their grid times.
     calls = []
-    real = distill.loss_and_gradients
+    real = trainer.loss_and_gradients
 
     def capturing(model, z, t, cond, target, w):
         diff = model.forward(z, t, cond) - target  # before the update moves the model
@@ -321,7 +321,7 @@ def test_log_records_apply_weights_bit_for_bit(monkeypatch):
         calls.append((t, w, diff, out))
         return out
 
-    monkeypatch.setattr(distill, "loss_and_gradients", capturing)
+    monkeypatch.setattr(trainer, "loss_and_gradients", capturing)
     teacher = random_teacher(7)
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=5, batch_size=16)
     result = distill_round(teacher, student_of(teacher), config, 4, small_dataset(), SCHEDULE,
@@ -335,13 +335,13 @@ def test_log_records_apply_weights_bit_for_bit(monkeypatch):
 
 def test_a_flat_loss_runs_the_whole_budget(monkeypatch):
     # A loss that never improves still runs every one of the round's updates.
-    real = distill.loss_and_gradients
+    real = trainer.loss_and_gradients
 
     def flat(*args):
         _, grads, weighted = real(*args)
         return 0.5, np.zeros_like(grads), weighted
 
-    monkeypatch.setattr(distill, "loss_and_gradients", flat)
+    monkeypatch.setattr(trainer, "loss_and_gradients", flat)
     teacher = AffineModel(0.3, -0.2)
     config = DistillConfig(iterations=1, n_start=8, steps_per_round=600, batch_size=8)
     result = distill_round(teacher, AffineModel(0.3, -0.2), config, 4, _OneDimDataset(),
@@ -918,14 +918,14 @@ def test_a_round_reads_no_byte_past_the_update_it_trains(monkeypatch, batch):
         return pid, readers[-1]
 
     reach = []
-    real_loss = distill.loss_and_gradients
+    real_loss = trainer.loss_and_gradients
 
     def recording_loss(*args):
         reach.append(readers[0].reach)
         return real_loss(*args)
 
     monkeypatch.setattr(distill, "_fork", recording_fork)
-    monkeypatch.setattr(distill, "loss_and_gradients", recording_loss)
+    monkeypatch.setattr(trainer, "loss_and_gradients", recording_loss)
     teacher = DenoiserModel.init(seed=13)
     config = three_stack_config(batch)
     result = distill_round(teacher, student_of(teacher), config, 4, ToyDataset(), SCHEDULE,
@@ -1060,7 +1060,7 @@ def test_a_round_that_cannot_fork_computes_its_targets_itself(monkeypatch):
 
 @needs_fork
 def test_a_round_that_diverges_leaves_no_child(monkeypatch):
-    real = distill.loss_and_gradients
+    real = trainer.loss_and_gradients
     calls = []
 
     def nan_at_update_20(*args):
@@ -1070,7 +1070,7 @@ def test_a_round_that_diverges_leaves_no_child(monkeypatch):
             return np.nan, grad, np.full_like(weighted, np.nan)
         return loss, grad, weighted
 
-    monkeypatch.setattr(distill, "loss_and_gradients", nan_at_update_20)
+    monkeypatch.setattr(trainer, "loss_and_gradients", nan_at_update_20)
     on_cpus(monkeypatch, 2)
     forks = counting_forks(monkeypatch)
     teacher = DenoiserModel.init(seed=13)

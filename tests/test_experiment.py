@@ -366,6 +366,28 @@ def test_no_child_outlives_a_run_that_raises(tmp_path, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_cell_that_cannot_fork_runs_in_the_caller(tmp_path, monkeypatch):
+    # At the process limit every fork raises BlockingIOError: each cell then
+    # runs in the caller in its turn, and the run writes the bytes of a
+    # forked run.
+    cfg = parse_config(THREE + "run.seeds = 1,2\n")
+    monkeypatch.setattr(nnet, "_available_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    forked = _outputs(experiment.run_experiment(cfg, tmp_path / "forked"), THREE_COMPARED)
+    tried = []
+
+    def no_process():
+        tried.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_process)
+    unforked = _outputs(experiment.run_experiment(cfg, tmp_path / "unforked"), THREE_COMPARED)
+    # Each seed's baseline and first two strategies tried to fork.
+    assert len(tried) == 6
+    assert unforked == forked
+
+
 def test_model_without_hidden_layer_runs_every_strategy(tmp_path):
     cfg = parse_config(TINY.replace("model.hidden = 16,16", "model.hidden = "))
     assert cfg.model.hidden == ()

@@ -252,3 +252,36 @@ def test_x_loss_matches_the_eps_hat_chain(monkeypatch, name):
         ref_grads = model.views(ref_grad)
         for k, g in model.views(grad).items():
             assert np.max(np.abs(g - ref_grads[k])) <= 1e-12 * np.max(np.abs(ref_grads[k])), k
+
+
+class _Rejected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [0, 3, 5])
+def test_fit_takes_no_step_for_the_update_its_check_rejects(k):
+    # Two stacks of 4 updates of 8 rows: if `check` raises at update k, the
+    # model's parameters are those of a run over the first k updates alone.
+    from snrdistill import trainer
+
+    batch, rng = 8, np.random.default_rng(11)
+    stacks = [(rng.integers(0, 8, 32), rng.uniform(0.1, 1.0, 32), rng.standard_normal((32, 2)),
+               rng.standard_normal((32, 2)), rng.uniform(0.5, 2.0, 32)) for _ in range(2)]
+    first_k = [tuple(a[:max(0, k * batch - s * 32)] for a in stack)
+               for s, stack in enumerate(stacks)]
+
+    def reject_update_k(update, loss, weighted, t, w):
+        if update == k:
+            raise _Rejected
+
+    def model():
+        return DenoiserModel.init(hidden=(8,), embed_dim=4, num_frequencies=2, seed=2)
+
+    rejected, reference = model(), model()
+    with pytest.raises(_Rejected):
+        trainer._fit(rejected, stacks, batch, 1e-2, reject_update_k)
+    losses = trainer._fit(reference, first_k, batch, 1e-2, lambda *args: None)
+    assert len(losses) == k
+    assert np.array_equal(rejected.flat, reference.flat)
+    # and the first k updates did move the model
+    assert np.array_equal(rejected.flat, model().flat) == (k == 0)
